@@ -17,18 +17,11 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from . import __version__, corpus, mockllm
+from . import __version__, corpus, detect, mockllm
 from .corpus import Category, CorpusError, Document, Span
-from .detect import (
-    ChatClient,
-    EmptyCompletion,
-    LlmClientConfig,
-    LlmDetector,
-    RuleDetector,
-    TransportError,
-)
+from .detect import ChatClient, EmptyCompletion, LlmClientConfig, TransportError
 from .eval import (
     bias_report,
     cost_summary,
@@ -137,11 +130,20 @@ def _build_client(args: argparse.Namespace, config: dict) -> ChatClient:
         model=model,
         api_key_env=args.api_key_env or llm.get("api_key_env", "DEIDKIT_API_KEY"),
         temperature=args.temperature if args.temperature is not None else llm.get("temperature", 0.0),
-        max_parallel=args.jobs,
         requests_per_minute=args.rpm or llm.get("requests_per_minute", 1000),
         max_retries=args.max_retries if args.max_retries is not None else llm.get("max_retries", 3),
     )
     return ChatClient(client_config)
+
+
+def _map_docs(
+    fn: Callable[[str], list[Span]], ids: Sequence[str], jobs: int
+) -> dict[str, list[Span]]:
+    """Run ``fn`` over document ids with at most ``jobs`` in flight."""
+    if jobs < 1:
+        raise CliError("--jobs must be >= 1")
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return dict(zip(ids, pool.map(fn, ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +157,7 @@ def _cmd_ingest(args: argparse.Namespace, config: dict) -> int:
             Path(args.tscc).read_text(encoding="utf-8"), doc_id
         )
         corpus.write_documents(args.out_docs, [doc])
-        payload = [
-            {
-                "document": doc.id,
-                "spans": [
-                    {
-                        "start": s.start,
-                        "end": s.end,
-                        "placeholder": s.category.name,
-                        "name_kind": s.category.name_kind,
-                        "text": s.surface,
-                    }
-                    for s in placeholders
-                ],
-            }
-        ]
-        _write_json(args.out_gold, payload)
+        corpus.write_standoff(args.out_gold, {doc.id: placeholders})
         _write_manifest(args.out_docs, "ingest", vars(args), [args.tscc], None)
         return 0
 
@@ -244,26 +231,18 @@ def _cmd_detect(args: argparse.Namespace, config: dict) -> int:
     detector_name = args.detector or config.get("detector", "rules")
     client = None
     if detector_name == "rules":
-        detector = RuleDetector(pools=pools)
+        def detect_one(doc_id: str) -> list[Span]:
+            return detect.rule_detect(docs[doc_id], pools=pools)
     elif detector_name in ("llm-fewshot", "llm-finetuned"):
         client = _build_client(args, config)
-        detector = LlmDetector(client, detector_name.removeprefix("llm-"))
+        mode = detector_name.removeprefix("llm-")
+
+        def detect_one(doc_id: str) -> list[Span]:
+            return detect.llm_detect(docs[doc_id], client, mode).spans
     else:
         raise CliError(f"unknown detector {detector_name!r}")
 
-    def run_one(doc_id: str) -> tuple[str, list[Span]]:
-        return doc_id, detector.detect(docs[doc_id])
-
-    results: dict[str, list[Span]] = {}
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for doc_id, spans in pool.map(run_one, ids):
-                results[doc_id] = spans
-    else:
-        for doc_id in ids:
-            results[doc_id] = detector.detect(docs[doc_id])
-
-    corpus.write_standoff(args.out, results)
+    corpus.write_standoff(args.out, _map_docs(detect_one, ids, args.jobs))
     pricing = config.get("pricing")
     if client is not None and isinstance(pricing, dict):
         usd = client.estimated_input_tokens / 1e6 * float(
@@ -296,39 +275,12 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
         if doc_id not in docs:
             raise CliError(f"spans reference unknown document {doc_id!r}")
 
-    def run_one(doc_id: str) -> tuple[str, list[Span]]:
-        return doc_id, verify_spans(
-            docs[doc_id], detections[doc_id], client, variant, args.window
-        )
+    def verify_one(doc_id: str) -> list[Span]:
+        return verify_spans(docs[doc_id], detections[doc_id], client, variant, args.window)
 
-    kept: dict[str, list[Span]] = {}
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for doc_id, spans in pool.map(run_one, sorted(detections)):
-                kept[doc_id] = spans
-    else:
-        for doc_id in sorted(detections):
-            kept[doc_id] = run_one(doc_id)[1]
-    corpus.write_standoff(args.out, kept)
+    corpus.write_standoff(args.out, _map_docs(verify_one, sorted(detections), args.jobs))
     _write_manifest(args.out, "verify", vars(args), [args.infile, args.spans], None)
     return 0
-
-
-def _read_placeholder_file(path: str) -> dict[str, list[corpus.PlaceholderSpan]]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    out: dict[str, list[corpus.PlaceholderSpan]] = {}
-    for obj in payload:
-        spans = [
-            corpus.PlaceholderSpan(
-                start=int(e["start"]),
-                end=int(e["end"]),
-                category=corpus.Placeholder(e["placeholder"], bool(e["name_kind"])),
-                surface=e["text"],
-            )
-            for e in obj["spans"]
-        ]
-        out[str(obj["document"])] = spans
-    return out
 
 
 def _cmd_replace(args: argparse.Namespace, config: dict) -> int:
@@ -336,14 +288,7 @@ def _cmd_replace(args: argparse.Namespace, config: dict) -> int:
     pools_path = args.pools or config.get("pools")
     pools = load_name_pools(pools_path) if pools_path else None
 
-    spans_by_doc: dict[str, list] = {}
-    if args.spans:
-        payload = json.loads(Path(args.spans).read_text(encoding="utf-8"))
-        first = payload[0] if payload else {"spans": []}
-        if any("placeholder" in e for e in first.get("spans", [])):
-            spans_by_doc = _read_placeholder_file(args.spans)
-        else:
-            spans_by_doc = corpus.read_standoff(args.spans)
+    spans_by_doc = corpus.read_spans(args.spans) if args.spans else {}
 
     if args.group:
         gender, _, culture = args.group.partition(":")
@@ -471,12 +416,10 @@ def _cmd_simulate_leakage(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_make_finetune(args: argparse.Namespace, config: dict) -> int:
-    from .detect import write_finetune_file
-
     docs = _load_docs(args.infile)
     gold = corpus.read_standoff(args.gold)
     ids = _select_ids(docs, args)
-    count = write_finetune_file(
+    count = detect.write_finetune_file(
         args.out, ((docs[i], gold.get(i, [])) for i in ids)
     )
     print(f"wrote {count} training record(s) to {args.out}")
@@ -653,7 +596,9 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temperature", type=float)
     p.add_argument("--rpm", type=int)
     p.add_argument("--max-retries", type=int)
-    p.add_argument("--jobs", type=int, default=1, help="bound on parallel documents")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="documents, and so chat requests, in flight at once"
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -421,35 +421,41 @@ def read_crapii_jsonl(path: str | Path) -> Iterator[TokenRecord]:
                 raise CorpusError(f"{path}:{lineno}: missing key {exc}") from exc
 
 
-def spans_to_standoff(document_id: str, spans: Sequence[Span]) -> dict:
-    return {
-        "document": document_id,
-        "spans": [
-            {
-                "start": s.start,
-                "end": s.end,
-                "category": s.category.value,
-                "text": s.surface,
-            }
-            for s in spans
-        ],
-    }
+def _span_to_entry(span: Span | PlaceholderSpan) -> dict:
+    entry = {"start": span.start, "end": span.end, "text": span.surface}
+    if isinstance(span, PlaceholderSpan):
+        entry.update(placeholder=span.category.name, name_kind=span.category.name_kind)
+    else:
+        entry["category"] = span.category.value
+    return entry
 
 
-def standoff_to_spans(obj: Mapping) -> tuple[str, list[Span]]:
-    spans = [
-        Span(
-            start=int(e["start"]),
-            end=int(e["end"]),
-            category=Category(e["category"]),
-            surface=e["text"],
-        )
-        for e in obj["spans"]
-    ]
-    return str(obj["document"]), spans
+def _entry_to_span(entry: Mapping) -> Span | PlaceholderSpan:
+    start, end, surface = int(entry["start"]), int(entry["end"]), entry["text"]
+    if "placeholder" in entry:
+        placeholder = Placeholder(entry["placeholder"], bool(entry["name_kind"]))
+        return PlaceholderSpan(start, end, placeholder, surface)
+    return Span(start, end, Category(entry["category"]), surface)
 
 
-def write_standoff(path: str | Path, spans_by_doc: Mapping[str, Sequence[Span]]) -> None:
+def spans_to_standoff(document_id: str, spans: Sequence[Span | PlaceholderSpan]) -> dict:
+    return {"document": document_id, "spans": [_span_to_entry(s) for s in spans]}
+
+
+def standoff_to_spans(obj: Mapping) -> tuple[str, list[Span | PlaceholderSpan]]:
+    """Parse one document's entry; each span is a category or a placeholder span."""
+    doc_id = obj.get("document") if isinstance(obj, Mapping) else None
+    try:
+        return str(obj["document"]), [_entry_to_span(e) for e in obj["spans"]]
+    except KeyError as exc:
+        raise CorpusError(f"document {doc_id!r}: span entry lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CorpusError(f"document {doc_id!r}: malformed span entry: {exc}") from exc
+
+
+def write_standoff(
+    path: str | Path, spans_by_doc: Mapping[str, Sequence[Span | PlaceholderSpan]]
+) -> None:
     payload = [
         spans_to_standoff(doc_id, spans_by_doc[doc_id]) for doc_id in sorted(spans_by_doc)
     ]
@@ -459,14 +465,27 @@ def write_standoff(path: str | Path, spans_by_doc: Mapping[str, Sequence[Span]])
     )
 
 
-def read_standoff(path: str | Path) -> dict[str, list[Span]]:
+def read_spans(path: str | Path) -> dict[str, list[Span]] | dict[str, list[PlaceholderSpan]]:
+    """Read a span file whose entries are all category spans or all placeholder spans."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(payload, dict):
         payload = [payload]
-    out: dict[str, list[Span]] = {}
+    out: dict = {}
     for obj in payload:
-        doc_id, spans = standoff_to_spans(obj)
+        try:
+            doc_id, spans = standoff_to_spans(obj)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: {exc}") from exc
         out[doc_id] = spans
+    if len({type(s) for spans in out.values() for s in spans}) > 1:
+        raise CorpusError(f"{path}: mixes category and placeholder span entries")
+    return out
+
+
+def read_standoff(path: str | Path) -> dict[str, list[Span]]:
+    out = read_spans(path)
+    if any(isinstance(s, PlaceholderSpan) for spans in out.values() for s in spans):
+        raise CorpusError(f"{path}: holds placeholder spans where category spans are expected")
     return out
 
 

@@ -1,4 +1,4 @@
-"""Detectors behind one contract: rule recognizers and marker-protocol LLM calls.
+"""Per-document detection functions: rule recognizers and marker-protocol LLM calls.
 
 Also builds the few-shot prompt, the fine-tuning training records, and hosts
 the rate-limited chat-completion client shared with the verifier stage.
@@ -117,7 +117,6 @@ class LlmClientConfig:
     model: str
     api_key_env: str = "DEIDKIT_API_KEY"
     temperature: float = 0.0
-    max_parallel: int = 4
     requests_per_minute: int = 1000
     max_retries: int = 3
 
@@ -126,18 +125,10 @@ class LlmClientConfig:
             raise DetectError("requests_per_minute must be positive")
         if self.temperature < 0:
             raise DetectError("temperature must be >= 0")
-        if self.max_parallel < 1:
-            raise DetectError("max_parallel must be >= 1")
 
 
 class SupportsComplete(Protocol):
     def complete(self, messages: Sequence[ChatMessage], max_tokens: int | None = None) -> str: ...
-
-
-class Detector(Protocol):
-    name: str
-
-    def detect(self, doc: Document) -> list[Span]: ...
 
 
 class _TokenBucket:
@@ -166,6 +157,9 @@ class _TokenBucket:
 class ChatClient:
     """Thread-safe chat-completion client with rate limiting and retries.
 
+    It does not cap concurrent requests itself: callers bound them by the
+    number of threads they run (the CLI's ``--jobs``).
+
     Wire format: POST ``{base_url}/chat/completions`` with a JSON body of
     ``{model, messages, temperature[, max_tokens]}``; the completion is read
     from the first choice's message content. The API key, when the configured
@@ -176,7 +170,6 @@ class ChatClient:
         self.config = config
         self._session = session or requests.Session()
         self._bucket = _TokenBucket(config.requests_per_minute)
-        self._slots = threading.Semaphore(config.max_parallel)
         self._backoff_base = 0.25
         self._usage_lock = threading.Lock()
         self.estimated_input_tokens = 0
@@ -197,30 +190,29 @@ class ChatClient:
         url = self.config.base_url.rstrip("/") + "/chat/completions"
 
         last_error: Exception | None = None
-        with self._slots:
-            for attempt in range(self.config.max_retries + 1):
-                self._bucket.acquire()
-                try:
-                    response = self._session.post(url, json=body, headers=headers, timeout=120)
-                except requests.RequestException as exc:
-                    last_error = exc
-                else:
-                    if response.status_code == 200:
-                        content = self._parse(response.json())
-                        with self._usage_lock:
-                            self.estimated_input_tokens += sum(
-                                _estimate_tokens(m.content) for m in messages
-                            )
-                            self.estimated_output_tokens += _estimate_tokens(content)
-                        return content
-                    if response.status_code not in (408, 409, 429, 500, 502, 503, 504):
-                        raise TransportError(
-                            f"chat endpoint returned HTTP {response.status_code}: "
-                            f"{response.text[:200]}"
+        for attempt in range(self.config.max_retries + 1):
+            self._bucket.acquire()
+            try:
+                response = self._session.post(url, json=body, headers=headers, timeout=120)
+            except requests.RequestException as exc:
+                last_error = exc
+            else:
+                if response.status_code == 200:
+                    content = self._parse(response.json())
+                    with self._usage_lock:
+                        self.estimated_input_tokens += sum(
+                            _estimate_tokens(m.content) for m in messages
                         )
-                    last_error = TransportError(f"HTTP {response.status_code}")
-                if attempt < self.config.max_retries:
-                    time.sleep(self._backoff_base * (2**attempt))
+                        self.estimated_output_tokens += _estimate_tokens(content)
+                    return content
+                if response.status_code not in (408, 409, 429, 500, 502, 503, 504):
+                    raise TransportError(
+                        f"chat endpoint returned HTTP {response.status_code}: "
+                        f"{response.text[:200]}"
+                    )
+                last_error = TransportError(f"HTTP {response.status_code}")
+            if attempt < self.config.max_retries:
+                time.sleep(self._backoff_base * (2**attempt))
         raise TransportError(
             f"chat endpoint unreachable after {self.config.max_retries + 1} attempts: {last_error}"
         )
@@ -320,21 +312,6 @@ def rule_detect(
     return _resolve_overlaps(candidates)
 
 
-class RuleDetector:
-    name = "rules"
-
-    def __init__(
-        self,
-        pools: NamePool | None = None,
-        categories: Iterable[Category] = tuple(Category),
-    ):
-        self.pools = pools
-        self.categories = tuple(categories)
-
-    def detect(self, doc: Document) -> list[Span]:
-        return rule_detect(doc, self.categories, self.pools)
-
-
 # ---------------------------------------------------------------------------
 # Prompt builders
 
@@ -420,20 +397,3 @@ def llm_detect(
     completion = client.complete(messages, max_tokens=_completion_budget(doc.text))
     return codec.decode(completion, doc)
 
-
-class LlmDetector:
-    def __init__(
-        self,
-        client: SupportsComplete,
-        mode: str,
-        exemplars: Sequence[Exemplar] = DEFAULT_FEWSHOT_EXEMPLARS,
-    ):
-        if mode not in ("fewshot", "finetuned"):
-            raise DetectError(f"unknown llm mode {mode!r}")
-        self.client = client
-        self.mode = mode
-        self.exemplars = exemplars
-        self.name = f"llm-{mode}"
-
-    def detect(self, doc: Document) -> list[Span]:
-        return llm_detect(doc, self.client, self.mode, self.exemplars).spans

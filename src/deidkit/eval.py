@@ -8,14 +8,12 @@ denominators) are reported as missing, not as zero.
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Category, Span
-from .hips import load_region_table  # re-exported: country,region CSV loader
 
 __all__ = [
     "ConfusionCounts",
@@ -35,7 +33,6 @@ __all__ = [
     "cost_summary",
     "load_gender_table",
     "load_surname_table",
-    "load_region_table",
     "render_metrics_table",
 ]
 
@@ -352,8 +349,3 @@ def cost_summary(
             raise ValueError(f"negative cost for stage {stage!r}")
     return CostLedger(items=dict(items), tokens_per_stage=dict(tokens_per_stage or {}))
 
-
-def write_metrics_json(path: str | Path, report: MetricsReport) -> None:
-    Path(path).write_text(
-        json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

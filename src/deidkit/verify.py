@@ -78,7 +78,7 @@ def build_verifier_messages(
     ]
 
 
-def parse_verdict(completion: str, variant: VerifierVariant) -> str | None:
+def parse_verdict(completion: str) -> str | None:
     """Read the final T/F token; reasoning before it is ignored.
 
     Returns None when the completion does not end in a recognizable verdict.
@@ -93,7 +93,7 @@ def parse_verdict(completion: str, variant: VerifierVariant) -> str | None:
 
 
 def _effective_verdict(completion: str, variant: VerifierVariant) -> str:
-    verdict = parse_verdict(completion, variant)
+    verdict = parse_verdict(completion)
     if verdict is not None:
         return verdict
     # Asymmetric defaults mirror the two prompts: the bare-verdict prompt
@@ -155,39 +155,27 @@ def build_verifier_dataset(
             for attempts in range(1, max_attempts + 1):
                 completion = client.complete(messages)
                 reasoning = completion
-                if parse_verdict(completion, variant) == label:
+                if parse_verdict(completion) == label:
                     matched = True
                     break
-            if matched:
-                examples.append(
-                    VerifierExample(
-                        span.surface,
-                        context,
-                        label,
-                        _strip_final_verdict(reasoning or ""),
-                        attempts=attempts,
-                    )
+            # Reasoning that never agreed with gold retains the entity.
+            examples.append(
+                VerifierExample(
+                    span.surface,
+                    context,
+                    label if matched else "T",
+                    _strip_final_verdict(reasoning or ""),
+                    forced_default=not matched,
+                    attempts=attempts,
                 )
-            else:
-                # Reasoning never agreed with gold: retain the entity.
-                examples.append(
-                    VerifierExample(
-                        span.surface,
-                        context,
-                        "T",
-                        _strip_final_verdict(reasoning or ""),
-                        forced_default=True,
-                        attempts=attempts,
-                    )
-                )
+            )
     return examples
 
 
 def _strip_final_verdict(completion: str) -> str:
-    tokens = completion.split()
-    if tokens and tokens[-1].strip(".,!?:;\"'()").upper() in ("T", "F"):
-        return completion[: completion.rfind(tokens[-1])].rstrip()
-    return completion
+    if parse_verdict(completion) is None:
+        return completion
+    return completion[: completion.rfind(completion.split()[-1])].rstrip()
 
 
 def verifier_training_record(example: VerifierExample, variant: VerifierVariant) -> dict:

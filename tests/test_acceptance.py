@@ -18,7 +18,7 @@ from test_codec import perturb_marked, random_case
 
 from deidkit import codec, corpus
 from deidkit.corpus import Span, split_corpus
-from deidkit.detect import RuleDetector
+from deidkit.detect import rule_detect
 from deidkit.eval import ConfusionCounts, Demographic, bias_report, evaluate_documents, metrics_from_counts
 from deidkit.hips import apply_hips, load_name_pools, simulate_leakage
 from deidkit.verify import MAX_COT_ATTEMPTS, VerifierVariant, build_verifier_dataset, verify_spans
@@ -180,13 +180,12 @@ def test_criterion_4_hips_integrity(fixture_paths):
 def test_criterion_5_verifier_contract(fixture_paths, mini_docs, mini_gold, scripted_client):
     clock = Stopwatch(10.0)
     pools = load_name_pools(fixture_paths["pools"])
-    detector = RuleDetector(pools=pools)
 
     verified: dict[str, list[Span]] = {}
     detected_all: dict[str, list[Span]] = {}
     injected_fp_total = 0
     for doc_id, doc in mini_docs.items():
-        detected = detector.detect(doc)
+        detected = rule_detect(doc, pools=pools)
         gold_keys = {(s.start, s.end, s.category) for s in mini_gold[doc_id]}
         injected_fp_total += sum(
             1 for s in detected if (s.start, s.end, s.category) not in gold_keys

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -459,3 +461,166 @@ class TestUtilityCommands:
         assert manifest["seed"] == 42
         assert str(fixture_paths["corpus"]) in manifest["inputs"]
         assert re.fullmatch(r"[0-9a-f]{64}", manifest["inputs"][str(fixture_paths["corpus"])])
+
+
+class TestSpanFiles:
+    STUDENT = {"start": 19, "end": 28, "placeholder": "STUDENT", "name_kind": True,
+               "text": "〈STUDENT〉"}
+
+    def _write_two_transcripts(self, tmp_path, spans_a, spans_b):
+        docs = tmp_path / "docs.jsonl"
+        corpus.write_documents(docs, [
+            corpus.Document("a", "teacher: nothing to hide here", "tscc"),
+            corpus.Document("b", "teacher: well done 〈STUDENT〉", "tscc"),
+        ])
+        spans = tmp_path / "spans.json"
+        spans.write_text(json.dumps([
+            {"document": "a", "spans": spans_a},
+            {"document": "b", "spans": spans_b},
+        ]), encoding="utf-8")
+        return docs, spans
+
+    def _replace(self, fixture_paths, tmp_path, docs, spans) -> int:
+        return run_cli(
+            "replace",
+            "--in", str(docs),
+            "--spans", str(spans),
+            "--pools", str(fixture_paths["pools"]),
+            "--group", "Female:Africa",
+            "--out-docs", str(tmp_path / "anon.jsonl"),
+            "--out-audit", str(tmp_path / "audit.jsonl"),
+        )
+
+    def test_placeholder_file_whose_first_document_has_no_spans(self, fixture_paths, tmp_path):
+        docs, spans = self._write_two_transcripts(tmp_path, [], [self.STUDENT])
+        assert self._replace(fixture_paths, tmp_path, docs, spans) == 0
+        out = {d.id: d.text for d in corpus.read_documents(tmp_path / "anon.jsonl")}
+        assert out["a"] == "teacher: nothing to hide here"
+        assert "〈STUDENT〉" not in out["b"]
+        assert out["b"].startswith("teacher: well done ")
+
+    def test_mixed_entry_shapes_are_a_validation_failure(self, fixture_paths, tmp_path, capsys):
+        category = {"start": 9, "end": 16, "category": "NAME_STUDENT", "text": "nothing"}
+        docs, spans = self._write_two_transcripts(tmp_path, [category], [self.STUDENT])
+        assert self._replace(fixture_paths, tmp_path, docs, spans) == 1
+        assert "mixes category and placeholder" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["start", "end", "category", "text"])
+    def test_malformed_standoff_is_one_line_error(self, fixture_paths, tmp_path, capsys, missing):
+        entry = {"start": 0, "end": 4, "category": "NAME_STUDENT", "text": "John"}
+        del entry[missing]
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps([{"document": "379", "spans": [entry]}]), encoding="utf-8")
+        code = run_cli("evaluate", "--pred", str(pred), "--gold", str(fixture_paths["gold"]))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(pred) in lines[0] and "'379'" in lines[0] and missing in lines[0]
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("stage", ["detect", "verify"])
+    def test_jobs_below_one_rejected(self, fixture_paths, tmp_path, capsys, stage, jobs):
+        if stage == "detect":
+            argv = ["detect", "--detector", "rules", "--pools", str(fixture_paths["pools"])]
+        else:
+            # Rejected before any request, so the endpoint is never contacted.
+            argv = ["verify", "--spans", str(fixture_paths["gold"]),
+                    "--base-url", "http://127.0.0.1:1/v1"]
+        argv += ["--in", str(fixture_paths["corpus"]), "--out", str(tmp_path / "x.json"),
+                 "--jobs", jobs]
+        assert run_cli(*argv) == 1
+        assert "error: --jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def _outputs_by_jobs(self, tmp_path, argv) -> list[bytes]:
+        outputs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"{argv[0]}-jobs{jobs}.json"
+            assert run_cli(*argv, "--jobs", jobs, "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        return outputs
+
+    def test_jobs_do_not_change_output(self, fixture_paths, tmp_path):
+        corpus_path = str(fixture_paths["corpus"])
+        rules = self._outputs_by_jobs(tmp_path, [
+            "detect", "--detector", "rules", "--in", corpus_path,
+            "--pools", str(fixture_paths["pools"]),
+        ])
+        assert rules[0] == rules[1]
+        with mock_llm_server("perturb", corpus_path, fixture_paths["gold"]) as base_url:
+            llm = self._outputs_by_jobs(tmp_path, [
+                "detect", "--detector", "llm-finetuned", "--in", corpus_path,
+                "--base-url", base_url,
+            ])
+        assert llm[0] == llm[1]
+        rules_spans = tmp_path / "detect-jobs1.json"
+        with mock_llm_server("echo-gold", corpus_path, fixture_paths["gold"]) as base_url:
+            verified = self._outputs_by_jobs(tmp_path, [
+                "verify", "--in", corpus_path, "--spans", str(rules_spans),
+                "--base-url", base_url,
+            ])
+        assert verified[0] == verified[1]
+
+
+_TRACE_SCRIPT = r"""
+import json, sys
+from pathlib import Path
+
+import tracing
+from deidkit import cli, corpus, mockllm
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+paths, out = json.loads(sys.argv[1]), Path(sys.argv[2])
+docs = corpus.read_documents(paths["corpus"])
+gold = corpus.read_standoff(paths["gold"])
+server = mockllm.make_server(
+    mockllm.MockLlm("perturb", {d.text: gold.get(d.id, []) for d in docs})
+)
+mockllm.serve_forever(server)
+url = "http://%s:%d/v1" % server.server_address[:2]
+stages = [
+    ["detect", "--detector", "rules", "--in", paths["corpus"], "--pools", paths["pools"],
+     "--out", str(out / "rules.json")],
+    ["detect", "--detector", "llm-finetuned", "--in", paths["corpus"], "--base-url", url,
+     "--jobs", "2", "--out", str(out / "llm.json")],
+    ["verify", "--in", paths["corpus"], "--spans", str(out / "rules.json"), "--base-url", url,
+     "--out", str(out / "kept.json")],
+    ["replace", "--in", paths["corpus"], "--spans", str(out / "kept.json"),
+     "--pools", paths["pools"], "--out-docs", str(out / "anon.jsonl"),
+     "--out-audit", str(out / "audit.jsonl")],
+    ["evaluate", "--pred", str(out / "kept.json"), "--gold", paths["gold"]],
+]
+for argv in stages:
+    assert cli.main(argv) == 0, argv
+server.shutdown()
+print(json.dumps(sorted({s["name"] for s in tracer.spans})))
+"""
+
+
+def test_benchmark_trace_hooks_still_fire(fixture_paths, tmp_path):
+    # The benchmark's per-layer metrics come from wrappers installed at the
+    # names the CLI looks up at call time; a call that bypasses them would
+    # silently report the layer as idle. ``install`` patches for good, so it
+    # runs in its own interpreter.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "benchmarks"), str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    paths = {k: str(fixture_paths[k]) for k in ("corpus", "gold", "pools")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_SCRIPT, json.dumps(paths), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = set(json.loads(proc.stdout.strip().splitlines()[-1]))
+    expected = {
+        "detect.rule_detect", "detect.llm_detect", "codec.decode", "client.complete",
+        "verify.verify_spans", "hips.apply_hips", "eval.evaluate_documents",
+    }
+    assert expected <= names, expected - names

@@ -18,9 +18,7 @@ from deidkit.detect import (
     FEWSHOT_TARGET_LEAD,
     FINETUNE_USER_INSTRUCTION,
     LlmClientConfig,
-    LlmDetector,
     MARKER_LEGEND,
-    RuleDetector,
     TransportError,
     build_fewshot_messages,
     build_finetune_record,
@@ -109,10 +107,9 @@ class TestRuleDetect:
         assert spans[0].category is Category.EMAIL
 
     def test_deterministic_and_idempotent(self, pools, mini_docs):
-        detector = RuleDetector(pools=pools)
         for doc in mini_docs.values():
-            first = detector.detect(doc)
-            second = detector.detect(doc)
+            first = rule_detect(doc, pools=pools)
+            second = rule_detect(doc, pools=pools)
             assert first == second
             contract_check(doc, first)
 
@@ -216,9 +213,8 @@ class TestLlmDetect:
 
     def test_fewshot_mode_same_oracle(self, mini_docs, mini_gold):
         client = EchoGoldClient({d.text: mini_gold[i] for i, d in mini_docs.items()})
-        detector = LlmDetector(client, "fewshot")
         for doc_id, doc in mini_docs.items():
-            assert detector.detect(doc) == mini_gold[doc_id]
+            assert llm_detect(doc, client, "fewshot").spans == mini_gold[doc_id]
 
     def test_reproducible_against_deterministic_mock(self, mini_docs, mini_gold):
         client = EchoGoldClient({d.text: mini_gold[i] for i, d in mini_docs.items()})

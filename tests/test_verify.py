@@ -6,7 +6,7 @@ import random
 import pytest
 
 from deidkit.corpus import Category, Document, Span
-from deidkit.detect import RuleDetector
+from deidkit.detect import rule_detect
 from deidkit.hips import load_name_pools
 from deidkit.verify import (
     MAX_COT_ATTEMPTS,
@@ -63,8 +63,7 @@ class TestParseVerdict:
         ("TF", None),
     ])
     def test_cases(self, completion, expected):
-        for variant in VerifierVariant:
-            assert parse_verdict(completion, variant) == expected
+        assert parse_verdict(completion) == expected
 
 
 class TestVerifierMessages:
@@ -116,7 +115,6 @@ class TestVerifySpans:
         # Detect with the recall-biased rules, then verify with an oracle that
         # answers from gold membership: precision becomes 1.0, recall holds.
         pools = load_name_pools(fixture_paths["pools"])
-        detector = RuleDetector(pools=pools)
         gold_surfaces = {
             doc_id: {s.surface for s in spans} for doc_id, spans in mini_gold.items()
         }
@@ -130,7 +128,7 @@ class TestVerifySpans:
                 return "T" if entity in _gold else "F"
 
             client = scripted_client(oracle)
-            detected = detector.detect(doc)
+            detected = rule_detect(doc, pools=pools)
             kept = verify_spans(doc, detected, client, VerifierVariant.WITHOUT_COT)
             gold_keys = {(s.start, s.end, s.category) for s in mini_gold[doc_id]}
             kept_keys = {(s.start, s.end, s.category) for s in kept}
