@@ -59,13 +59,13 @@ def load_run_config(path: str | Path) -> dict:
     Environment interpolation (``${VAR}``) is applied only inside the ``llm``
     section, which is the only place secrets could appear.
     """
-    config = json.loads(Path(path).read_text(encoding="utf-8"))
+    config = corpus.read_json(path)
     if not isinstance(config, dict):
-        raise CliError("config file must hold a JSON object")
+        raise CliError(f"{path}: config file must hold a JSON object")
     llm = config.get("llm")
     if isinstance(llm, dict):
         config["llm"] = {k: _interpolate_env(v) for k, v in llm.items()}
-    for key in ("corpus", "pools", "gender_table", "surname_table", "region_table"):
+    for key in ("pools", "gender_table", "surname_table", "region_table"):
         if key in config and not Path(config[key]).exists():
             raise CliError(f"config path {key}={config[key]!r} does not exist")
     return config
@@ -77,13 +77,6 @@ def _sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_json(path: str | Path, payload) -> None:
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def _write_manifest(
@@ -111,7 +104,7 @@ def _write_manifest(
         },
         "inputs": {str(p): _sha256_file(p) for p in inputs if Path(p).exists()},
     }
-    _write_json(str(out_path) + ".manifest.json", manifest)
+    corpus.write_json(str(out_path) + ".manifest.json", manifest)
 
 
 def _load_docs(path: str) -> dict[str, Document]:
@@ -201,16 +194,16 @@ def _cmd_split(args: argparse.Namespace, config: dict) -> int:
     split = corpus.split_corpus(
         entity_counts, ratios=ratios, seed=args.seed, stratify=not args.no_stratify
     )
-    _write_json(args.out, split.as_dict())
+    corpus.write_json(args.out, split.as_dict())
     _write_manifest(args.out, "split", vars(args), [args.infile] + ([args.gold] if args.gold else []), args.seed)
     return 0
 
 
 def _select_ids(docs: dict[str, Document], args: argparse.Namespace) -> list[str]:
     if getattr(args, "split_file", None):
-        split = json.loads(Path(args.split_file).read_text(encoding="utf-8"))
-        if args.split_name not in split:
-            raise CliError(f"split file has no set named {args.split_name!r}")
+        split = corpus.read_json(args.split_file)
+        if not isinstance(split, dict) or args.split_name not in split:
+            raise CliError(f"{args.split_file}: no set named {args.split_name!r}")
         requested = [str(i) for i in split[args.split_name]]
         missing = [i for i in requested if i not in docs]
         if missing:
@@ -250,7 +243,7 @@ def _cmd_detect(args: argparse.Namespace, config: dict) -> int:
         ) + client.estimated_output_tokens / 1e6 * float(
             pricing.get("usd_per_1m_output", 0.0)
         )
-        _write_json(
+        corpus.write_json(
             str(args.out) + ".cost.json",
             {
                 "items": {"evaluation": round(usd, 6)},
@@ -296,36 +289,29 @@ def _cmd_replace(args: argparse.Namespace, config: dict) -> int:
             raise CliError("--group must look like Gender:Culture, e.g. Female:Africa")
         group_of = {doc_id: (gender, culture) for doc_id in docs}
     else:
-        assignment = assign_groups(sorted(docs), args.seed)
-        group_of = assignment.mapping
+        group_of = assign_groups(sorted(docs), args.seed)
 
     out_docs: list[Document] = []
     shifted_gold: dict[str, list[Span]] = {}
-    audit_path = Path(args.out_audit)
-    with open(audit_path, "w", encoding="utf-8") as audit:
-        for doc_id in sorted(docs):
-            doc = docs[doc_id]
-            result = apply_hips(
-                doc,
-                spans_by_doc.get(doc_id, []),
-                group_of[doc_id],
-                seed=args.seed,
-                pools=pools,
-                consistent=not args.inconsistent,
-            )
-            out_docs.append(Document(doc_id, result.text, doc.source))
-            shifted_gold[doc_id] = [s for s in result.shifted_spans if isinstance(s, Span)]
-            audit.write(
-                json.dumps(
-                    {
-                        "document": doc_id,
-                        "group": list(group_of[doc_id]),
-                        "replacements": [r.as_dict() for r in result.replacements],
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    audit: list[dict] = []
+    for doc_id in sorted(docs):
+        doc = docs[doc_id]
+        result = apply_hips(
+            doc,
+            spans_by_doc.get(doc_id, []),
+            group_of[doc_id],
+            seed=args.seed,
+            pools=pools,
+            consistent=not args.inconsistent,
+        )
+        out_docs.append(Document(doc_id, result.text, doc.source))
+        shifted_gold[doc_id] = [s for s in result.shifted_spans if isinstance(s, Span)]
+        audit.append({
+            "document": doc_id,
+            "group": list(group_of[doc_id]),
+            "replacements": [r.as_dict() for r in result.replacements],
+        })
+    corpus.write_jsonl(args.out_audit, audit)
     corpus.write_documents(args.out_docs, out_docs)
     if args.out_gold:
         corpus.write_standoff(args.out_gold, shifted_gold)
@@ -340,7 +326,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
     report = evaluate_documents(pred, gold)
     print(render_metrics_table(report))
     if args.out:
-        _write_json(args.out, report.as_dict())
+        corpus.write_json(args.out, report.as_dict())
         _write_manifest(args.out, "evaluate", vars(args), [args.pred, args.gold], None)
     return 0
 
@@ -363,7 +349,7 @@ def _cmd_bias(args: argparse.Namespace, config: dict) -> int:
             )
             entries.append((demographic, (span.start, span.end, span.category) in pred_keys))
     report = bias_report(entries)
-    _write_json(args.out, report.as_dict())
+    corpus.write_json(args.out, report.as_dict())
     _write_manifest(
         args.out,
         "bias",
@@ -375,11 +361,16 @@ def _cmd_bias(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_cost(args: argparse.Namespace, config: dict) -> int:
-    ledger_input = json.loads(Path(args.ledger).read_text(encoding="utf-8"))
-    ledger = cost_summary(
-        ledger_input.get("items", {}), ledger_input.get("tokens_per_stage", {})
-    )
-    _write_json(args.out, ledger.as_dict())
+    ledger_input = corpus.read_json(args.ledger)
+    if not isinstance(ledger_input, dict):
+        raise CliError(f"{args.ledger}: a cost ledger must be a JSON object")
+    try:
+        ledger = cost_summary(
+            ledger_input.get("items", {}), ledger_input.get("tokens_per_stage", {})
+        )
+    except ValueError as exc:
+        raise CliError(f"{args.ledger}: {exc}") from exc
+    corpus.write_json(args.out, ledger.as_dict())
     print(json.dumps(ledger.as_dict(), indent=2, sort_keys=True))
     _write_manifest(args.out, "cost", vars(args), [args.ledger], None)
     return 0
@@ -410,7 +401,7 @@ def _cmd_simulate_leakage(args: argparse.Namespace, config: dict) -> int:
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        _write_json(args.out, payload)
+        corpus.write_json(args.out, payload)
         _write_manifest(args.out, "simulate-leakage", vars(args), [], args.seed)
     return 0
 
@@ -474,6 +465,9 @@ def _cmd_mock_llm(args: argparse.Namespace, config: dict) -> int:
 # Parser
 
 
+_JOBS_HELP = "documents, and so chat requests, in flight at once"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deidkit",
@@ -507,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pools", help="name pool CSV for the gazetteer")
     p.add_argument("--split-file")
     p.add_argument("--split-name", default="test")
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_llm_flags(p)
     p.set_defaults(func=_cmd_detect)
 
@@ -516,6 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=[v.value for v in VerifierVariant], default="without-cot")
     p.add_argument("--window", type=int, default=150)
     p.add_argument("--out", required=True)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_llm_flags(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -596,9 +592,6 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temperature", type=float)
     p.add_argument("--rpm", type=int)
     p.add_argument("--max-retries", type=int)
-    p.add_argument(
-        "--jobs", type=int, default=1, help="documents, and so chat requests, in flight at once"
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -610,7 +603,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TransportError, EmptyCompletion) as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return 2
-    except (CliError, CorpusError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CliError, CorpusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,7 @@ All offsets are Unicode scalar-value indices into the reconstructed text.
 
 from __future__ import annotations
 
+import csv
 import json
 import random
 import re
@@ -14,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 
 class Category(str, Enum):
@@ -26,8 +27,6 @@ class Category(str, Enum):
     PHONE_NUM = "PHONE_NUM"
 
 
-IN_SCOPE_CATEGORIES: tuple[Category, ...] = tuple(Category)
-
 # Short tags seen in public releases of the source corpus map onto the
 # canonical category names; anything else is counted and dropped.
 LABEL_ALIASES: dict[str, str] = {
@@ -38,6 +37,8 @@ LABEL_ALIASES: dict[str, str] = {
 
 # Transcript placeholder names that stand for person names.
 NAME_KIND_PLACEHOLDERS = frozenset({"STUDENT", "TEACHER"})
+
+T = TypeVar("T")
 
 _PLACEHOLDER_RE = re.compile("〈([^〈〉]+)〉")
 _TSCC_LINE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_ -]*):\s?(.*)$")
@@ -396,29 +397,73 @@ def split_corpus(
 
 
 # ---------------------------------------------------------------------------
-# File formats
+# File formats: every file is read and written through the five functions
+# below, so a malformed input is one CorpusError naming its path (and line).
 
 
-def read_crapii_jsonl(path: str | Path) -> Iterator[TokenRecord]:
-    """Read token records from JSON-Lines with the public corpus schema."""
+def read_json(path: str | Path) -> Any:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    Path(path).write_text(
+        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+
+
+def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[T]:
+    """Yield ``parse(obj)`` for each non-blank line; a CorpusError from ``parse`` passes as is."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                item = parse(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                yield TokenRecord(
-                    document_id=str(obj["document"]),
-                    tokens=list(obj["tokens"]),
-                    labels=list(obj["labels"]),
-                    trailing_whitespace=[bool(x) for x in obj["trailing_whitespace"]],
-                    full_text=obj.get("full_text"),
-                )
             except KeyError as exc:
                 raise CorpusError(f"{path}:{lineno}: missing key {exc}") from exc
+            except TypeError as exc:
+                raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+            yield item
+
+
+def write_jsonl(path: str | Path, objects: Iterable[Any]) -> int:
+    count = 0
+    with open(path, "w", encoding="utf-8") as handle:
+        for obj in objects:
+            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            count += 1
+    return count
+
+
+def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
+    """Yield the rows of a CSV file whose header names every one of ``columns``."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle, restval="")
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise CorpusError(f"{path}: missing column(s) {missing}")
+        yield from reader
+
+
+def _token_record(obj: Mapping) -> TokenRecord:
+    return TokenRecord(
+        document_id=str(obj["document"]),
+        tokens=list(obj["tokens"]),
+        labels=list(obj["labels"]),
+        trailing_whitespace=[bool(x) for x in obj["trailing_whitespace"]],
+        full_text=obj.get("full_text"),
+    )
+
+
+def read_crapii_jsonl(path: str | Path) -> Iterator[TokenRecord]:
+    """Read token records from JSON-Lines with the public corpus schema."""
+    return read_jsonl(path, _token_record)
 
 
 def _span_to_entry(span: Span | PlaceholderSpan) -> dict:
@@ -456,20 +501,16 @@ def standoff_to_spans(obj: Mapping) -> tuple[str, list[Span | PlaceholderSpan]]:
 def write_standoff(
     path: str | Path, spans_by_doc: Mapping[str, Sequence[Span | PlaceholderSpan]]
 ) -> None:
-    payload = [
-        spans_to_standoff(doc_id, spans_by_doc[doc_id]) for doc_id in sorted(spans_by_doc)
-    ]
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, [spans_to_standoff(d, spans_by_doc[d]) for d in sorted(spans_by_doc)])
 
 
 def read_spans(path: str | Path) -> dict[str, list[Span]] | dict[str, list[PlaceholderSpan]]:
     """Read a span file whose entries are all category spans or all placeholder spans."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path)
     if isinstance(payload, dict):
         payload = [payload]
+    if not isinstance(payload, list):
+        raise CorpusError(f"{path}: expected a list of document span entries")
     out: dict = {}
     for obj in payload:
         try:
@@ -490,36 +531,16 @@ def read_standoff(path: str | Path) -> dict[str, list[Span]]:
 
 
 def write_documents(path: str | Path, docs: Iterable[Document]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for doc in docs:
-            handle.write(
-                json.dumps(
-                    {"id": doc.id, "text": doc.text, "source": doc.source},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(path, ({"id": d.id, "text": d.text, "source": d.source} for d in docs))
+
+
+def _document(obj: Mapping) -> Document:
+    if "tokens" in obj:
+        rec = _token_record(obj)
+        return Document(rec.document_id, reconstruct_text(rec), "crapii")
+    return Document(str(obj["id"]), obj["text"], obj.get("source", "raw"))
 
 
 def read_documents(path: str | Path) -> list[Document]:
     """Read documents from JSONL; accepts both ingested docs and raw token records."""
-    docs: list[Document] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "tokens" in obj:
-                rec = TokenRecord(
-                    document_id=str(obj["document"]),
-                    tokens=list(obj["tokens"]),
-                    labels=list(obj["labels"]),
-                    trailing_whitespace=[bool(x) for x in obj["trailing_whitespace"]],
-                    full_text=obj.get("full_text"),
-                )
-                docs.append(Document(rec.document_id, reconstruct_text(rec), "crapii"))
-            else:
-                docs.append(
-                    Document(str(obj["id"]), obj["text"], obj.get("source", "raw"))
-                )
-    return docs
+    return list(read_jsonl(path, _document))

@@ -6,7 +6,6 @@ the rate-limited chat-completion client shared with the verifier stage.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -19,7 +18,7 @@ from typing import Iterable, Protocol, Sequence
 import requests
 
 from . import codec
-from .corpus import Category, Document, Span
+from .corpus import Category, Document, Span, write_jsonl
 from .hips import NamePool
 
 Exemplar = tuple[str, str]  # (plain text, marker-labeled text)
@@ -359,12 +358,7 @@ def build_finetune_record(doc: Document, gold: Sequence[Span]) -> dict:
 def write_finetune_file(
     path: str | Path, docs_with_gold: Iterable[tuple[Document, Sequence[Span]]]
 ) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for doc, gold in docs_with_gold:
-            handle.write(json.dumps(build_finetune_record(doc, gold), ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    return write_jsonl(path, (build_finetune_record(doc, gold) for doc, gold in docs_with_gold))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,13 @@ denominators) are reported as missing, not as zero.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Category, Span
+from .corpus import Category, Span, read_csv
+from .hips import CULTURES, map_country_to_culture
 
 __all__ = [
     "ConfusionCounts",
@@ -170,7 +170,6 @@ def render_metrics_table(report: MetricsReport) -> str:
 # ---------------------------------------------------------------------------
 # Demographic bias analysis
 
-UN_REGIONS = ("Asia", "Americas", "Europe", "Africa", "Oceania")
 UNKNOWN = "Unknown"
 
 
@@ -184,13 +183,9 @@ class Demographic:
 def _load_argmax_table(path: str | Path, key_col: str, value_col: str) -> dict[str, str]:
     """CSV -> name->value table; weighted rows argmax, ties drop to Unknown."""
     weights: dict[str, Counter] = defaultdict(Counter)
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or key_col not in reader.fieldnames:
-            raise ValueError(f"{path}: expected a {key_col!r} column")
-        for row in reader:
-            weight = int(row.get("count", 1) or 1)
-            weights[row[key_col].strip().lower()][row[value_col].strip()] += weight
+    for row in read_csv(path, (key_col, value_col)):
+        weight = int(row.get("count", 1) or 1)
+        weights[row[key_col].strip().lower()][row[value_col].strip()] += weight
     table: dict[str, str] = {}
     for key, counter in weights.items():
         ranked = counter.most_common()
@@ -235,8 +230,8 @@ def parse_and_map_name(
             country = surname_table.get(tokens[-1].lower())
     if country is None:
         country = surname_table.get(first.lower()) if not last else None
-    culture = region_table.get(country.strip().lower(), UNKNOWN) if country else UNKNOWN
-    if culture not in UN_REGIONS:
+    culture = map_country_to_culture(country, region_table) if country else UNKNOWN
+    if culture not in CULTURES:
         culture = UNKNOWN
     return Demographic(gender=gender, culture=culture, source_name=full_name)
 
@@ -297,7 +292,7 @@ def bias_report(entries: Iterable[tuple[Demographic | None, bool]]) -> BiasRepor
         return out
 
     genders = sorted(gender_total)
-    cultures = [c for c in UN_REGIONS if culture_total[c]] or []
+    cultures = [c for c in CULTURES if culture_total[c]]
     return BiasReport(
         by_gender=recalls(gender_matched, gender_total, genders),
         by_culture=recalls(culture_matched, culture_total, cultures),
@@ -345,6 +340,8 @@ def cost_summary(
 ) -> CostLedger:
     """Totals plus the per-million-token average when token counts are known."""
     for stage, usd in items.items():
+        if not isinstance(usd, (int, float)):
+            raise ValueError(f"non-numeric cost {usd!r} for stage {stage!r}")
         if usd < 0:
             raise ValueError(f"negative cost for stage {stage!r}")
     return CostLedger(items=dict(items), tokens_per_stage=dict(tokens_per_stage or {}))

@@ -9,13 +9,12 @@ a Monte-Carlo model of document-level leakage under imperfect detection.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import random
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .corpus import (
     Placeholder,
     PlaceholderSpan,
     Span,
+    read_csv,
     validate_spans,
 )
 
@@ -74,63 +74,44 @@ class NamePool:
 def load_name_pools(path: str | Path) -> NamePool:
     """Load a gender,culture,kind,name CSV, dropping non-ASCII names."""
     pool = NamePool()
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        required = {"gender", "culture", "kind", "name"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise HipsError(f"name pool CSV must have columns {sorted(required)}")
-        for row in reader:
-            name = row["name"].strip()
-            if not name:
-                continue
-            if not name.isascii():
-                pool.dropped_non_ascii += 1
-                continue
-            kind = row["kind"].strip().lower()
-            if kind not in ("first", "last"):
-                raise HipsError(f"unknown name kind {row['kind']!r}")
-            group = (row["gender"].strip(), row["culture"].strip())
-            firsts, lasts = pool.groups.setdefault(group, ([], []))
-            (firsts if kind == "first" else lasts).append(name)
+    for row in read_csv(path, ("gender", "culture", "kind", "name")):
+        name = row["name"].strip()
+        if not name:
+            continue
+        if not name.isascii():
+            pool.dropped_non_ascii += 1
+            continue
+        kind = row["kind"].strip().lower()
+        if kind not in ("first", "last"):
+            raise HipsError(f"{path}: unknown name kind {row['kind']!r}")
+        group = (row["gender"].strip(), row["culture"].strip())
+        firsts, lasts = pool.groups.setdefault(group, ([], []))
+        (firsts if kind == "first" else lasts).append(name)
     return pool
 
 
 def load_region_table(path: str | Path) -> dict[str, str]:
     """Load the country,region CSV that maps countries onto the five regions."""
-    table: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"country", "region"}.issubset(reader.fieldnames):
-            raise HipsError("region CSV must have columns country,region")
-        for row in reader:
-            table[row["country"].strip().lower()] = row["region"].strip()
-    return table
+    return {
+        row["country"].strip().lower(): row["region"].strip()
+        for row in read_csv(path, ("country", "region"))
+    }
 
 
 def map_country_to_culture(country: str, region_table: Mapping[str, str]) -> str:
     return region_table.get(country.strip().lower(), "Unknown")
 
 
-@dataclass
-class GroupAssignment:
-    mapping: dict[str, tuple[str, str]]
-
-    def group_for(self, transcript_id: str) -> tuple[str, str]:
-        return self.mapping[transcript_id]
-
-
 def assign_groups(
     transcript_ids: Sequence[str],
     seed: int,
     groups: Sequence[tuple[str, str]] = ALL_GROUPS,
-) -> GroupAssignment:
+) -> dict[str, tuple[str, str]]:
     """Deal transcripts into gender-culture groups, equal cells when N divides."""
     ids = sorted(str(t) for t in transcript_ids)
     rng = random.Random(seed)
     rng.shuffle(ids)
-    return GroupAssignment(
-        mapping={t: groups[i % len(groups)] for i, t in enumerate(ids)}
-    )
+    return {t: groups[i % len(groups)] for i, t in enumerate(ids)}
 
 
 def _stable_rng(doc_id: str, seed: int) -> random.Random:
@@ -171,70 +152,80 @@ class SurrogateState:
         return self._used.setdefault(key, set())
 
 
-def _pick_unused(options_factory, used: set[str], rng: random.Random, attempts: int = 8) -> str:
-    candidate = options_factory(rng)
-    for _ in range(attempts):
+def _pick_unused(
+    make: Callable[[random.Random], str],
+    original: str,
+    used: set[str],
+    rng: random.Random,
+    fallback: Iterable[str],
+) -> str:
+    """Draw a surrogate that is never ``original`` and, while capacity lasts, not used.
+
+    After nine draws a used candidate is accepted; if every draw was the
+    original, the first ``fallback`` value other than it is.
+    """
+    spare = None
+    for _ in range(9):
+        candidate = make(rng)
+        if candidate == original:
+            continue
         if candidate not in used:
             return candidate
-        candidate = options_factory(rng)
-    return candidate  # pool capacity exhausted; collisions become acceptable
+        spare = candidate
+    if spare is None:
+        spare = next((c for c in fallback if c != original), None)
+    if spare is None:
+        raise HipsError(f"no surrogate other than {original!r} can be drawn")
+    return spare
 
 
-def _name_surrogate(
-    original: str, group: tuple[str, str], pools: NamePool, state: SurrogateState
+def _full_name(
+    original: str, firsts: list[str], lasts: list[str], used: set[str], rng: random.Random
 ) -> str:
-    token_count = len(original.split())
-    firsts = pools.first_names(group)
-    lasts = pools.last_names(group)
-    used = state.used(Category.NAME_STUDENT.value)
-    if token_count == 1:
-        return _pick_unused(lambda r: r.choice(firsts), used, state.rng)
-    # Two tokens keep their shape; longer names simplify to First Last and the
-    # replacement map records the shape change.
+    every_pair = (f"{first} {last}" for first in firsts for last in lasts)  # lazy fallback
     return _pick_unused(
-        lambda r: f"{r.choice(firsts)} {r.choice(lasts)}", used, state.rng
+        lambda r: f"{r.choice(firsts)} {r.choice(lasts)}", original, used, rng, every_pair
     )
 
 
-def _email_surrogate(state: SurrogateState) -> str:
-    def make(rng: random.Random) -> str:
-        local = "".join(rng.choice(string.ascii_lowercase) for _ in range(8))
-        return f"{local}@example.com"
-
-    return _pick_unused(make, state.used(Category.EMAIL.value), state.rng)
-
-
-def _url_surrogate(state: SurrogateState) -> str:
-    def make(rng: random.Random) -> str:
-        slug = "".join(rng.choice(string.ascii_lowercase) for _ in range(10))
-        return f"https://www.example.org/{slug}"
-
-    return _pick_unused(make, state.used(Category.URL_PERSONAL.value), state.rng)
+def _name_surrogate(
+    original: str, group: tuple[str, str], pools: NamePool, used: set[str], rng: random.Random
+) -> str:
+    firsts = pools.first_names(group)
+    lasts = pools.last_names(group)
+    if len(original.split()) == 1:
+        return _pick_unused(lambda r: r.choice(firsts), original, used, rng, firsts)
+    # Two tokens keep their shape; longer names simplify to First Last and the
+    # replacement map records the shape change.
+    return _full_name(original, firsts, lasts, used, rng)
 
 
-def _phone_surrogate(original: str, state: SurrogateState) -> str:
+def _letters_surrogate(
+    original: str, template: str, n: int, used: set[str], rng: random.Random
+) -> str:
+    """An email or URL surrogate: ``template`` filled with ``n`` random lowercase letters."""
+    def make(r: random.Random) -> str:
+        return template.format("".join(r.choice(string.ascii_lowercase) for _ in range(n)))
+
+    return _pick_unused(make, original, used, rng, (template.format(c * n) for c in "ab"))
+
+
+def _phone_surrogate(original: str, used: set[str], rng: random.Random) -> str:
     digit_positions = [i for i, ch in enumerate(original) if ch.isdigit()]
     if not digit_positions:
-        return original
+        # Only LLM output yields a digitless phone span; fill it from the templates.
+        return rng.choice(_PLACEHOLDER_TEMPLATES["PHONE NUMBER"])
 
-    def resample(rng: random.Random) -> str:
+    def resample(r: random.Random) -> str:
         chars = list(original)
         for i in digit_positions:
-            chars[i] = rng.choice(string.digits)
+            chars[i] = r.choice(string.digits)
         return "".join(chars)
 
-    candidate = resample(state.rng)
-    for _ in range(8):
-        if candidate != original and candidate not in state.used(Category.PHONE_NUM.value):
-            break
-        candidate = resample(state.rng)
-    if candidate == original:
-        # Deterministic escape hatch: bump the final digit.
-        chars = list(candidate)
-        last = digit_positions[-1]
-        chars[last] = str((int(chars[last]) + 1) % 10)
-        candidate = "".join(chars)
-    return candidate
+    # Deterministic fallback: a different final digit.
+    last = digit_positions[-1]
+    changed = original[:last] + ("1" if original[last] == "0" else "0") + original[last + 1 :]
+    return _pick_unused(resample, original, used, rng, [changed])
 
 
 #: Deterministic fillers for non-name transcript placeholders. Kept small on
@@ -260,25 +251,20 @@ def _placeholder_surrogate(
     ph: Placeholder,
     group: tuple[str, str],
     pools: NamePool | None,
-    state: SurrogateState,
+    used: set[str],
+    rng: random.Random,
     provider: PlaceholderProvider | None = None,
 ) -> str:
     if ph.name_kind:
         if pools is None:
             raise HipsError("name pools are required to replace name placeholders")
-        firsts = pools.first_names(group)
-        lasts = pools.last_names(group)
-        return _pick_unused(
-            lambda r: f"{r.choice(firsts)} {r.choice(lasts)}",
-            state.used(f"PLACEHOLDER:{ph.name}"),
-            state.rng,
-        )
+        return _full_name(ph.name, pools.first_names(group), pools.last_names(group), used, rng)
     if provider is not None:
-        return provider(ph, state.rng)
+        return provider(ph, rng)
     options = _PLACEHOLDER_TEMPLATES.get(ph.name.upper())
     if options:
-        return state.rng.choice(options)
-    return state.rng.choice(_GENERIC_FILLERS)
+        return rng.choice(options)
+    return rng.choice(_GENERIC_FILLERS)
 
 
 def surrogate_for(
@@ -289,7 +275,7 @@ def surrogate_for(
     pools: NamePool | None = None,
     placeholder_provider: PlaceholderProvider | None = None,
 ) -> str:
-    """Produce (or recall) the synthetic stand-in for one entity."""
+    """Produce (or recall) the synthetic stand-in for one entity; never the entity itself."""
     key: CategoryKey
     if isinstance(category, Placeholder):
         key = f"PLACEHOLDER:{category.name}"
@@ -299,20 +285,19 @@ def surrogate_for(
     if cached is not None:
         return cached
 
+    used, rng = state.used(key), state.rng
     if isinstance(category, Placeholder):
-        surrogate = _placeholder_surrogate(
-            category, group, pools, state, placeholder_provider
-        )
+        surrogate = _placeholder_surrogate(category, group, pools, used, rng, placeholder_provider)
     elif category is Category.NAME_STUDENT:
         if pools is None:
             raise HipsError("name pools are required for NAME_STUDENT surrogates")
-        surrogate = _name_surrogate(surface, group, pools, state)
+        surrogate = _name_surrogate(surface, group, pools, used, rng)
     elif category is Category.EMAIL:
-        surrogate = _email_surrogate(state)
+        surrogate = _letters_surrogate(surface, "{}@example.com", 8, used, rng)
     elif category is Category.URL_PERSONAL:
-        surrogate = _url_surrogate(state)
+        surrogate = _letters_surrogate(surface, "https://www.example.org/{}", 10, used, rng)
     elif category is Category.PHONE_NUM:
-        surrogate = _phone_surrogate(surface, state)
+        surrogate = _phone_surrogate(surface, used, rng)
     else:
         raise HipsError(f"no surrogate strategy for category {category!r}")
     return state.remember(surface, key, surrogate)

@@ -9,13 +9,12 @@ removing real PII is the costlier mistake.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Document, Span
+from .corpus import Document, Span, write_jsonl
 from .detect import ChatMessage, FINETUNE_SYSTEM_PROMPT, SupportsComplete
 
 VERIFIER_SYSTEM_PROMPT = FINETUNE_SYSTEM_PROMPT
@@ -193,12 +192,4 @@ def verifier_training_record(example: VerifierExample, variant: VerifierVariant)
 def write_verifier_training_file(
     path: str | Path, examples: Iterable[VerifierExample], variant: VerifierVariant
 ) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for example in examples:
-            handle.write(
-                json.dumps(verifier_training_record(example, variant), ensure_ascii=False)
-                + "\n"
-            )
-            count += 1
-    return count
+    return write_jsonl(path, (verifier_training_record(e, variant) for e in examples))

@@ -158,10 +158,10 @@ def test_criterion_4_hips_integrity(fixture_paths):
             if key in seen:
                 assert seen[key] == rep.surrogate  # per-document consistency
             seen[key] = rep.surrogate
+            assert rep.original != rep.surrogate
             if rep.category == "PHONE_NUM":
                 mask = lambda v: "".join("d" if ch.isdigit() else ch for ch in v)
                 assert mask(rep.original) == mask(rep.surrogate)
-                assert rep.original != rep.surrogate
             if rep.category == "EMAIL":
                 assert "@" in rep.surrogate and "." in rep.surrogate.split("@")[1]
             if rep.category == "URL_PERSONAL":

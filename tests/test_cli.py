@@ -536,6 +536,15 @@ class TestJobs:
         assert "error: --jobs must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_make_verifier_data_takes_no_jobs(self, fixture_paths, tmp_path):
+        # It calls the endpoint serially, so the flag would have no effect.
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("make-verifier-data", "--in", str(fixture_paths["corpus"]),
+                    "--gold", str(fixture_paths["gold"]),
+                    "--detections", str(fixture_paths["gold"]),
+                    "--out", str(tmp_path / "v.jsonl"), "--jobs", "2")
+        assert excinfo.value.code == 2
+
     def _outputs_by_jobs(self, tmp_path, argv) -> list[bytes]:
         outputs = []
         for jobs in ("1", "3"):
@@ -566,6 +575,45 @@ class TestJobs:
         assert verified[0] == verified[1]
 
 
+# Each case: the content of the malformed file and the command that reads it,
+# with {bad} for that file and the other fixture names for good inputs.
+_MALFORMED_INPUTS = {
+    "documents-line-missing-id": (
+        '{"text": "no id here"}\n', ["detect", "--detector", "rules", "--in", "{bad}"]),
+    "documents-line-not-json": (
+        '{"id": "a", "text": \n', ["detect", "--detector", "rules", "--in", "{bad}"]),
+    "token-record-missing-trailing-whitespace": (
+        '{"document": "d", "tokens": ["hi"], "labels": ["O"]}\n',
+        ["detect", "--detector", "rules", "--in", "{bad}"]),
+    "span-file-not-json": ('[{"document": ', ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
+    "gender-table-without-gender": (
+        "first_name,count\nAmina,3\n",
+        ["bias", "--pred", "{gold}", "--gold", "{gold}", "--gender-table", "{bad}",
+         "--surname-table", "{surname}", "--region-table", "{region}"]),
+    "pools-without-kind": (
+        "gender,culture,name\nFemale,Africa,Amina\n",
+        ["detect", "--detector", "rules", "--in", "{corpus}", "--pools", "{bad}"]),
+    "ledger-is-a-list": ("[]", ["cost", "--ledger", "{bad}"]),
+    "ledger-item-not-a-number": ('{"items": {"a": "x"}}', ["cost", "--ledger", "{bad}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_malformed_input_is_one_line_error(fixture_paths, tmp_path, capsys, case):
+    content, template = _MALFORMED_INPUTS[case]
+    bad = tmp_path / "malformed.input"
+    bad.write_text(content, encoding="utf-8")
+    names = {k: str(v) for k, v in fixture_paths.items()} | {"bad": str(bad)}
+    argv = [arg.format(**names) for arg in template]
+    code = run_cli(*argv, "--out", str(tmp_path / "out.json"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert str(bad) in lines[0], lines[0]
+
+
 _TRACE_SCRIPT = r"""
 import json, sys
 from pathlib import Path
@@ -573,11 +621,11 @@ from pathlib import Path
 import tracing
 from deidkit import cli, corpus, mockllm
 
-tracer = tracing.Tracer()
-tracing.install(tracer)
 paths, out = json.loads(sys.argv[1]), Path(sys.argv[2])
 docs = corpus.read_documents(paths["corpus"])
 gold = corpus.read_standoff(paths["gold"])
+tracer = tracing.Tracer()
+tracing.install(tracer)  # after the reads above, so only the CLI's calls are traced
 server = mockllm.make_server(
     mockllm.MockLlm("perturb", {d.text: gold.get(d.id, []) for d in docs})
 )
@@ -622,5 +670,7 @@ def test_benchmark_trace_hooks_still_fire(fixture_paths, tmp_path):
     expected = {
         "detect.rule_detect", "detect.llm_detect", "codec.decode", "client.complete",
         "verify.verify_spans", "hips.apply_hips", "eval.evaluate_documents",
+        "corpus.read_documents", "corpus.write_documents", "corpus.write_standoff",
+        "corpus.read_standoff", "hips.load_name_pools",
     }
     assert expected <= names, expected - names

@@ -6,10 +6,11 @@ from urllib.parse import urlparse
 
 import pytest
 
-from deidkit.corpus import Category, Document, Span, ingest_tscc
+from deidkit.corpus import Category, Document, Placeholder, Span, ingest_tscc
 from deidkit.hips import (
     ALL_GROUPS,
     EmptyGroup,
+    HipsError,
     NamePool,
     SurrogateState,
     apply_hips,
@@ -82,17 +83,17 @@ class TestAssignGroups:
         ids = [f"t{i}" for i in range(260)]
         assignment = assign_groups(ids, seed=1)
         cells = {}
-        for group in assignment.mapping.values():
+        for group in assignment.values():
             cells[group] = cells.get(group, 0) + 1
         assert sorted(cells.values()) == [26] * 10
 
     def test_ten_ids_one_each(self):
         assignment = assign_groups([f"t{i}" for i in range(10)], seed=2)
-        assert sorted(set(assignment.mapping.values())) == sorted(ALL_GROUPS)
+        assert sorted(set(assignment.values())) == sorted(ALL_GROUPS)
 
     def test_deterministic(self):
         ids = [f"t{i}" for i in range(50)]
-        assert assign_groups(ids, seed=9).mapping == assign_groups(ids, seed=9).mapping
+        assert assign_groups(ids, seed=9) == assign_groups(ids, seed=9)
 
 
 class TestSurrogateFor:
@@ -154,6 +155,36 @@ class TestSurrogateFor:
         state = SurrogateState("doc", seed=0)
         with pytest.raises(Exception):
             surrogate_for("John", Category.NAME_STUDENT, ("Male", "Asia"), state, None)
+
+    def test_no_surrogate_equals_its_original(self):
+        # A 10-first x 5-last pool makes a draw hit the original often, and
+        # fifteen mentions per document exhaust its single-name capacity.
+        firsts = [f"Name{chr(65 + i)}" for i in range(10)]
+        lasts = [f"Family{chr(65 + i)}" for i in range(5)]
+        pool = NamePool({group: (firsts, lasts) for group in ALL_GROUPS})
+        student = Placeholder("STUDENT", True)
+        rng = random.Random(8)
+        for doc in range(300):
+            state = SurrogateState(f"doc{doc}", seed=doc)
+            cases = [(rng.choice(firsts), Category.NAME_STUDENT) for _ in range(15)]
+            cases += [(f"{rng.choice(firsts)} {rng.choice(lasts)}", Category.NAME_STUDENT)]
+            cases += [
+                ("jane@school.edu", Category.EMAIL),
+                ("https://www.example.org/janedoe", Category.URL_PERSONAL),
+                ("(555)555-5555", Category.PHONE_NUM),
+                ("7", Category.PHONE_NUM),
+                ("call me maybe", Category.PHONE_NUM),  # digitless LLM output
+                ("STUDENT", student),
+            ]
+            for surface, category in cases:
+                out = surrogate_for(surface, category, ("Female", "Asia"), state, pool)
+                assert out != surface, (surface, category)
+
+    def test_group_that_only_holds_the_original_raises(self):
+        state = SurrogateState("doc", seed=0)
+        for surface in ("John", "John Doe"):
+            with pytest.raises(HipsError):
+                surrogate_for(surface, Category.NAME_STUDENT, ("Male", "Asia"), state, stub_pool())
 
 
 class TestApplyHips:
