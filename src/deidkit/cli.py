@@ -1,9 +1,11 @@
 """Command-line pipeline: ingest, split, detect, verify, replace, evaluate.
 
-Every subcommand reads and writes only the files named on its command line,
-accepts ``--seed`` wherever randomness is involved, and drops a run manifest
-(config hash, seed, versions, input digests) beside its first output so runs
-can be reproduced byte for byte. Exit codes: 0 success, 1 validation failure,
+Every subcommand reads and writes only the files named on its command line
+and accepts ``--seed`` wherever randomness is involved. ``main`` applies the
+``--config`` run config as flag defaults, calls the handler with ``args``
+alone, and drops a run manifest (flags, seed, versions, digests of every input
+file, the run config included) beside the first output so runs can be
+reproduced byte for byte. Exit codes: 0 success, 1 validation failure,
 2 transport failure.
 """
 
@@ -19,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from . import __version__, corpus, detect, mockllm
+from . import __version__, corpus, detect, mockllm, verify
 from .corpus import Category, CorpusError, Document, Span
 from .detect import ChatClient, EmptyCompletion, LlmClientConfig, TransportError
 from .eval import (
@@ -36,25 +38,54 @@ from .verify import VerifierVariant, build_verifier_dataset, verify_spans, write
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
+#: Run-config key -> dest of the flag it is the default for. A key under a
+#: section is written ``section.key``.
+_CONFIG_FLAGS = {
+    "pools": "pools",
+    "detector": "detector",
+    "gender_table": "gender_table",
+    "surname_table": "surname_table",
+    "region_table": "region_table",
+    "llm.base_url": "base_url",
+    "llm.model": "model",
+    "llm.api_key_env": "api_key_env",
+    "llm.temperature": "temperature",
+    "llm.requests_per_minute": "rpm",
+    "llm.max_retries": "max_retries",
+}
+#: Types of every known run-config key, sections first; unknown keys are ignored.
+_CONFIG_TYPES = {"llm": (dict,), "pricing": (dict,)} | {key: (str,) for key in _CONFIG_FLAGS} | {
+    "llm.temperature": (int, float),
+    "llm.requests_per_minute": (int,),
+    "llm.max_retries": (int,),
+    "pricing.usd_per_1m_input": (int, float),
+    "pricing.usd_per_1m_output": (int, float),
+}
+#: Dests of the flags that name input files; the manifest digests each one set.
+_INPUT_FLAGS = (
+    "config", "infile", "tscc", "gold", "spans", "pred", "detections", "ledger",
+    "pools", "split_file", "gender_table", "surname_table", "region_table",
+)
+
 
 class CliError(ValueError):
     pass
 
 
-def _interpolate_env(value):
-    if isinstance(value, str):
-        def repl(match: re.Match) -> str:
-            var = match.group(1)
-            if var not in os.environ:
-                raise CliError(f"config references unset environment variable {var}")
-            return os.environ[var]
+def _env_value(path: str | Path, match: re.Match) -> str:
+    var = match.group(1)
+    if var not in os.environ:
+        raise CliError(f"{path}: config references unset environment variable {var}")
+    return os.environ[var]
 
-        return _ENV_RE.sub(repl, value)
-    return value
+
+def _config_value(config: Mapping, key: str):
+    section, _, name = key.rpartition(".")
+    return ((config.get(section) or {}) if section else config).get(name)
 
 
 def load_run_config(path: str | Path) -> dict:
-    """Declarative run configuration; flags override whatever it sets.
+    """Declarative run configuration; each key is the default for one flag.
 
     Environment interpolation (``${VAR}``) is applied only inside the ``llm``
     section, which is the only place secrets could appear.
@@ -62,13 +93,29 @@ def load_run_config(path: str | Path) -> dict:
     config = corpus.read_json(path)
     if not isinstance(config, dict):
         raise CliError(f"{path}: config file must hold a JSON object")
-    llm = config.get("llm")
-    if isinstance(llm, dict):
-        config["llm"] = {k: _interpolate_env(v) for k, v in llm.items()}
+    for key, types in _CONFIG_TYPES.items():
+        value = _config_value(config, key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+            expected = " or ".join(t.__name__ for t in types)
+            raise CliError(f"{path}: {key} must be {expected}, not {type(value).__name__}")
+    config["llm"] = {
+        k: _ENV_RE.sub(lambda m: _env_value(path, m), v) if isinstance(v, str) else v
+        for k, v in (config.get("llm") or {}).items()
+    }
     for key in ("pools", "gender_table", "surname_table", "region_table"):
-        if key in config and not Path(config[key]).exists():
-            raise CliError(f"config path {key}={config[key]!r} does not exist")
+        if config.get(key) is not None and not Path(config[key]).exists():
+            raise CliError(f"{path}: {key} {config[key]!r} does not exist")
     return config
+
+
+def _apply_config(args: argparse.Namespace, config: Mapping) -> None:
+    """Fill each flag the user left unset from the run config."""
+    given = vars(args)
+    for key, dest in _CONFIG_FLAGS.items():
+        # An empty value counts as unset, as it always has.
+        if dest in given and given[dest] in (None, ""):
+            setattr(args, dest, _config_value(config, key))
+    args.pricing = config.get("pricing")
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -79,54 +126,43 @@ def _sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    out_path: str | Path,
-    command: str,
-    settings: Mapping,
-    inputs: Sequence[str | Path],
-    seed: int | None,
-) -> None:
+def _write_manifest(out_path: str | Path, settings: Mapping, args: argparse.Namespace) -> None:
     plain = {
         k: v
         for k, v in sorted(settings.items())
         if isinstance(v, (str, int, float, bool, type(None)))
     }
+    inputs = [getattr(args, dest, None) for dest in _INPUT_FLAGS]
     manifest = {
-        "command": command,
+        "command": args.subcommand,
         "settings": plain,
         "config_hash": hashlib.sha256(
             json.dumps(plain, sort_keys=True).encode("utf-8")
         ).hexdigest(),
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "versions": {
             "deidkit": __version__,
             "python": sys.version.split()[0],
         },
-        "inputs": {str(p): _sha256_file(p) for p in inputs if Path(p).exists()},
+        "inputs": {str(p): _sha256_file(p) for p in inputs if p and Path(p).exists()},
     }
     corpus.write_json(str(out_path) + ".manifest.json", manifest)
 
 
 def _load_docs(path: str) -> dict[str, Document]:
-    docs = corpus.read_documents(path)
-    return {d.id: d for d in docs}
+    return {d.id: d for d in corpus.read_documents(path)}
 
 
-def _build_client(args: argparse.Namespace, config: dict) -> ChatClient:
-    llm = dict(config.get("llm", {}))
-    base_url = args.base_url or llm.get("base_url")
-    model = args.model or llm.get("model", "gpt-4o-mini")
-    if not base_url:
+def _build_client(args: argparse.Namespace) -> ChatClient:
+    if not args.base_url:
         raise CliError("an LLM detector needs --base-url (or llm.base_url in the config)")
-    client_config = LlmClientConfig(
-        base_url=base_url,
-        model=model,
-        api_key_env=args.api_key_env or llm.get("api_key_env", "DEIDKIT_API_KEY"),
-        temperature=args.temperature if args.temperature is not None else llm.get("temperature", 0.0),
-        requests_per_minute=args.rpm or llm.get("requests_per_minute", 1000),
-        max_retries=args.max_retries if args.max_retries is not None else llm.get("max_retries", 3),
-    )
-    return ChatClient(client_config)
+    # The llm section's keys are LlmClientConfig's field names.
+    fields = {
+        key.removeprefix("llm."): getattr(args, dest)
+        for key, dest in _CONFIG_FLAGS.items()
+        if key.startswith("llm.") and getattr(args, dest) is not None
+    }
+    return ChatClient(LlmClientConfig(**fields))
 
 
 def _map_docs(
@@ -143,15 +179,12 @@ def _map_docs(
 # Subcommand handlers
 
 
-def _cmd_ingest(args: argparse.Namespace, config: dict) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.tscc:
-        doc_id = args.id or Path(args.tscc).stem
-        doc, placeholders = corpus.ingest_tscc(
-            Path(args.tscc).read_text(encoding="utf-8"), doc_id
-        )
+        text = Path(args.tscc).read_text(encoding="utf-8")
+        doc, placeholders = corpus.ingest_tscc(text, args.id or Path(args.tscc).stem)
         corpus.write_documents(args.out_docs, [doc])
         corpus.write_standoff(args.out_gold, {doc.id: placeholders})
-        _write_manifest(args.out_docs, "ingest", vars(args), [args.tscc], None)
         return 0
 
     records = list(corpus.read_crapii_jsonl(args.infile))
@@ -175,11 +208,10 @@ def _cmd_ingest(args: argparse.Namespace, config: dict) -> int:
             f"{json.dumps(dropped, sort_keys=True)}",
             file=sys.stderr,
         )
-    _write_manifest(args.out_docs, "ingest", vars(args), [args.infile], None)
     return 0
 
 
-def _cmd_split(args: argparse.Namespace, config: dict) -> int:
+def _cmd_split(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
     gold = corpus.read_standoff(args.gold) if args.gold else {}
     entity_counts: dict[str, dict[str, int]] = {doc_id: {} for doc_id in docs}
@@ -195,7 +227,6 @@ def _cmd_split(args: argparse.Namespace, config: dict) -> int:
         entity_counts, ratios=ratios, seed=args.seed, stratify=not args.no_stratify
     )
     corpus.write_json(args.out, split.as_dict())
-    _write_manifest(args.out, "split", vars(args), [args.infile] + ([args.gold] if args.gold else []), args.seed)
     return 0
 
 
@@ -212,22 +243,18 @@ def _select_ids(docs: dict[str, Document], args: argparse.Namespace) -> list[str
     return sorted(docs)
 
 
-def _cmd_detect(args: argparse.Namespace, config: dict) -> int:
+def _cmd_detect(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
     ids = _select_ids(docs, args)
 
-    pools = None
-    pools_path = args.pools or config.get("pools")
-    if pools_path:
-        pools = load_name_pools(pools_path)
-
-    detector_name = args.detector or config.get("detector", "rules")
+    pools = load_name_pools(args.pools) if args.pools else None
+    detector_name = args.detector or "rules"
     client = None
     if detector_name == "rules":
         def detect_one(doc_id: str) -> list[Span]:
             return detect.rule_detect(docs[doc_id], pools=pools)
     elif detector_name in ("llm-fewshot", "llm-finetuned"):
-        client = _build_client(args, config)
+        client = _build_client(args)
         mode = detector_name.removeprefix("llm-")
 
         def detect_one(doc_id: str) -> list[Span]:
@@ -236,32 +263,22 @@ def _cmd_detect(args: argparse.Namespace, config: dict) -> int:
         raise CliError(f"unknown detector {detector_name!r}")
 
     corpus.write_standoff(args.out, _map_docs(detect_one, ids, args.jobs))
-    pricing = config.get("pricing")
-    if client is not None and isinstance(pricing, dict):
-        usd = client.estimated_input_tokens / 1e6 * float(
-            pricing.get("usd_per_1m_input", 0.0)
-        ) + client.estimated_output_tokens / 1e6 * float(
-            pricing.get("usd_per_1m_output", 0.0)
+    if client is not None and args.pricing is not None:
+        tokens_in, tokens_out = client.estimated_input_tokens, client.estimated_output_tokens
+        usd = tokens_in / 1e6 * args.pricing.get("usd_per_1m_input", 0.0) + (
+            tokens_out / 1e6 * args.pricing.get("usd_per_1m_output", 0.0)
         )
-        corpus.write_json(
-            str(args.out) + ".cost.json",
-            {
-                "items": {"evaluation": round(usd, 6)},
-                "tokens_per_stage": {
-                    "evaluation": client.estimated_input_tokens
-                    + client.estimated_output_tokens
-                },
-            },
-        )
-    inputs = [args.infile] + ([pools_path] if pools_path else [])
-    _write_manifest(args.out, "detect", vars(args), inputs, None)
+        corpus.write_json(str(args.out) + ".cost.json", {
+            "items": {"evaluation": round(usd, 6)},
+            "tokens_per_stage": {"evaluation": tokens_in + tokens_out},
+        })
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
     detections = corpus.read_standoff(args.spans)
-    client = _build_client(args, config)
+    client = _build_client(args)
     variant = VerifierVariant(args.variant)
 
     for doc_id in detections:
@@ -272,14 +289,12 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
         return verify_spans(docs[doc_id], detections[doc_id], client, variant, args.window)
 
     corpus.write_standoff(args.out, _map_docs(verify_one, sorted(detections), args.jobs))
-    _write_manifest(args.out, "verify", vars(args), [args.infile, args.spans], None)
     return 0
 
 
-def _cmd_replace(args: argparse.Namespace, config: dict) -> int:
+def _cmd_replace(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
-    pools_path = args.pools or config.get("pools")
-    pools = load_name_pools(pools_path) if pools_path else None
+    pools = load_name_pools(args.pools) if args.pools else None
 
     spans_by_doc = corpus.read_spans(args.spans) if args.spans else {}
 
@@ -315,28 +330,28 @@ def _cmd_replace(args: argparse.Namespace, config: dict) -> int:
     corpus.write_documents(args.out_docs, out_docs)
     if args.out_gold:
         corpus.write_standoff(args.out_gold, shifted_gold)
-    inputs = [args.infile] + ([args.spans] if args.spans else []) + ([pools_path] if pools_path else [])
-    _write_manifest(args.out_docs, "replace", vars(args), inputs, args.seed)
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace, config: dict) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> int:
     pred = corpus.read_standoff(args.pred)
     gold = corpus.read_standoff(args.gold)
     report = evaluate_documents(pred, gold)
     print(render_metrics_table(report))
     if args.out:
         corpus.write_json(args.out, report.as_dict())
-        _write_manifest(args.out, "evaluate", vars(args), [args.pred, args.gold], None)
     return 0
 
 
-def _cmd_bias(args: argparse.Namespace, config: dict) -> int:
+def _cmd_bias(args: argparse.Namespace) -> int:
     pred = corpus.read_standoff(args.pred)
     gold = corpus.read_standoff(args.gold)
-    gender_table = load_gender_table(args.gender_table or config["gender_table"])
-    surname_table = load_surname_table(args.surname_table or config["surname_table"])
-    region_table = load_region_table(args.region_table or config["region_table"])
+    for dest in ("gender_table", "surname_table", "region_table"):
+        if not getattr(args, dest):
+            raise CliError(f"bias needs --{dest.replace('_', '-')} (or {dest} in the config)")
+    gender_table = load_gender_table(args.gender_table)
+    surname_table = load_surname_table(args.surname_table)
+    region_table = load_region_table(args.region_table)
 
     entries = []
     for doc_id, spans in sorted(gold.items()):
@@ -350,33 +365,23 @@ def _cmd_bias(args: argparse.Namespace, config: dict) -> int:
             entries.append((demographic, (span.start, span.end, span.category) in pred_keys))
     report = bias_report(entries)
     corpus.write_json(args.out, report.as_dict())
-    _write_manifest(
-        args.out,
-        "bias",
-        vars(args),
-        [args.pred, args.gold],
-        None,
-    )
     return 0
 
 
-def _cmd_cost(args: argparse.Namespace, config: dict) -> int:
+def _cmd_cost(args: argparse.Namespace) -> int:
     ledger_input = corpus.read_json(args.ledger)
     if not isinstance(ledger_input, dict):
         raise CliError(f"{args.ledger}: a cost ledger must be a JSON object")
     try:
-        ledger = cost_summary(
-            ledger_input.get("items", {}), ledger_input.get("tokens_per_stage", {})
-        )
+        ledger = cost_summary(ledger_input.get("items", {}), ledger_input.get("tokens_per_stage"))
     except ValueError as exc:
         raise CliError(f"{args.ledger}: {exc}") from exc
     corpus.write_json(args.out, ledger.as_dict())
     print(json.dumps(ledger.as_dict(), indent=2, sort_keys=True))
-    _write_manifest(args.out, "cost", vars(args), [args.ledger], None)
     return 0
 
 
-def _cmd_simulate_leakage(args: argparse.Namespace, config: dict) -> int:
+def _cmd_simulate_leakage(args: argparse.Namespace) -> int:
     estimate = simulate_leakage(
         fn_rate=args.fn,
         attacker_detect_rate=args.attacker_rate,
@@ -402,11 +407,10 @@ def _cmd_simulate_leakage(args: argparse.Namespace, config: dict) -> int:
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         corpus.write_json(args.out, payload)
-        _write_manifest(args.out, "simulate-leakage", vars(args), [], args.seed)
     return 0
 
 
-def _cmd_make_finetune(args: argparse.Namespace, config: dict) -> int:
+def _cmd_make_finetune(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
     gold = corpus.read_standoff(args.gold)
     ids = _select_ids(docs, args)
@@ -414,34 +418,25 @@ def _cmd_make_finetune(args: argparse.Namespace, config: dict) -> int:
         args.out, ((docs[i], gold.get(i, [])) for i in ids)
     )
     print(f"wrote {count} training record(s) to {args.out}")
-    inputs = [args.infile, args.gold] + ([args.split_file] if args.split_file else [])
-    _write_manifest(args.out, "make-finetune", vars(args), inputs, None)
     return 0
 
 
-def _cmd_make_verifier_data(args: argparse.Namespace, config: dict) -> int:
+def _cmd_make_verifier_data(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
     gold = corpus.read_standoff(args.gold)
     detections = corpus.read_standoff(args.detections)
     variant = VerifierVariant(args.variant)
-    client = _build_client(args, config) if variant is VerifierVariant.WITH_COT else None
+    client = _build_client(args) if variant is VerifierVariant.WITH_COT else None
     examples = build_verifier_dataset(
         detections, gold, docs, variant, client=client, window_chars=args.window
     )
     count = write_verifier_training_file(args.out, examples, variant)
     forced = sum(1 for e in examples if e.forced_default)
     print(f"wrote {count} verifier example(s) to {args.out} ({forced} defaulted to T)")
-    _write_manifest(
-        args.out,
-        "make-verifier-data",
-        vars(args),
-        [args.infile, args.gold, args.detections],
-        None,
-    )
     return 0
 
 
-def _cmd_mock_llm(args: argparse.Namespace, config: dict) -> int:
+def _cmd_mock_llm(args: argparse.Namespace) -> int:
     gold_by_text: dict[str, list[Span]] = {}
     if args.corpus:
         docs = _load_docs(args.corpus)
@@ -509,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--spans", required=True)
     p.add_argument("--variant", choices=[v.value for v in VerifierVariant], default="without-cot")
-    p.add_argument("--window", type=int, default=150)
+    p.add_argument("--window", type=int, default=verify.DEFAULT_CONTEXT_WINDOW)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_llm_flags(p)
@@ -569,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--variant", choices=[v.value for v in VerifierVariant], default="without-cot")
-    p.add_argument("--window", type=int, default=150)
+    p.add_argument("--window", type=int, default=verify.DEFAULT_CONTEXT_WINDOW)
     p.add_argument("--out", required=True)
     _add_llm_flags(p)
     p.set_defaults(func=_cmd_make_verifier_data)
@@ -597,9 +592,14 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    settings = dict(vars(args))
     try:
-        config = load_run_config(args.config) if args.config else {}
-        return args.func(args, config)
+        _apply_config(args, load_run_config(args.config) if args.config else {})
+        code = args.func(args)
+        out = getattr(args, "out", None) or getattr(args, "out_docs", None)
+        if out:
+            _write_manifest(out, settings, args)
+        return code
     except (TransportError, EmptyCompletion) as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return 2

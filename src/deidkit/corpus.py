@@ -267,22 +267,15 @@ def validate_spans(text: str, spans: Sequence[Span | PlaceholderSpan]) -> None:
         prev_start, prev_end = span.start, span.end
 
 
-def ingest_tscc(
-    transcript: str | Iterable[str], document_id: str
-) -> tuple[Document, list[PlaceholderSpan]]:
+def ingest_tscc(transcript: str, document_id: str) -> tuple[Document, list[PlaceholderSpan]]:
     """Ingest a role/text transcript, returning the document and its placeholders.
 
     Each line must match ``role: text``; blank lines are skipped. Every
     〈PLACEHOLDER〉 token becomes a PlaceholderSpan; STUDENT and TEACHER are
     name-kind, every other placeholder category is not.
     """
-    if isinstance(transcript, str):
-        lines = transcript.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in transcript]
-
     kept: list[str] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(transcript.splitlines(), start=1):
         if not line.strip():
             continue
         if not _TSCC_LINE_RE.match(line):
@@ -322,10 +315,7 @@ def split_corpus(
         raise CorpusError(f"ratios {ratios} do not sum to 1")
 
     counts_by_doc: dict[str, dict[str, int]] = {
-        str(doc_id): {
-            (k.value if isinstance(k, Category) else str(k)): int(v)
-            for k, v in counts.items()
-        }
+        str(doc_id): {str(k): int(v) for k, v in counts.items()}
         for doc_id, counts in entity_counts.items()
     }
     doc_ids = sorted(counts_by_doc)
@@ -416,7 +406,7 @@ def write_json(path: str | Path, payload: Any) -> None:
 
 
 def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[T]:
-    """Yield ``parse(obj)`` for each non-blank line; a CorpusError from ``parse`` passes as is."""
+    """Yield ``parse(obj)`` per non-blank line; a CorpusError from ``parse`` keeps its class."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -429,6 +419,9 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[T]:
                 raise CorpusError(f"{path}:{lineno}: missing key {exc}") from exc
             except TypeError as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+            except CorpusError as exc:
+                exc.args = (f"{path}:{lineno}: {exc}",)
+                raise
             yield item
 
 

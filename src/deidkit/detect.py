@@ -113,7 +113,7 @@ class ChatMessage:
 @dataclass
 class LlmClientConfig:
     base_url: str
-    model: str
+    model: str = "gpt-4o-mini"
     api_key_env: str = "DEIDKIT_API_KEY"
     temperature: float = 0.0
     requests_per_minute: int = 1000
@@ -165,9 +165,9 @@ class ChatClient:
     environment variable is set, travels as a bearer token.
     """
 
-    def __init__(self, config: LlmClientConfig, session: requests.Session | None = None):
+    def __init__(self, config: LlmClientConfig):
         self.config = config
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self._bucket = _TokenBucket(config.requests_per_minute)
         self._backoff_base = 0.25
         self._usage_lock = threading.Lock()
@@ -197,7 +197,11 @@ class ChatClient:
                 last_error = exc
             else:
                 if response.status_code == 200:
-                    content = self._parse(response.json())
+                    try:
+                        payload = response.json()
+                    except requests.JSONDecodeError as exc:
+                        raise EmptyCompletion(f"completion body is not JSON: {exc}") from exc
+                    content = self._parse(payload)
                     with self._usage_lock:
                         self.estimated_input_tokens += sum(
                             _estimate_tokens(m.content) for m in messages

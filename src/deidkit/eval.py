@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Category, Span, read_csv
+from .corpus import Category, CorpusError, Span, read_csv
 from .hips import CULTURES, map_country_to_culture
 
 __all__ = [
@@ -184,7 +184,10 @@ def _load_argmax_table(path: str | Path, key_col: str, value_col: str) -> dict[s
     """CSV -> name->value table; weighted rows argmax, ties drop to Unknown."""
     weights: dict[str, Counter] = defaultdict(Counter)
     for row in read_csv(path, (key_col, value_col)):
-        weight = int(row.get("count", 1) or 1)
+        try:
+            weight = int(row.get("count", 1) or 1)
+        except ValueError:
+            raise CorpusError(f"{path}: non-integer count {row['count']!r}") from None
         weights[row[key_col].strip().lower()][row[value_col].strip()] += weight
     table: dict[str, str] = {}
     for key, counter in weights.items():
@@ -339,10 +342,16 @@ def cost_summary(
     items: Mapping[str, float], tokens_per_stage: Mapping[str, int] | None = None
 ) -> CostLedger:
     """Totals plus the per-million-token average when token counts are known."""
+    tokens_per_stage = {} if tokens_per_stage is None else tokens_per_stage
+    if not isinstance(items, Mapping) or not isinstance(tokens_per_stage, Mapping):
+        raise ValueError("items and tokens_per_stage must be objects")
     for stage, usd in items.items():
         if not isinstance(usd, (int, float)):
             raise ValueError(f"non-numeric cost {usd!r} for stage {stage!r}")
         if usd < 0:
             raise ValueError(f"negative cost for stage {stage!r}")
-    return CostLedger(items=dict(items), tokens_per_stage=dict(tokens_per_stage or {}))
+    for stage, tokens in tokens_per_stage.items():
+        if not isinstance(tokens, int):
+            raise ValueError(f"non-integer token count {tokens!r} for stage {stage!r}")
+    return CostLedger(items=dict(items), tokens_per_stage=dict(tokens_per_stage))
 

@@ -125,13 +125,12 @@ def build_verifier_dataset(
     variant: VerifierVariant,
     client: SupportsComplete | None = None,
     window_chars: int = DEFAULT_CONTEXT_WINDOW,
-    max_attempts: int = MAX_COT_ATTEMPTS,
 ) -> list[VerifierExample]:
     """Label detections T/F against gold and, for CoT, generate reasoning.
 
     A detection is T exactly when some gold span matches its offsets and
     category. CoT reasoning must end with the gold letter; after
-    ``max_attempts`` misses the example is emitted with label T regardless.
+    ``MAX_COT_ATTEMPTS`` misses the example is emitted with label T regardless.
     """
     if variant is VerifierVariant.WITH_COT and client is None:
         raise ValueError("the CoT variant needs a client to generate reasoning")
@@ -148,14 +147,10 @@ def build_verifier_dataset(
                 continue
 
             messages = build_verifier_messages(span.surface, context, variant)
-            reasoning: str | None = None
-            attempts = 0
-            matched = False
-            for attempts in range(1, max_attempts + 1):
-                completion = client.complete(messages)
-                reasoning = completion
-                if parse_verdict(completion) == label:
-                    matched = True
+            for attempts in range(1, MAX_COT_ATTEMPTS + 1):
+                reasoning = client.complete(messages)
+                matched = parse_verdict(reasoning) == label
+                if matched:
                     break
             # Reasoning that never agreed with gold retains the entity.
             examples.append(
@@ -163,7 +158,7 @@ def build_verifier_dataset(
                     span.surface,
                     context,
                     label if matched else "T",
-                    _strip_final_verdict(reasoning or ""),
+                    _strip_final_verdict(reasoning),
                     forced_default=not matched,
                     attempts=attempts,
                 )

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from deidkit import corpus
+from deidkit import cli, corpus
 from deidkit.cli import main
 
 
@@ -32,6 +36,33 @@ def mock_llm_server(mode: str, corpus_path=None, gold_path=None, seed: int = 0):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+@contextmanager
+def capture_server(reply: bytes):
+    """One-off chat endpoint: answers every request with ``reply`` (HTTP 200)
+    and records the model each request asked for."""
+    models: list[str] = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            models.append(body["model"])
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1", models
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def run_cli(*argv: str) -> int:
@@ -575,6 +606,8 @@ class TestJobs:
         assert verified[0] == verified[1]
 
 
+_VERIFY = ["verify", "--in", "{corpus}", "--spans", "{gold}", "--base-url", "http://127.0.0.1:1/v1"]
+
 # Each case: the content of the malformed file and the command that reads it,
 # with {bad} for that file and the other fixture names for good inputs.
 _MALFORMED_INPUTS = {
@@ -595,6 +628,30 @@ _MALFORMED_INPUTS = {
         ["detect", "--detector", "rules", "--in", "{corpus}", "--pools", "{bad}"]),
     "ledger-is-a-list": ("[]", ["cost", "--ledger", "{bad}"]),
     "ledger-item-not-a-number": ('{"items": {"a": "x"}}', ["cost", "--ledger", "{bad}"]),
+    "ledger-items-a-list": ('{"items": [1]}', ["cost", "--ledger", "{bad}"]),
+    "ledger-tokens-per-stage-a-list": (
+        '{"items": {"a": 1}, "tokens_per_stage": [1]}', ["cost", "--ledger", "{bad}"]),
+    "ledger-token-count-not-an-integer": (
+        '{"items": {"a": 1}, "tokens_per_stage": {"a": "x"}}', ["cost", "--ledger", "{bad}"]),
+    "gender-table-count-not-an-integer": (
+        "first_name,gender,count\nAmina,Female,x\n",
+        ["bias", "--pred", "{gold}", "--gold", "{gold}", "--gender-table", "{bad}",
+         "--surname-table", "{surname}", "--region-table", "{region}"]),
+    "token-record-text-mismatch": (
+        '{"document": "d", "tokens": ["hi"], "labels": ["O"], "trailing_whitespace": [false],'
+        ' "full_text": "ho"}\n',
+        ["detect", "--detector", "rules", "--in", "{bad}"]),
+    # The endpoint is never contacted: the config is checked before any stage runs.
+    "config-llm-not-an-object": ('{"llm": "x"}', ["--config", "{bad}", *_VERIFY]),
+    "config-max-retries-a-string": (
+        '{"llm": {"max_retries": "3"}}', ["--config", "{bad}", *_VERIFY]),
+    "config-temperature-a-string": (
+        '{"llm": {"temperature": "hot"}}', ["--config", "{bad}", *_VERIFY]),
+    "config-unset-env-variable": (
+        '{"llm": {"base_url": "http://${DEIDKIT_UNSET_VAR_XYZ}/v1"}}',
+        ["--config", "{bad}", *_VERIFY]),
+    "config-pools-a-number": (
+        '{"pools": 5}', ["--config", "{bad}", "detect", "--detector", "rules", "--in", "{corpus}"]),
 }
 
 
@@ -612,6 +669,89 @@ def test_malformed_input_is_one_line_error(fixture_paths, tmp_path, capsys, case
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert str(bad) in lines[0], lines[0]
+
+
+def test_bias_without_tables_names_the_missing_flag(fixture_paths, tmp_path, capsys):
+    gold = str(fixture_paths["gold"])
+    code = run_cli("bias", "--pred", gold, "--gold", gold, "--out", str(tmp_path / "b.json"))
+    err = capsys.readouterr().err
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "--gender-table" in lines[0]
+
+
+def test_manifest_inputs_include_config_split_file_and_tables(fixture_paths, tmp_path):
+    paths = {k: str(v) for k, v in fixture_paths.items()}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"pools": paths["pools"], "detector": "rules"}), encoding="utf-8")
+    split = tmp_path / "split.json"
+    assert run_cli("split", "--in", paths["corpus"], "--out", str(split)) == 0
+    pred = tmp_path / "pred.json"
+    assert run_cli("--config", str(config), "detect", "--in", paths["corpus"],
+                   "--split-file", str(split), "--out", str(pred)) == 0
+    manifest = json.loads((tmp_path / "pred.json.manifest.json").read_text())
+    assert set(manifest["inputs"]) == {str(config), str(split), paths["pools"], paths["corpus"]}
+    # Settings hold the flags as typed; the config's values are in its digest only.
+    assert manifest["settings"]["pools"] is None
+    assert manifest["settings"]["config"] == str(config)
+
+    bias = tmp_path / "bias.json"
+    assert run_cli("bias", "--pred", str(pred), "--gold", paths["gold"],
+                   "--gender-table", paths["gender"], "--surname-table", paths["surname"],
+                   "--region-table", paths["region"], "--out", str(bias)) == 0
+    manifest = json.loads((tmp_path / "bias.json.manifest.json").read_text())
+    assert set(manifest["inputs"]) == {
+        str(pred), paths["gold"], paths["gender"], paths["surname"], paths["region"]
+    }
+
+
+def test_model_precedence_flag_then_config_then_default(fixture_paths, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"llm": {"model": "config-model"}}), encoding="utf-8")
+    reply = json.dumps({"choices": [{"message": {"content": "T"}}]}).encode()
+    runs = {
+        "gpt-4o-mini": ([], []),
+        "config-model": (["--config", str(config)], []),
+        "flag-model": (["--config", str(config)], ["--model", "flag-model"]),
+    }
+    for expected, (config_flags, model_flags) in runs.items():
+        with capture_server(reply) as (base_url, models):
+            code = run_cli(*config_flags, "verify", "--in", str(fixture_paths["corpus"]),
+                           "--spans", str(fixture_paths["gold"]), "--base-url", base_url,
+                           *model_flags, "--out", str(tmp_path / "kept.json"))
+        assert code == 0
+        assert models and set(models) == {expected}
+
+
+def test_non_json_reply_is_a_transport_error(fixture_paths, tmp_path, capsys):
+    with capture_server(b"<html><body>gateway</body></html>") as (base_url, models):
+        code = run_cli("detect", "--detector", "llm-finetuned",
+                       "--in", str(fixture_paths["corpus"]), "--base-url", base_url,
+                       "--max-retries", "0", "--out", str(tmp_path / "x.json"))
+    assert models
+    assert code == 2
+    assert capsys.readouterr().err.startswith("transport error:")
+
+
+def _flag_dests(parser: argparse.ArgumentParser) -> set[str]:
+    dests = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                dests |= _flag_dests(sub)
+        elif action.option_strings:
+            dests.add(action.dest)
+    return dests
+
+
+def test_config_keys_and_input_names_are_flag_dests():
+    # A renamed flag would otherwise drop silently out of the config or the manifest.
+    dests = _flag_dests(cli.build_parser())
+    assert set(cli._CONFIG_FLAGS.values()) <= dests
+    assert set(cli._INPUT_FLAGS) <= dests
+    llm_keys = {k.removeprefix("llm.") for k in cli._CONFIG_FLAGS if k.startswith("llm.")}
+    assert llm_keys <= {f.name for f in dataclasses.fields(cli.LlmClientConfig)}
 
 
 _TRACE_SCRIPT = r"""

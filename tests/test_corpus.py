@@ -303,6 +303,18 @@ def test_standoff_roundtrip(mini_gold):
         assert back == spans
 
 
+def test_read_documents_names_the_line_and_keeps_the_error_class(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    path.write_text('{"id": "a", "text": "fine"}\n' + json.dumps({
+        "document": "d", "tokens": ["hi"], "labels": ["O"],
+        "trailing_whitespace": [False], "full_text": "ho",
+    }) + "\n", encoding="utf-8")
+    with pytest.raises(ReconstructionMismatch) as excinfo:
+        read_documents(path)
+    assert str(excinfo.value).startswith(f"{path}:2: document 'd'")
+    assert excinfo.value.offset == 1
+
+
 def test_read_documents_accepts_both_schemas(fixture_paths, tmp_path):
     docs = read_documents(fixture_paths["corpus"])
     assert any(d.id == "379" for d in docs)
