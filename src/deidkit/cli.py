@@ -238,9 +238,15 @@ def _select_ids(docs: dict[str, Document], args: argparse.Namespace) -> list[str
         requested = [str(i) for i in split[args.split_name]]
         missing = [i for i in requested if i not in docs]
         if missing:
-            raise CliError(f"split references unknown documents: {missing[:5]}")
+            raise CliError(f"{args.split_file}: split references unknown documents: {missing[:5]}")
         return requested
     return sorted(docs)
+
+
+def _check_span_documents(path: str, spans_by_doc: Mapping, docs: Mapping[str, Document]) -> None:
+    for doc_id in spans_by_doc:
+        if doc_id not in docs:
+            raise CliError(f"{path}: spans reference unknown document {doc_id!r}")
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -280,10 +286,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     detections = corpus.read_standoff(args.spans)
     client = _build_client(args)
     variant = VerifierVariant(args.variant)
-
-    for doc_id in detections:
-        if doc_id not in docs:
-            raise CliError(f"spans reference unknown document {doc_id!r}")
+    _check_span_documents(args.spans, detections, docs)
 
     def verify_one(doc_id: str) -> list[Span]:
         return verify_spans(docs[doc_id], detections[doc_id], client, variant, args.window)
@@ -311,14 +314,17 @@ def _cmd_replace(args: argparse.Namespace) -> int:
     audit: list[dict] = []
     for doc_id in sorted(docs):
         doc = docs[doc_id]
-        result = apply_hips(
-            doc,
-            spans_by_doc.get(doc_id, []),
-            group_of[doc_id],
-            seed=args.seed,
-            pools=pools,
-            consistent=not args.inconsistent,
-        )
+        try:
+            result = apply_hips(
+                doc,
+                spans_by_doc.get(doc_id, []),
+                group_of[doc_id],
+                seed=args.seed,
+                pools=pools,
+                consistent=not args.inconsistent,
+            )
+        except CorpusError as exc:  # a span that does not fit its document
+            raise CliError(f"{args.spans}: document {doc_id!r}: {exc}") from exc
         out_docs.append(Document(doc_id, result.text, doc.source))
         shifted_gold[doc_id] = [s for s in result.shifted_spans if isinstance(s, Span)]
         audit.append({
@@ -425,6 +431,7 @@ def _cmd_make_verifier_data(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
     gold = corpus.read_standoff(args.gold)
     detections = corpus.read_standoff(args.detections)
+    _check_span_documents(args.detections, detections, docs)
     variant = VerifierVariant(args.variant)
     client = _build_client(args) if variant is VerifierVariant.WITH_COT else None
     examples = build_verifier_dataset(

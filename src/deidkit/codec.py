@@ -7,6 +7,7 @@ arbitrarily corrupted and every failure is reported, never raised.
 
 from __future__ import annotations
 
+import bisect
 import difflib
 import re
 from dataclasses import dataclass, field
@@ -167,30 +168,55 @@ def _scan_regions(marked: str) -> tuple[str, list[_Region], list[DroppedRegion]]
     return stripped, regions, dropped
 
 
-def _map_position(blocks: list[difflib.Match], pos: int) -> int:
-    """Map a position in the stripped text onto the original, monotonically."""
-    for block in blocks:
-        if block.a <= pos < block.a + block.size:
-            return block.b + (pos - block.a)
-        if block.a > pos:
-            return block.b
-    return blocks[-1].b if blocks else 0
+_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+
+def _align(stripped: str, original: str) -> list[tuple[int, int]]:
+    """Anchors ``(stripped pos, original pos)`` where equal text starts, in order.
+
+    Identical texts share one anchor at 0. Otherwise the texts are aligned by
+    whole tokens (words and single punctuation marks; whitespace is ignored)
+    and every matched token is an anchor. Both text ends close the list.
+    """
+    if stripped == original:
+        return [(0, 0), (len(stripped), len(original))]
+    a = list(_TOKEN_RE.finditer(stripped))
+    b = list(_TOKEN_RE.finditer(original))
+    sm = difflib.SequenceMatcher(a=[m[0] for m in a], b=[m[0] for m in b], autojunk=False)
+    anchors = [
+        (a[i + k].start(), b[j + k].start())
+        for i, j, size in sm.get_matching_blocks()
+        for k in range(size)
+    ]
+    return anchors + [(len(stripped), len(original))]
+
+
+def _map_position(anchors: list[tuple[int, int]], pos: int) -> int:
+    """Map a position in the stripped text onto the original, monotonically.
+
+    A position keeps its distance from the last anchor at or before it, but
+    never passes the next anchor; past the end it maps to the original's end.
+    """
+    i = bisect.bisect_right(anchors, pos, key=lambda anchor: anchor[0])
+    a, b = anchors[i - 1] if i else (0, 0)
+    return min(b + pos - a, anchors[min(i, len(anchors) - 1)][1])
 
 
 def decode(marked: str, original: Document) -> DecodeReport:
     """Recover exact-offset spans in the original document from marked output.
 
     Each balanced marked region is located in the original first through a
-    monotone character alignment, then by searching for exact occurrences of
-    the inner text nearest to the aligned position. A span is only ever
-    emitted when the original text matches the inner text exactly.
+    monotone alignment of the marker-free output with the original (offsets
+    map 1:1 when the two are identical, otherwise whole word and punctuation
+    tokens are aligned), then by searching for exact occurrences of the inner
+    text nearest to the aligned position. A span is only ever emitted when the
+    original text matches the inner text exactly.
     """
     report = DecodeReport()
     stripped, regions, interleaved = _scan_regions(marked)
     report.dropped.extend(interleaved)
 
-    sm = difflib.SequenceMatcher(a=stripped, b=original.text, autojunk=False)
-    blocks = sm.get_matching_blocks()
+    anchors = _align(stripped, original.text)
 
     accepted: list[Span] = []
 
@@ -201,7 +227,7 @@ def decode(marked: str, original: Document) -> DecodeReport:
         if not region.inner:
             report.dropped.append(DroppedRegion("", region.category, DROP_EMPTY))
             continue
-        mapped = _map_position(blocks, region.strip_start)
+        mapped = _map_position(anchors, region.strip_start)
         end = mapped + len(region.inner)
         if original.text[mapped:end] == region.inner:
             if overlaps_accepted(mapped, end):

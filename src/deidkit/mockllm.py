@@ -4,8 +4,9 @@ Serves the chat-completion wire format on localhost. Three behaviors:
 
 - ``echo-gold``: answer with the document's gold-marked text (a perfect
   detector) and confirm every verification question.
-- ``perturb``: like echo-gold, but rewrite ~5% of the characters outside
-  marked entities first, imitating an LLM that does not copy faithfully.
+- ``perturb``: like echo-gold, but then substitute, insert or delete ~5% of
+  the letters outside marked entities, imitating an LLM that does not copy
+  faithfully.
 - ``deny-all``: detect nothing and reject every verification question.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import string
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -38,22 +40,31 @@ def extract_target_text(user_content: str) -> str:
     return user_content
 
 
-def perturb_outside_spans(text: str, spans: Sequence[Span], seed: int) -> str:
-    """Substitute ~5% of the letters that no span covers; offsets unchanged."""
-    protected = set()
-    for span in spans:
-        protected.update(range(span.start, span.end))
+#: One marked region: an open marker through the first close of its category.
+_REGION_RE = re.compile(
+    "|".join(f"{re.escape(o)}.*?{re.escape(c)}" for o, c in codec.MARKERS.values()), re.DOTALL
+)
+
+
+def perturb_outside_regions(marked: str, seed: int) -> str:
+    """Drift ~5% of the letters outside marked regions, changing lengths.
+
+    A third of the chosen letters are substituted, a third get a letter
+    inserted after them and a third are deleted; marked regions (markers and
+    inner text) are left alone.
+    """
+    inside = {i for m in _REGION_RE.finditer(marked) for i in range(m.start(), m.end())}
+    letters = [i for i, ch in enumerate(marked) if ch.isalpha() and i not in inside]
     rng = random.Random(seed)
-    chars = list(text)
-    for i, ch in enumerate(chars):
-        if i in protected or not ch.isalpha():
-            continue
-        if rng.random() < PERTURB_RATE:
-            replacement = rng.choice(string.ascii_lowercase)
-            while replacement == ch:
-                replacement = rng.choice(string.ascii_lowercase)
-            chars[i] = replacement
-    return "".join(chars)
+    edits: dict[int, str] = {}
+    for k, i in enumerate(rng.sample(letters, round(len(letters) * PERTURB_RATE))):
+        if k % 3 == 0:
+            edits[i] = rng.choice([c for c in string.ascii_lowercase if c != marked[i]])
+        elif k % 3 == 1:
+            edits[i] = marked[i] + rng.choice(string.ascii_lowercase)
+        else:
+            edits[i] = ""
+    return "".join(edits.get(i, ch) for i, ch in enumerate(marked))
 
 
 class MockLlm:
@@ -84,13 +95,12 @@ class MockLlm:
         spans = list(self.gold_by_text.get(text, ()))
         if self.mode == "deny-all" or not spans:
             return text
+        marked = codec.encode(Document(id="mock", text=text), spans)
         if self.mode == "perturb":
             # Seeded by content so replays of the same request are identical.
             digest = hashlib.sha256(text.encode("utf-8")).digest()
-            doc_seed = self.seed ^ int.from_bytes(digest[:8], "big")
-            text = perturb_outside_spans(text, spans, doc_seed)
-        doc = Document(id="mock", text=text)
-        return codec.encode(doc, spans)
+            marked = perturb_outside_regions(marked, self.seed ^ int.from_bytes(digest[:8], "big"))
+        return marked
 
 
 def _completion_payload(content: str) -> dict:

@@ -14,7 +14,7 @@ import pytest
 
 import metric_fixtures
 from test_cli import mock_llm_server, run_cli
-from test_codec import perturb_marked, random_case
+from test_codec import long_case, perturb_marked, random_case
 
 from deidkit import codec, corpus
 from deidkit.corpus import Span, split_corpus
@@ -124,6 +124,19 @@ def test_criterion_3_codec_roundtrip_and_robustness():
     assert recovery >= 0.99, f"recovered {recovery:.4f}"
     clock.check()
     _announce(3, f"1000 round-trips exact; perturbed recovery {recovery:.4f} >= 0.99")
+
+
+def test_criterion_3_long_drifted_document_decode():
+    clock = Stopwatch(5.0)
+    rng = random.Random(5000)
+    doc, spans = long_case(rng, 5000)
+    marked = perturb_marked(codec.encode(doc, spans), spans, rng, rate=0.05)
+    report = codec.decode(marked, doc)
+    assert set(spans) <= set(report.spans)
+    for span in report.spans:
+        assert doc.text[span.start : span.end] == span.surface
+    clock.check()
+    _announce(3, f"5,000-word drifted document: all {len(spans)} spans recovered")
 
 
 def test_criterion_4_hips_integrity(fixture_paths):

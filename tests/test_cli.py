@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from deidkit import cli, corpus
+from deidkit import cli, codec, corpus, mockllm
 from deidkit.cli import main
 
 
@@ -172,6 +172,22 @@ class TestDetectAndEvaluate:
         pred = corpus.read_standoff(out)
         gold = corpus.read_standoff(fixture_paths["gold"])
         assert pred == gold
+
+    def test_perturb_mock_shifts_text_but_keeps_entities(self, mini_docs, mini_gold):
+        gold_by_text = {doc.text: mini_gold.get(doc.id, []) for doc in mini_docs.values()}
+        echo = mockllm.MockLlm("echo-gold", gold_by_text)
+        perturb = mockllm.MockLlm("perturb", gold_by_text)
+        shifted = 0
+        for doc in mini_docs.values():
+            body = {"messages": [{"role": "user", "content": doc.text}]}
+            faithful, drifted = echo.respond(body), perturb.respond(body)
+            for span in mini_gold.get(doc.id, []):
+                open_m, close_m = codec.MARKERS[span.category]
+                region = open_m + span.surface + close_m
+                assert region in drifted
+                # Substitution keeps offsets; only insertions and deletions move a region.
+                shifted += drifted.index(region) != faithful.index(region)
+        assert shifted > 0
 
     def test_transport_failure_exit_code(self, fixture_paths, tmp_path):
         code = run_cli(
@@ -606,6 +622,9 @@ class TestJobs:
         assert verified[0] == verified[1]
 
 
+_UNKNOWN_DOCUMENT_SPANS = (
+    '[{"document": "nope", "spans": [{"start": 0, "end": 2, "category": "EMAIL", "text": "hi"}]}]'
+)
 _VERIFY = ["verify", "--in", "{corpus}", "--spans", "{gold}", "--base-url", "http://127.0.0.1:1/v1"]
 
 # Each case: the content of the malformed file and the command that reads it,
@@ -652,6 +671,15 @@ _MALFORMED_INPUTS = {
         ["--config", "{bad}", *_VERIFY]),
     "config-pools-a-number": (
         '{"pools": 5}', ["--config", "{bad}", "detect", "--detector", "rules", "--in", "{corpus}"]),
+    "verify-spans-unknown-document": (
+        _UNKNOWN_DOCUMENT_SPANS,
+        ["verify", "--in", "{corpus}", "--spans", "{bad}", "--base-url", "http://127.0.0.1:1/v1"]),
+    "make-verifier-data-unknown-document": (
+        _UNKNOWN_DOCUMENT_SPANS,
+        ["make-verifier-data", "--in", "{corpus}", "--gold", "{gold}", "--detections", "{bad}"]),
+    "split-file-unknown-document": (
+        '{"test": ["nope"]}',
+        ["detect", "--detector", "rules", "--in", "{corpus}", "--split-file", "{bad}"]),
 }
 
 
@@ -669,6 +697,20 @@ def test_malformed_input_is_one_line_error(fixture_paths, tmp_path, capsys, case
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert str(bad) in lines[0], lines[0]
+
+
+def test_replace_span_out_of_bounds_names_the_span_file(fixture_paths, tmp_path, capsys):
+    spans = tmp_path / "spans.json"
+    spans.write_text(json.dumps([{"document": "379", "spans": [
+        {"start": 0, "end": 10_000, "category": "EMAIL", "text": "x"}]}]), encoding="utf-8")
+    code = run_cli("replace", "--in", str(fixture_paths["corpus"]), "--spans", str(spans),
+                   "--pools", str(fixture_paths["pools"]),
+                   "--out-docs", str(tmp_path / "anon.jsonl"), "--out-audit", str(tmp_path / "a.jsonl"))
+    err = capsys.readouterr().err
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert str(spans) in lines[0] and "out of bounds" in lines[0], lines[0]
 
 
 def test_bias_without_tables_names_the_missing_flag(fixture_paths, tmp_path, capsys):

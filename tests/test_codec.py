@@ -83,6 +83,20 @@ def random_case(rng: random.Random, max_spans: int = 4) -> tuple[Document, list[
     return Document(f"r{rng.random():.12f}", text), spans
 
 
+def long_case(rng: random.Random, min_words: int) -> tuple[Document, list[Span]]:
+    """``random_case`` pieces joined into one document of at least ``min_words`` words."""
+    texts: list[str] = []
+    spans: list[Span] = []
+    offset = words = 0
+    while words < min_words:
+        doc, piece_spans = random_case(rng)
+        spans += [Span(s.start + offset, s.end + offset, s.category, s.surface) for s in piece_spans]
+        texts.append(doc.text)
+        offset += len(doc.text) + 1
+        words += len(doc.text.split())
+    return Document(f"long{min_words}", " ".join(texts)), spans
+
+
 def protected_ranges(spans: list[Span]) -> list[tuple[int, int]]:
     """Marked-coordinate ranges covering open+inner+close for each span."""
     out = []
@@ -232,6 +246,24 @@ class TestDecode:
         assert total > 0
         assert recovered / total >= 0.99
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("words", [700, 2000])
+    def test_drifted_document_at_essay_length(self, words, seed):
+        rng = random.Random(words * 10 + seed)
+        doc, spans = long_case(rng, words)
+        marked = perturb_marked(encode(doc, spans), spans, rng)
+        report = decode(marked, doc)
+        assert set(spans) <= set(report.spans)
+        for span in report.spans:
+            assert doc.text[span.start : span.end] == span.surface
+
+    def test_clean_long_document_anchors_every_span_exactly(self):
+        doc, spans = long_case(random.Random(5), 5000)
+        report = decode(encode(doc, spans), doc)
+        assert report.spans == spans
+        assert report.anchored_exact == len(spans)
+        assert report.dropped == []
+
     def test_fuzzy_fallback_on_misaligned_region(self):
         # The alignment maps the region onto "Kara", which mismatches the
         # inner text; the exact-occurrence search must recover "Voss" at 5.
@@ -240,6 +272,18 @@ class TestDecode:
         assert report.spans == [Span(5, 9, Category.NAME_STUDENT, "Voss")]
         assert report.anchored_fuzzy == 1
         assert report.anchored_exact == 0
+
+    def test_region_in_a_merged_token_keeps_its_offset(self):
+        # The model dropped the space between two marked names, so "NoorNoor"
+        # matches no token of the original. Each region must be placed from
+        # the text before it; placing it at the next matched token ("Abara")
+        # sends the first name onto the second and drops "Noor Abara".
+        doc = Document("x", "see Noor Noor Abara now")
+        report = decode("see @@@Noor###@@@Noor Abara### now", doc)
+        assert report.spans == [
+            Span(4, 8, Category.NAME_STUDENT, "Noor"),
+            Span(9, 19, Category.NAME_STUDENT, "Noor Abara"),
+        ]
 
     def test_unbalanced_markers_treated_as_literal(self):
         doc = Document("x", "price ### drop QQQ here")
