@@ -244,9 +244,14 @@ def _select_ids(docs: dict[str, Document], args: argparse.Namespace) -> list[str
 
 
 def _check_span_documents(path: str, spans_by_doc: Mapping, docs: Mapping[str, Document]) -> None:
-    for doc_id in spans_by_doc:
+    """Every span names a known document and fits its text, before any of it is used."""
+    for doc_id, spans in spans_by_doc.items():
         if doc_id not in docs:
             raise CliError(f"{path}: spans reference unknown document {doc_id!r}")
+        try:
+            corpus.validate_spans(docs[doc_id].text, spans)
+        except CorpusError as exc:
+            raise CliError(f"{path}: document {doc_id!r}: {exc}") from exc
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -268,7 +273,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     else:
         raise CliError(f"unknown detector {detector_name!r}")
 
-    corpus.write_standoff(args.out, _map_docs(detect_one, ids, args.jobs))
+    try:
+        corpus.write_standoff(args.out, _map_docs(detect_one, ids, args.jobs))
+    finally:
+        if client is not None:
+            client.close()
     if client is not None and args.pricing is not None:
         tokens_in, tokens_out = client.estimated_input_tokens, client.estimated_output_tokens
         usd = tokens_in / 1e6 * args.pricing.get("usd_per_1m_input", 0.0) + (
@@ -291,7 +300,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     def verify_one(doc_id: str) -> list[Span]:
         return verify_spans(docs[doc_id], detections[doc_id], client, variant, args.window)
 
-    corpus.write_standoff(args.out, _map_docs(verify_one, sorted(detections), args.jobs))
+    try:
+        corpus.write_standoff(args.out, _map_docs(verify_one, sorted(detections), args.jobs))
+    finally:
+        client.close()
     return 0
 
 
@@ -434,9 +446,13 @@ def _cmd_make_verifier_data(args: argparse.Namespace) -> int:
     _check_span_documents(args.detections, detections, docs)
     variant = VerifierVariant(args.variant)
     client = _build_client(args) if variant is VerifierVariant.WITH_COT else None
-    examples = build_verifier_dataset(
-        detections, gold, docs, variant, client=client, window_chars=args.window
-    )
+    try:
+        examples = build_verifier_dataset(
+            detections, gold, docs, variant, client=client, window_chars=args.window
+        )
+    finally:
+        if client is not None:
+            client.close()
     count = write_verifier_training_file(args.out, examples, variant)
     forced = sum(1 for e in examples if e.forced_default)
     print(f"wrote {count} verifier example(s) to {args.out} ({forced} defaulted to T)")

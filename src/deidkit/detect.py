@@ -6,16 +6,18 @@ the rate-limited chat-completion client shared with the verifier stage.
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
 import os
 import re
+import ssl
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
-
-import requests
 
 from . import codec
 from .corpus import Category, Document, Span, write_jsonl
@@ -153,11 +155,17 @@ class _TokenBucket:
             time.sleep(wait)
 
 
+#: How a kept-alive connection that the server closed while idle fails before
+#: any status line arrives.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
+
+
 class ChatClient:
     """Thread-safe chat-completion client with rate limiting and retries.
 
     It does not cap concurrent requests itself: callers bound them by the
-    number of threads they run (the CLI's ``--jobs``).
+    number of threads they run (the CLI's ``--jobs``). Each thread keeps one
+    keep-alive connection to the endpoint.
 
     Wire format: POST ``{base_url}/chat/completions`` with a JSON body of
     ``{model, messages, temperature[, max_tokens]}``; the completion is read
@@ -167,12 +175,73 @@ class ChatClient:
 
     def __init__(self, config: LlmClientConfig):
         self.config = config
-        self._session = requests.Session()
+        url = urllib.parse.urlsplit(config.base_url)
+        try:
+            port = url.port
+        except ValueError as exc:
+            raise DetectError(f"base URL {config.base_url!r}: {exc}") from exc
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise DetectError(f"base URL must look like http(s)://host/..., not {config.base_url!r}")
+        self._host, self._port = url.hostname, port
+        self._path = url.path.rstrip("/") + "/chat/completions"
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []
+        self._connections_lock = threading.Lock()
         self._bucket = _TokenBucket(config.requests_per_minute)
         self._backoff_base = 0.25
         self._usage_lock = threading.Lock()
         self.estimated_input_tokens = 0
         self.estimated_output_tokens = 0
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            if self._tls is None:
+                conn = http.client.HTTPConnection(self._host, self._port, timeout=120)
+            else:
+                conn = http.client.HTTPSConnection(
+                    self._host, self._port, timeout=120, context=self._tls
+                )
+            self._local.conn = conn
+            with self._connections_lock:
+                self._connections.append(conn)
+        return conn
+
+    def close(self) -> None:
+        """Close every thread's connection; call it once no request is in flight.
+
+        A later request opens a new connection.
+        """
+        with self._connections_lock:
+            connections, self._connections = self._connections, []
+            self._local = threading.local()
+        for conn in connections:
+            conn.close()
+
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """One attempt on this thread's connection: (status, response body).
+
+        A reused connection that the server dropped while idle is reopened and
+        the request sent again once; that is not a failed attempt. On any other
+        failure the connection is closed, so the next attempt starts afresh.
+        """
+        conn = self._connection()
+        try:
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", self._path, body, headers)
+                response = conn.getresponse()
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self._path, body, headers)
+                response = conn.getresponse()
+            return response.status, response.read()
+        except (OSError, http.client.HTTPException):
+            conn.close()
+            raise
 
     def complete(self, messages: Sequence[ChatMessage], max_tokens: int | None = None) -> str:
         body = {
@@ -182,38 +251,38 @@ class ChatClient:
         }
         if max_tokens is not None:
             body["max_tokens"] = max_tokens
+        payload = json.dumps(body).encode()
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.config.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
 
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             self._bucket.acquire()
             try:
-                response = self._session.post(url, json=body, headers=headers, timeout=120)
-            except requests.RequestException as exc:
+                status, data = self._post(payload, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
             else:
-                if response.status_code == 200:
+                if status == 200:
                     try:
-                        payload = response.json()
-                    except requests.JSONDecodeError as exc:
+                        reply = json.loads(data)
+                    except ValueError as exc:  # not JSON, or not UTF-8
                         raise EmptyCompletion(f"completion body is not JSON: {exc}") from exc
-                    content = self._parse(payload)
+                    content = self._parse(reply)
                     with self._usage_lock:
                         self.estimated_input_tokens += sum(
                             _estimate_tokens(m.content) for m in messages
                         )
                         self.estimated_output_tokens += _estimate_tokens(content)
                     return content
-                if response.status_code not in (408, 409, 429, 500, 502, 503, 504):
+                if status not in (408, 409, 429, 500, 502, 503, 504):
                     raise TransportError(
-                        f"chat endpoint returned HTTP {response.status_code}: "
-                        f"{response.text[:200]}"
+                        f"chat endpoint returned HTTP {status}: "
+                        f"{data.decode('utf-8', 'replace')[:200]}"
                     )
-                last_error = TransportError(f"HTTP {response.status_code}")
+                last_error = TransportError(f"HTTP {status}")
             if attempt < self.config.max_retries:
                 time.sleep(self._backoff_base * (2**attempt))
         raise TransportError(

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .corpus import (
     Category,
     Document,
@@ -427,6 +425,8 @@ def simulate_leakage(
         raise HipsError("entities_per_doc must be >= 0 and n_docs positive")
     if entities_per_doc == 0 or fn_rate == 0.0:
         return LeakageEstimate(0.0, 0.0)
+
+    import numpy as np  # only this simulation needs it; importing it costs every CLI start
 
     rng = np.random.default_rng(seed)
     missed = rng.random((n_docs, entities_per_doc)) < fn_rate

@@ -119,6 +119,7 @@ def _completion_payload(content: str) -> dict:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive; every response sends Content-Length
     mock: MockLlm  # injected by make_server
 
     def do_POST(self):  # noqa: N802 (http.server API)

@@ -677,6 +677,15 @@ _MALFORMED_INPUTS = {
     "make-verifier-data-unknown-document": (
         _UNKNOWN_DOCUMENT_SPANS,
         ["make-verifier-data", "--in", "{corpus}", "--gold", "{gold}", "--detections", "{bad}"]),
+    # Spans are checked against their document before any of them is used.
+    "verify-span-out-of-bounds": (
+        '[{"document": "379", "spans": [{"start": 5, "end": 10000, "category": "EMAIL", '
+        '"text": "zzz"}]}]',
+        ["verify", "--in", "{corpus}", "--spans", "{bad}", "--base-url", "http://127.0.0.1:1/v1"]),
+    "make-verifier-data-span-surface-differs": (
+        '[{"document": "379", "spans": [{"start": 3, "end": 11, "category": "NAME_STUDENT", '
+        '"text": "Jane Roe"}]}]',
+        ["make-verifier-data", "--in", "{corpus}", "--gold", "{gold}", "--detections", "{bad}"]),
     "split-file-unknown-document": (
         '{"test": ["nope"]}',
         ["detect", "--detector", "rules", "--in", "{corpus}", "--split-file", "{bad}"]),
@@ -856,3 +865,19 @@ def test_benchmark_trace_hooks_still_fire(fixture_paths, tmp_path):
         "corpus.read_standoff", "hips.load_name_pools",
     }
     assert expected <= names, expected - names
+
+
+def test_cli_import_loads_neither_requests_nor_numpy():
+    # Every CLI process pays for what ``deidkit.cli`` imports; numpy is for
+    # simulate-leakage alone and the chat client is standard library only.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import deidkit.cli, sys; "
+         "print(sorted({'requests', 'urllib3', 'numpy'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,9 +5,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from deidkit import codec
+from deidkit.cli import main
 from deidkit.corpus import Category, Document, Span, validate_spans
 from deidkit.detect import (
     ChatClient,
@@ -273,6 +273,35 @@ def capture_server():
     server.server_close()
 
 
+class _KeepAliveHandler(_CapturingHandler):
+    """HTTP/1.1 endpoint that keeps connections open and counts those it accepts."""
+
+    protocol_version = "HTTP/1.1"
+    connections = 0
+    drop_after_reply = False
+
+    def setup(self):
+        super().setup()
+        type(self).connections += 1
+
+    def do_POST(self):
+        super().do_POST()
+        # Hang up without a Connection: close header, as a server that drops
+        # an idle keep-alive connection does.
+        self.close_connection = self.drop_after_reply
+
+
+@pytest.fixture
+def keepalive_server():
+    handler = type("K", (_KeepAliveHandler,), {"captured": [], "fail_first": 0, "connections": 0})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server, handler
+    server.shutdown()
+    server.server_close()
+
+
 class TestChatClient:
     def make_client(self, server, **overrides) -> ChatClient:
         config = LlmClientConfig(
@@ -334,6 +363,45 @@ class TestChatClient:
         client.complete([ChatMessage("user", "h" * 40)])
         assert client.estimated_input_tokens == 10
         assert client.estimated_output_tokens >= 1
+
+    def test_sequential_calls_share_one_connection(self, keepalive_server):
+        server, handler = keepalive_server
+        client = self.make_client(server)
+        for _ in range(5):
+            assert client.complete([ChatMessage("user", "x")]) == "ok"
+        client.close()
+        assert len(handler.captured) == 5
+        assert handler.connections == 1
+
+    def test_connection_dropped_while_idle_is_reopened_without_a_retry(self, keepalive_server):
+        server, handler = keepalive_server
+        handler.drop_after_reply = True
+        client = self.make_client(server, max_retries=0)
+        for _ in range(5):
+            assert client.complete([ChatMessage("user", "x")]) == "ok"
+        client.close()
+        assert len(handler.captured) == 5
+        assert handler.connections == 5
+
+    def test_https_against_a_plain_http_port_is_transport_error(self, capture_server):
+        server, handler = capture_server
+        config = LlmClientConfig(
+            base_url=f"https://127.0.0.1:{server.server_address[1]}/v1", model="m", max_retries=0
+        )
+        with pytest.raises(TransportError):
+            ChatClient(config).complete([ChatMessage("user", "x")])
+        assert handler.captured == []
+
+    def test_non_http_base_url_exits_1(self, fixture_paths, tmp_path, capsys):
+        code = main([
+            "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
+            "--base-url", "ftp://x", "--out", str(tmp_path / "pred.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert "ftp://x" in lines[0]
 
 
 def test_completion_budget_guard():
