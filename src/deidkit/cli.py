@@ -187,15 +187,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         corpus.write_standoff(args.out_gold, {doc.id: placeholders})
         return 0
 
-    records = list(corpus.read_crapii_jsonl(args.infile))
     docs: list[Document] = []
     gold: dict[str, list[Span]] = {}
     dropped: dict[str, int] = {}
     repaired = 0
-    for rec in records:
-        text = corpus.reconstruct_text(rec)
+    for rec in corpus.read_crapii_jsonl(args.infile):
         conversion = corpus.bio_to_spans(rec, strict=args.strict)
-        docs.append(Document(rec.document_id, text, "crapii"))
+        docs.append(Document(rec.document_id, conversion.text, "crapii"))
         gold[rec.document_id] = conversion.spans
         repaired += conversion.repaired_continuations
         for cat, count in conversion.dropped_categories.items():
@@ -460,6 +458,8 @@ def _cmd_make_verifier_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_mock_llm(args: argparse.Namespace) -> int:
+    if not 0 <= args.port <= 65535:
+        raise CliError(f"--port must be between 0 and 65535, not {args.port}")
     gold_by_text: dict[str, list[Span]] = {}
     if args.corpus:
         docs = _load_docs(args.corpus)
@@ -495,8 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("ingest", help="read a BIO corpus or transcript into documents + spans")
-    p.add_argument("--in", dest="infile", help="token-record JSONL input")
-    p.add_argument("--tscc", help="role/text transcript input")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", help="token-record JSONL input")
+    source.add_argument("--tscc", help="role/text transcript input")
     p.add_argument("--id", help="document id for --tscc input")
     p.add_argument("--strict", action="store_true", help="error on malformed BIO continuations")
     p.add_argument("--out-docs", required=True)

@@ -12,7 +12,7 @@ import difflib
 import re
 from dataclasses import dataclass, field
 
-from .corpus import Category, Document, OverlappingSpans, Span, validate_spans
+from .corpus import Category, Document, Span, validate_spans
 
 #: Open/close marker pair per category. Do not edit: prompts, fine-tuning
 #: records, and the decoder all rely on these exact strings.
@@ -37,10 +37,6 @@ DROP_OVERLAP = "overlaps_prior_span"
 DROP_EMPTY = "empty_region"
 
 
-class MarkerCollision(ValueError):
-    """A span to encode collides with marker text already present."""
-
-
 @dataclass(frozen=True)
 class DroppedRegion:
     surface: str
@@ -58,21 +54,16 @@ class DecodeReport:
     dropped: list[DroppedRegion] = field(default_factory=list)
 
 
-def encode(doc: Document, spans: list[Span], strict: bool = False) -> str:
+def encode(doc: Document, spans: list[Span]) -> str:
     """Insert category markers around each span of the document text.
 
     Deleting all inserted markers recovers the text exactly. Spans whose
     surface already contains a marker string cannot round-trip; they are
-    skipped (or rejected wholesale when ``strict``).
+    skipped.
     """
-    validate_spans(doc.text, sorted(spans))
-    colliding = [s for s in spans if _MARKER_RE.search(s.surface)]
-    if colliding and strict:
-        raise MarkerCollision(
-            f"{len(colliding)} span(s) contain marker strings: "
-            + ", ".join(repr(s.surface) for s in colliding[:3])
-        )
-    encodable = [s for s in sorted(spans) if s not in colliding]
+    ordered = sorted(spans)
+    validate_spans(doc.text, ordered)
+    encodable = [s for s in ordered if not _MARKER_RE.search(s.surface)]
 
     parts: list[str] = []
     cursor = 0

@@ -129,15 +129,12 @@ class TokenRecord:
 
 @dataclass
 class BioConversion:
-    """Spans kept by bio_to_spans plus bookkeeping about what was not kept."""
+    """A record's text, the spans bio_to_spans kept, and what it did not keep."""
 
-    spans: list[Span]
+    text: str
+    spans: list[Span] = field(default_factory=list)
     dropped_categories: Counter = field(default_factory=Counter)
     repaired_continuations: int = 0
-
-    @property
-    def total_runs(self) -> int:
-        return len(self.spans) + sum(self.dropped_categories.values())
 
 
 @dataclass
@@ -194,7 +191,7 @@ def bio_to_spans(rec: TokenRecord, strict: bool = False) -> BioConversion:
     error in strict mode and is promoted to B (and counted) otherwise.
     """
     text = reconstruct_text(rec)  # validates lengths and full_text agreement
-    result = BioConversion(spans=[])
+    result = BioConversion(text)
 
     offset = 0
     open_cat: str | None = None

@@ -63,8 +63,7 @@ FINETUNE_USER_INSTRUCTION = f"Label the entity of the following text: {MARKER_LE
 
 FEWSHOT_TARGET_LEAD = "Please repeat this process with the following file:"
 
-#: Three labeled exemplars embedded in the few-shot prompt. Shipped as
-#: configuration; callers may substitute their own (plain, marked) pairs.
+#: The three labeled (plain, marked) exemplars embedded in the few-shot prompt.
 DEFAULT_FEWSHOT_EXEMPLARS: tuple[Exemplar, ...] = (
     (
         "My name is Carla Jones and you can reach me at carla.jones@example.com",
@@ -82,10 +81,6 @@ DEFAULT_FEWSHOT_EXEMPLARS: tuple[Exemplar, ...] = (
 
 
 class DetectError(ValueError):
-    pass
-
-
-class ExemplarInconsistent(DetectError):
     pass
 
 
@@ -318,25 +313,20 @@ _TRAILING_PUNCT = ".,;:!?)]}\"'"
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z'\-]*")
 
 
-def _pattern_candidates(text: str, categories: frozenset[Category]) -> list[Span]:
+def _pattern_candidates(text: str) -> list[Span]:
     found: list[Span] = []
-    if Category.EMAIL in categories:
-        for m in _EMAIL_RE.finditer(text):
-            found.append(Span(m.start(), m.end(), Category.EMAIL, m.group(0)))
-    if Category.PHONE_NUM in categories:
-        for pattern in _PHONE_RES:
-            for m in pattern.finditer(text):
-                found.append(Span(m.start(), m.end(), Category.PHONE_NUM, m.group(0)))
-    if Category.URL_PERSONAL in categories:
-        for pattern in _URL_RES:
-            for m in pattern.finditer(text):
-                end = m.end()
-                while end > m.start() and text[end - 1] in _TRAILING_PUNCT:
-                    end -= 1
-                if end > m.start():
-                    found.append(
-                        Span(m.start(), end, Category.URL_PERSONAL, text[m.start() : end])
-                    )
+    for m in _EMAIL_RE.finditer(text):
+        found.append(Span(m.start(), m.end(), Category.EMAIL, m.group(0)))
+    for pattern in _PHONE_RES:
+        for m in pattern.finditer(text):
+            found.append(Span(m.start(), m.end(), Category.PHONE_NUM, m.group(0)))
+    for pattern in _URL_RES:
+        for m in pattern.finditer(text):
+            end = m.end()
+            while end > m.start() and text[end - 1] in _TRAILING_PUNCT:
+                end -= 1
+            if end > m.start():
+                found.append(Span(m.start(), end, Category.URL_PERSONAL, text[m.start() : end]))
     return found
 
 
@@ -371,15 +361,10 @@ def _resolve_overlaps(candidates: list[Span]) -> list[Span]:
     return sorted(kept)
 
 
-def rule_detect(
-    doc: Document,
-    categories: Iterable[Category] = tuple(Category),
-    pools: NamePool | None = None,
-) -> list[Span]:
+def rule_detect(doc: Document, pools: NamePool | None = None) -> list[Span]:
     """Native recognizers: patterns for EMAIL/PHONE/URL, gazetteer for names."""
-    selected = frozenset(categories)
-    candidates = _pattern_candidates(doc.text, selected)
-    if Category.NAME_STUDENT in selected and pools is not None:
+    candidates = _pattern_candidates(doc.text)
+    if pools is not None:
         candidates.extend(_gazetteer_candidates(doc.text, pools))
     return _resolve_overlaps(candidates)
 
@@ -387,24 +372,11 @@ def rule_detect(
 # ---------------------------------------------------------------------------
 # Prompt builders
 
-def _check_exemplars(exemplars: Sequence[Exemplar]) -> None:
-    for plain, marked in exemplars:
-        if codec.strip_markers(marked) != plain:
-            raise ExemplarInconsistent(
-                f"marked exemplar does not strip back to its plain text: {marked!r}"
-            )
-
-
-def build_fewshot_messages(
-    doc: Document, exemplars: Sequence[Exemplar] = DEFAULT_FEWSHOT_EXEMPLARS
-) -> list[ChatMessage]:
+def build_fewshot_messages(doc: Document) -> list[ChatMessage]:
     """System instruction plus a user turn carrying legend, exemplars, and target."""
-    if len(exemplars) != 3:
-        raise DetectError(f"expected 3 exemplars, got {len(exemplars)}")
-    _check_exemplars(exemplars)
     blocks = [FEWSHOT_USER_RULES]
     lead = "For example, if the input is:"
-    for plain, marked in exemplars:
+    for plain, marked in DEFAULT_FEWSHOT_EXEMPLARS:
         blocks.append(f"{lead} {plain}\nThe output should be: {marked}")
         lead = "Another example:"
     blocks.append(f"{FEWSHOT_TARGET_LEAD} {doc.text}")
@@ -448,15 +420,10 @@ def _completion_budget(text: str) -> int:
     return 2 * _estimate_tokens(text) + 64
 
 
-def llm_detect(
-    doc: Document,
-    client: SupportsComplete,
-    mode: str,
-    exemplars: Sequence[Exemplar] = DEFAULT_FEWSHOT_EXEMPLARS,
-) -> codec.DecodeReport:
+def llm_detect(doc: Document, client: SupportsComplete, mode: str) -> codec.DecodeReport:
     """Send the document through the marker protocol and decode the reply."""
     if mode == "fewshot":
-        messages = build_fewshot_messages(doc, exemplars)
+        messages = build_fewshot_messages(doc)
     elif mode == "finetuned":
         messages = build_finetune_messages(doc)
     else:

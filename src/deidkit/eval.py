@@ -22,7 +22,6 @@ __all__ = [
     "Demographic",
     "BiasReport",
     "CostLedger",
-    "CrossDocument",
     "MissingDemographic",
     "match_spans",
     "f_beta",
@@ -35,10 +34,6 @@ __all__ = [
     "load_surname_table",
     "render_metrics_table",
 ]
-
-
-class CrossDocument(ValueError):
-    pass
 
 
 class MissingDemographic(ValueError):
@@ -55,23 +50,12 @@ class ConfusionCounts:
         return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
 
-def match_spans(
-    pred: Sequence[Span],
-    gold: Sequence[Span],
-    pred_document: str | None = None,
-    gold_document: str | None = None,
-) -> ConfusionCounts:
+def match_spans(pred: Sequence[Span], gold: Sequence[Span]) -> ConfusionCounts:
     """Exact (start, end, category) matching for one document.
 
     Predictions are deduplicated first: a detector emitting the same span
     twice has made one prediction.
     """
-    if (
-        pred_document is not None
-        and gold_document is not None
-        and pred_document != gold_document
-    ):
-        raise CrossDocument(f"pred is for {pred_document!r}, gold for {gold_document!r}")
     pred_keys = {(s.start, s.end, s.category) for s in pred}
     gold_keys = {(s.start, s.end, s.category) for s in gold}
     tp = len(pred_keys & gold_keys)

@@ -100,16 +100,12 @@ def map_country_to_culture(country: str, region_table: Mapping[str, str]) -> str
     return region_table.get(country.strip().lower(), "Unknown")
 
 
-def assign_groups(
-    transcript_ids: Sequence[str],
-    seed: int,
-    groups: Sequence[tuple[str, str]] = ALL_GROUPS,
-) -> dict[str, tuple[str, str]]:
+def assign_groups(transcript_ids: Sequence[str], seed: int) -> dict[str, tuple[str, str]]:
     """Deal transcripts into gender-culture groups, equal cells when N divides."""
     ids = sorted(str(t) for t in transcript_ids)
     rng = random.Random(seed)
     rng.shuffle(ids)
-    return {t: groups[i % len(groups)] for i, t in enumerate(ids)}
+    return {t: ALL_GROUPS[i % len(ALL_GROUPS)] for i, t in enumerate(ids)}
 
 
 def _stable_rng(doc_id: str, seed: int) -> random.Random:
@@ -241,24 +237,17 @@ _PLACEHOLDER_TEMPLATES: dict[str, tuple[str, ...]] = {
 }
 _GENERIC_FILLERS = ("Alder", "Birch", "Cedar", "Druid", "Ember", "Fennel")
 
-#: Signature for a custom non-name placeholder provider (e.g. LLM-backed).
-PlaceholderProvider = Callable[[Placeholder, random.Random], str]
-
-
 def _placeholder_surrogate(
     ph: Placeholder,
     group: tuple[str, str],
     pools: NamePool | None,
     used: set[str],
     rng: random.Random,
-    provider: PlaceholderProvider | None = None,
 ) -> str:
     if ph.name_kind:
         if pools is None:
             raise HipsError("name pools are required to replace name placeholders")
         return _full_name(ph.name, pools.first_names(group), pools.last_names(group), used, rng)
-    if provider is not None:
-        return provider(ph, rng)
     options = _PLACEHOLDER_TEMPLATES.get(ph.name.upper())
     if options:
         return rng.choice(options)
@@ -271,7 +260,6 @@ def surrogate_for(
     group: tuple[str, str],
     state: SurrogateState,
     pools: NamePool | None = None,
-    placeholder_provider: PlaceholderProvider | None = None,
 ) -> str:
     """Produce (or recall) the synthetic stand-in for one entity; never the entity itself."""
     key: CategoryKey
@@ -285,7 +273,7 @@ def surrogate_for(
 
     used, rng = state.used(key), state.rng
     if isinstance(category, Placeholder):
-        surrogate = _placeholder_surrogate(category, group, pools, used, rng, placeholder_provider)
+        surrogate = _placeholder_surrogate(category, group, pools, used, rng)
     elif category is Category.NAME_STUDENT:
         if pools is None:
             raise HipsError("name pools are required for NAME_STUDENT surrogates")
@@ -337,7 +325,6 @@ def apply_hips(
     seed: int,
     pools: NamePool | None = None,
     consistent: bool = True,
-    placeholder_provider: PlaceholderProvider | None = None,
 ) -> HipsResult:
     """Replace every span with its surrogate, leaving all other text intact.
 
@@ -358,9 +345,7 @@ def apply_hips(
         gap = doc.text[cursor : span.start]
         parts.append(gap)
         out_len += len(gap)
-        surrogate = surrogate_for(
-            span.surface, span.category, group, state, pools, placeholder_provider
-        )
+        surrogate = surrogate_for(span.surface, span.category, group, state, pools)
         parts.append(surrogate)
         out_start = out_len
         out_len += len(surrogate)

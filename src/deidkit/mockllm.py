@@ -17,7 +17,6 @@ import json
 import random
 import re
 import string
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping, Sequence
 
@@ -146,12 +145,6 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-def make_server(mock: MockLlm, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
+def make_server(mock: MockLlm, port: int = 0) -> ThreadingHTTPServer:
     handler = type("BoundHandler", (_Handler,), {"mock": mock})
-    return ThreadingHTTPServer((host, port), handler)
-
-
-def serve_forever(server: ThreadingHTTPServer) -> threading.Thread:
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return thread
+    return ThreadingHTTPServer(("127.0.0.1", port), handler)

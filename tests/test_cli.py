@@ -36,6 +36,8 @@ def mock_llm_server(mode: str, corpus_path=None, gold_path=None, seed: int = 0):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 @contextmanager
@@ -97,6 +99,39 @@ class TestIngestAndSplit:
         assert code == 0
         payload = json.loads(out_gold.read_text(encoding="utf-8"))
         assert payload[0]["spans"][0]["placeholder"] == "STUDENT"
+
+    def test_ingest_reconstructs_each_record_once(self, fixture_paths, tmp_path, monkeypatch):
+        calls: list[str] = []
+        reconstruct = corpus.reconstruct_text
+
+        def counting(rec):
+            calls.append(rec.document_id)
+            return reconstruct(rec)
+
+        monkeypatch.setattr(corpus, "reconstruct_text", counting)
+        out_docs = tmp_path / "docs.jsonl"
+        code = run_cli(
+            "ingest",
+            "--in", str(fixture_paths["corpus"]),
+            "--out-docs", str(out_docs),
+            "--out-gold", str(tmp_path / "gold.json"),
+        )
+        assert code == 0
+        assert sorted(calls) == sorted(doc.id for doc in corpus.read_documents(out_docs))
+
+    @pytest.mark.parametrize(
+        "sources", [[], ["--in", "corpus", "--tscc", "tscc"]], ids=["neither", "both"]
+    )
+    def test_ingest_takes_exactly_one_source(self, fixture_paths, tmp_path, capsys, sources):
+        argv = [str(fixture_paths.get(arg, arg)) for arg in sources]
+        out_docs = tmp_path / "docs.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("ingest", *argv, "--out-docs", str(out_docs),
+                    "--out-gold", str(tmp_path / "g.json"))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--in" in err and "--tscc" in err and "Traceback" not in err
+        assert not out_docs.exists()
 
     def test_split_deterministic_bytes(self, fixture_paths, tmp_path):
         out_a = tmp_path / "split_a.json"
@@ -722,6 +757,16 @@ def test_replace_span_out_of_bounds_names_the_span_file(fixture_paths, tmp_path,
     assert str(spans) in lines[0] and "out of bounds" in lines[0], lines[0]
 
 
+@pytest.mark.parametrize("port", ["99999", "-1"])
+def test_mock_llm_port_out_of_range_is_one_line_error(capsys, port):
+    code = run_cli("mock-llm", "--mode", "echo-gold", "--port", port)
+    err = capsys.readouterr().err
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "--port" in lines[0]
+
+
 def test_bias_without_tables_names_the_missing_flag(fixture_paths, tmp_path, capsys):
     gold = str(fixture_paths["gold"])
     code = run_cli("bias", "--pred", gold, "--gold", gold, "--out", str(tmp_path / "b.json"))
@@ -806,7 +851,7 @@ def test_config_keys_and_input_names_are_flag_dests():
 
 
 _TRACE_SCRIPT = r"""
-import json, sys
+import json, sys, threading
 from pathlib import Path
 
 import tracing
@@ -820,7 +865,7 @@ tracing.install(tracer)  # after the reads above, so only the CLI's calls are tr
 server = mockllm.make_server(
     mockllm.MockLlm("perturb", {d.text: gold.get(d.id, []) for d in docs})
 )
-mockllm.serve_forever(server)
+threading.Thread(target=server.serve_forever, daemon=True).start()
 url = "http://%s:%d/v1" % server.server_address[:2]
 stages = [
     ["detect", "--detector", "rules", "--in", paths["corpus"], "--pools", paths["pools"],

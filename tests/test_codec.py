@@ -10,7 +10,6 @@ from deidkit.codec import (
     DROP_INTERLEAVED,
     DROP_NOT_IN_ORIGINAL,
     MARKERS,
-    MarkerCollision,
     decode,
     encode,
     strip_markers,
@@ -163,12 +162,6 @@ class TestEncode:
         ]
         with pytest.raises(OverlappingSpans):
             encode(doc, spans)
-
-    def test_marker_collision_strict(self):
-        doc = Document("x", "legit @@@ art")
-        span = Span(6, 9, Category.NAME_STUDENT, "@@@")
-        with pytest.raises(MarkerCollision):
-            encode(doc, [span], strict=True)
 
     def test_marker_collision_skips_region_by_default(self):
         doc = Document("x", "legit @@@ art plus Bo Li")

@@ -168,7 +168,8 @@ class TestBioToSpans:
             conversion = bio_to_spans(rec)
             b_runs = oracle_spans(rec)
             # Every B-run is kept or dropped; promotions add exactly one run each.
-            assert conversion.total_runs == len(b_runs) + conversion.repaired_continuations
+            total_runs = len(conversion.spans) + sum(conversion.dropped_categories.values())
+            assert total_runs == len(b_runs) + conversion.repaired_continuations
             # Spans remain sorted, non-overlapping, surface-consistent.
             validate_spans(reconstruct_text(rec), conversion.spans)
 

@@ -9,7 +9,6 @@ import metric_fixtures
 from deidkit.corpus import Category, Span
 from deidkit.eval import (
     ConfusionCounts,
-    CrossDocument,
     Demographic,
     MissingDemographic,
     bias_report,
@@ -67,10 +66,6 @@ class TestMatchSpans:
     def test_duplicate_predictions_count_once(self):
         counts = match_spans([s(0, 4), s(0, 4)], [s(0, 4)])
         assert (counts.tp, counts.fp, counts.fn) == (1, 0, 0)
-
-    def test_cross_document_rejected(self):
-        with pytest.raises(CrossDocument):
-            match_spans([], [], pred_document="a", gold_document="b")
 
     def test_against_brute_force_oracle(self):
         rng = random.Random(17)

@@ -262,18 +262,6 @@ class TestApplyHips:
         assert "〈" not in result.text
         assert result.text.startswith("student: my @")
 
-    def test_custom_placeholder_provider(self):
-        doc, spans = ingest_tscc("student: I am 〈AGE〉 years old", "t10")
-        result = apply_hips(
-            doc,
-            spans,
-            ("Male", "Americas"),
-            seed=0,
-            pools=stub_pool(),
-            placeholder_provider=lambda ph, rng: f"<{ph.name.lower()}>",
-        )
-        assert result.text == "student: I am <age> years old"
-
 
 class TestSimulateLeakage:
     def test_zero_fn_rate(self):
