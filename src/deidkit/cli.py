@@ -180,6 +180,10 @@ def _map_docs(
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    if args.tscc and args.strict:
+        raise CliError("--strict applies to --in input, not --tscc")
+    if args.infile and args.id is not None:
+        raise CliError("--id applies to --tscc input, not --in")
     if args.tscc:
         text = Path(args.tscc).read_text(encoding="utf-8")
         doc, placeholders = corpus.ingest_tscc(text, args.id or Path(args.tscc).stem)

@@ -83,79 +83,55 @@ def strip_markers(marked: str) -> str:
     return _MARKER_RE.sub("", marked)
 
 
-@dataclass(frozen=True)
-class _Region:
-    category: Category
-    inner: str
-    strip_start: int  # offset of the inner text within the stripped output
-
-
-def _scan_regions(marked: str) -> tuple[str, list[_Region], list[DroppedRegion]]:
+def _scan_regions(marked: str) -> tuple[str, list[tuple[Category, str, int]], list[DroppedRegion]]:
     """Pair up marker occurrences and compute the marker-free text.
+
+    Each region is ``(category, inner text, offset of the inner text in the
+    marker-free text)``, in order of its open marker.
 
     Close markers bind to the most recent open of the same category; opens
     trapped inside a closed pair lose to the earliest-closed pair and are
     discarded along with their markers. Unmatched markers stay literal text.
     """
     occurrences = list(_MARKER_RE.finditer(marked))
-    consumed: set[int] = set()  # indices into occurrences
+    literal = [True] * len(occurrences)
     pairs: list[tuple[int, int, Category]] = []  # (open idx, close idx, category)
-    noise: list[tuple[int, int, Category]] = []  # (open idx, losing close idx, category)
+    noise: list[tuple[int, int, Category]] = []  # (trapped open idx, close idx, category)
     pending: list[tuple[int, Category]] = []
-
     for idx, match in enumerate(occurrences):
-        marker = match.group(0)
-        if marker in _OPEN_TO_CATEGORY:
-            pending.append((idx, _OPEN_TO_CATEGORY[marker]))
+        if match[0] in _OPEN_TO_CATEGORY:
+            pending.append((idx, _OPEN_TO_CATEGORY[match[0]]))
             continue
-        close_cat = _CLOSE_TO_CATEGORY[marker]
-        open_pos = next(
-            (k for k in range(len(pending) - 1, -1, -1) if pending[k][1] == close_cat),
-            None,
-        )
-        if open_pos is None:
+        cat = _CLOSE_TO_CATEGORY[match[0]]
+        k = next((k for k in reversed(range(len(pending))) if pending[k][1] == cat), None)
+        if k is None:
             continue  # unmatched close stays literal
-        open_idx, _ = pending[open_pos]
-        interleaved = pending[open_pos + 1 :]
-        pending = pending[:open_pos]
-        consumed.add(open_idx)
-        consumed.add(idx)
-        for noise_idx, noise_cat in interleaved:
-            consumed.add(noise_idx)
-            noise.append((noise_idx, idx, noise_cat))
-        pairs.append((open_idx, idx, close_cat))
+        pairs.append((pending[k][0], idx, cat))
+        noise.extend((open_idx, idx, open_cat) for open_idx, open_cat in pending[k + 1 :])
+        for open_idx, _ in pending[k:]:
+            literal[open_idx] = False
+        literal[idx] = False
+        del pending[k:]
 
-    # Rebuild the marker-free text, tracking where each pair's inner text lands.
-    stripped_parts: list[str] = []
-    stripped_len = 0
-    occ_strip_pos: dict[int, int] = {}  # occurrence idx -> stripped offset at its site
-    cursor = 0
-    for idx, match in enumerate(occurrences):
-        stripped_parts.append(marked[cursor : match.start()])
-        stripped_len += match.start() - cursor
-        occ_strip_pos[idx] = stripped_len
-        if idx in consumed:
+    # Drop the paired and trapped markers, recording where each marker sits
+    # in the marker-free text.
+    parts: list[str] = []
+    offsets: list[int] = []
+    cursor = removed = 0
+    for match, keep in zip(occurrences, literal):
+        offsets.append(match.start() - removed)
+        if not keep:
+            parts.append(marked[cursor : match.start()])
             cursor = match.end()
-        else:
-            stripped_parts.append(match.group(0))
-            stripped_len += len(match.group(0))
-            cursor = match.end()
-    stripped_parts.append(marked[cursor:])
-    stripped = "".join(stripped_parts)
+            removed += len(match[0])
+    parts.append(marked[cursor:])
+    stripped = "".join(parts)
 
-    regions: list[_Region] = []
-    for open_idx, close_idx, cat in sorted(pairs):
-        start = occ_strip_pos[open_idx]
-        end = occ_strip_pos[close_idx]
-        regions.append(_Region(category=cat, inner=stripped[start:end], strip_start=start))
-    dropped = [
-        DroppedRegion(
-            surface=stripped[occ_strip_pos[open_idx] : occ_strip_pos[close_idx]],
-            category=cat,
-            reason=DROP_INTERLEAVED,
-        )
-        for open_idx, close_idx, cat in noise
-    ]
+    def inner(open_idx: int, close_idx: int) -> str:
+        return stripped[offsets[open_idx] : offsets[close_idx]]
+
+    regions = [(cat, inner(o, c), offsets[o]) for o, c, cat in sorted(pairs)]
+    dropped = [DroppedRegion(inner(o, c), cat, DROP_INTERLEAVED) for o, c, cat in noise]
     return stripped, regions, dropped
 
 
@@ -196,62 +172,49 @@ def _map_position(anchors: list[tuple[int, int]], pos: int) -> int:
 def decode(marked: str, original: Document) -> DecodeReport:
     """Recover exact-offset spans in the original document from marked output.
 
-    Each balanced marked region is located in the original first through a
-    monotone alignment of the marker-free output with the original (offsets
-    map 1:1 when the two are identical, otherwise whole word and punctuation
-    tokens are aligned), then by searching for exact occurrences of the inner
-    text nearest to the aligned position. A span is only ever emitted when the
-    original text matches the inner text exactly.
+    Each balanced marked region's start is mapped onto the original through
+    a monotone alignment of the marker-free output with the original
+    (offsets map 1:1 when the two are identical, otherwise whole word and
+    punctuation tokens are aligned). The candidate offsets are the mapped
+    one if the original has the inner text there (an exact anchor), else
+    every exact occurrence of the inner text (a fuzzy anchor). The candidate
+    nearest the mapped offset that overlaps no accepted span wins, earliest
+    on ties. A region with no such candidate is dropped: as an overlap if
+    any candidate existed, else as not in the original. A span is only ever
+    emitted when the original text matches the inner text exactly.
     """
     report = DecodeReport()
-    stripped, regions, interleaved = _scan_regions(marked)
-    report.dropped.extend(interleaved)
-
-    anchors = _align(stripped, original.text)
-
+    stripped, regions, report.dropped = _scan_regions(marked)
+    text = original.text
+    anchors = _align(stripped, text)
     accepted: list[Span] = []
-
-    def overlaps_accepted(start: int, end: int) -> bool:
-        return any(s.start < end and start < s.end for s in accepted)
-
-    for region in regions:
-        if not region.inner:
-            report.dropped.append(DroppedRegion("", region.category, DROP_EMPTY))
+    for cat, inner, strip_start in regions:
+        if not inner:
+            report.dropped.append(DroppedRegion("", cat, DROP_EMPTY))
             continue
-        mapped = _map_position(anchors, region.strip_start)
-        end = mapped + len(region.inner)
-        if original.text[mapped:end] == region.inner:
-            if overlaps_accepted(mapped, end):
-                report.dropped.append(
-                    DroppedRegion(region.inner, region.category, DROP_OVERLAP)
-                )
-                continue
-            accepted.append(Span(mapped, end, region.category, region.inner))
-            report.anchored_exact += 1
-            continue
-
-        # Alignment missed: fall back to exact occurrences of the inner text,
-        # preferring the one closest to the aligned position (earliest on ties).
-        candidates: list[int] = []
-        search_from = 0
-        while True:
-            hit = original.text.find(region.inner, search_from)
-            if hit < 0:
-                break
-            candidates.append(hit)
-            search_from = hit + 1
+        mapped = _map_position(anchors, strip_start)
+        exact = text.startswith(inner, mapped)
+        if exact:
+            candidates = [mapped]
+        else:  # every occurrence, overlapping ones included
+            candidates = []
+            hit = text.find(inner)
+            while hit >= 0:
+                candidates.append(hit)
+                hit = text.find(inner, hit + 1)
         usable = [
-            c for c in candidates if not overlaps_accepted(c, c + len(region.inner))
+            c for c in candidates
+            if not any(s.start < c + len(inner) and c < s.end for s in accepted)
         ]
         if not usable:
             reason = DROP_OVERLAP if candidates else DROP_NOT_IN_ORIGINAL
-            report.dropped.append(DroppedRegion(region.inner, region.category, reason))
+            report.dropped.append(DroppedRegion(inner, cat, reason))
             continue
         best = min(usable, key=lambda c: (abs(c - mapped), c))
-        accepted.append(
-            Span(best, best + len(region.inner), region.category, region.inner)
-        )
-        report.anchored_fuzzy += 1
-
+        accepted.append(Span(best, best + len(inner), cat, inner))
+        if exact:
+            report.anchored_exact += 1
+        else:
+            report.anchored_fuzzy += 1
     report.spans = sorted(accepted)
     return report

@@ -353,7 +353,11 @@ def _gazetteer_candidates(text: str, pools: NamePool) -> list[Span]:
 
 
 def _resolve_overlaps(candidates: list[Span]) -> list[Span]:
-    """Longest match wins; earlier start wins among equals."""
+    """Keep each candidate that overlaps none kept before it.
+
+    Candidates are taken earliest start first, then longest, then by category
+    name, so a shorter candidate that starts earlier beats a longer one.
+    """
     kept: list[Span] = []
     for span in sorted(candidates, key=lambda s: (s.start, -(s.end - s.start), s.category.value)):
         if all(span.start >= other.end or span.end <= other.start for other in kept):

@@ -222,8 +222,8 @@ def _phone_surrogate(original: str, used: set[str], rng: random.Random) -> str:
     return _pick_unused(resample, original, used, rng, [changed])
 
 
-#: Deterministic fillers for non-name transcript placeholders. Kept small on
-#: purpose; an LLM-backed provider can be plugged in via ``apply_hips``.
+#: Deterministic fillers for non-name transcript placeholders, kept small on
+#: purpose. Other placeholder names get one of ``_GENERIC_FILLERS``.
 _PLACEHOLDER_TEMPLATES: dict[str, tuple[str, ...]] = {
     "AGE": ("19", "21", "24", "27", "32", "35"),
     "DATE": ("12 March", "3 June", "28 October", "7 January"),
@@ -411,12 +411,18 @@ def simulate_leakage(
     if entities_per_doc == 0 or fn_rate == 0.0:
         return LeakageEstimate(0.0, 0.0)
 
-    import numpy as np  # only this simulation needs it; importing it costs every CLI start
-
-    rng = np.random.default_rng(seed)
-    missed = rng.random((n_docs, entities_per_doc)) < fn_rate
-    observed = missed & (rng.random((n_docs, entities_per_doc)) < attacker_detect_rate)
+    rng = random.Random(seed)
+    exposed = observed = 0
+    for _ in range(n_docs):
+        # One flag per missed entity: whether the attacker spots it.
+        spotted = [
+            rng.random() < attacker_detect_rate
+            for _ in range(entities_per_doc)
+            if rng.random() < fn_rate
+        ]
+        exposed += bool(spotted)
+        observed += any(spotted)
     return LeakageEstimate(
-        redaction_leak_fraction=float(missed.any(axis=1).mean()),
-        hips_observed_leak_fraction=float(observed.any(axis=1).mean()),
+        redaction_leak_fraction=exposed / n_docs,
+        hips_observed_leak_fraction=observed / n_docs,
     )

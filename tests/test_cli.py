@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import json
 import os
@@ -132,6 +133,20 @@ class TestIngestAndSplit:
         err = capsys.readouterr().err
         assert "--in" in err and "--tscc" in err and "Traceback" not in err
         assert not out_docs.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["--in", "corpus", "--id", "zzz"], "--id"), (["--tscc", "tscc", "--strict"], "--strict")],
+        ids=["id-with-in", "strict-with-tscc"],
+    )
+    def test_ingest_rejects_flag_its_input_ignores(self, fixture_paths, tmp_path, capsys, argv, flag):
+        argv = [str(fixture_paths.get(arg, arg)) for arg in argv]
+        code = run_cli("ingest", *argv, "--out-docs", str(tmp_path / "docs.jsonl"),
+                       "--out-gold", str(tmp_path / "g.json"))
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0], lines
+        assert not any(tmp_path.iterdir())
 
     def test_split_deterministic_bytes(self, fixture_paths, tmp_path):
         out_a = tmp_path / "split_a.json"
@@ -913,8 +928,8 @@ def test_benchmark_trace_hooks_still_fire(fixture_paths, tmp_path):
 
 
 def test_cli_import_loads_neither_requests_nor_numpy():
-    # Every CLI process pays for what ``deidkit.cli`` imports; numpy is for
-    # simulate-leakage alone and the chat client is standard library only.
+    # Every CLI process pays for what ``deidkit.cli`` imports. The package,
+    # the chat client and simulate-leakage included, is standard library only.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
@@ -926,3 +941,24 @@ def test_cli_import_loads_neither_requests_nor_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_imports_only_the_standard_library():
+    # deidkit has no runtime dependency: every absolute import, at module
+    # level or inside a function, names a standard-library module.
+    package = Path(__file__).resolve().parents[1] / "src" / "deidkit"
+    foreign: list[str] = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert foreign == []

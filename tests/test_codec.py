@@ -9,7 +9,9 @@ from deidkit.codec import (
     ALL_MARKER_STRINGS,
     DROP_INTERLEAVED,
     DROP_NOT_IN_ORIGINAL,
+    DROP_OVERLAP,
     MARKERS,
+    DroppedRegion,
     decode,
     encode,
     strip_markers,
@@ -299,6 +301,24 @@ class TestDecode:
         report = decode(marked, doc)
         assert report.spans == [Span(4, 9, Category.NAME_STUDENT, "Bo Li")]
         assert len(report.dropped) == 1
+
+    def test_overlapping_aligned_hit_is_dropped_not_moved(self):
+        # The second region's aligned hit is the accepted "Ann" at 0; searching
+        # every occurrence instead would move it onto the free "Ann" at 4.
+        doc = Document("x", "Ann Ann")
+        report = decode("@@@Ann###@@@Ann### Ann", doc)
+        assert report.spans == [Span(0, 3, Category.NAME_STUDENT, "Ann")]
+        assert (report.anchored_exact, report.anchored_fuzzy) == (1, 0)
+        assert [d.reason for d in report.dropped] == [DROP_OVERLAP]
+
+    def test_unmatched_close_stays_literal_and_trapped_open_drops_its_surface(self):
+        # "~~~" closes no open PHONE_NUM, so it stays in the text; the EMAIL
+        # open trapped inside the NAME pair is dropped with its surface.
+        doc = Document("x", "call Ada ~~~Lin now")
+        report = decode("call @@@Ada QQQ~~~Lin### now", doc)
+        assert report.spans == [Span(5, 15, Category.NAME_STUDENT, "Ada ~~~Lin")]
+        assert report.anchored_exact == 1
+        assert report.dropped == [DroppedRegion("~~~Lin", Category.EMAIL, DROP_INTERLEAVED)]
 
     def test_decode_is_total_on_garbage(self):
         doc = Document("x", "anything at all")
