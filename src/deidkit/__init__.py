@@ -2,13 +2,12 @@
 
 __version__ = "0.1.0"
 
-from .corpus import Category, Document, Placeholder, PlaceholderSpan, Span
+from .corpus import Category, Document, Placeholder, Span
 
 __all__ = [
     "__version__",
     "Category",
     "Document",
     "Placeholder",
-    "PlaceholderSpan",
     "Span",
 ]

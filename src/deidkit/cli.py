@@ -245,11 +245,15 @@ def _select_ids(docs: dict[str, Document], args: argparse.Namespace) -> list[str
     return sorted(docs)
 
 
+def _check_known_document(path: str, doc_id: str, docs: Mapping[str, Document]) -> None:
+    if doc_id not in docs:
+        raise CliError(f"{path}: spans reference unknown document {doc_id!r}")
+
+
 def _check_span_documents(path: str, spans_by_doc: Mapping, docs: Mapping[str, Document]) -> None:
     """Every span names a known document and fits its text, before any of it is used."""
     for doc_id, spans in spans_by_doc.items():
-        if doc_id not in docs:
-            raise CliError(f"{path}: spans reference unknown document {doc_id!r}")
+        _check_known_document(path, doc_id, docs)
         try:
             corpus.validate_spans(docs[doc_id].text, spans)
         except CorpusError as exc:
@@ -314,6 +318,10 @@ def _cmd_replace(args: argparse.Namespace) -> int:
     pools = load_name_pools(args.pools) if args.pools else None
 
     spans_by_doc = corpus.read_spans(args.spans) if args.spans else {}
+    # A span entry for a document missing from --in would never be applied.
+    # Span validity is left to apply_hips, which sorts the spans first.
+    for doc_id in spans_by_doc:
+        _check_known_document(args.spans, doc_id, docs)
 
     if args.group:
         gender, _, culture = args.group.partition(":")
@@ -340,7 +348,7 @@ def _cmd_replace(args: argparse.Namespace) -> int:
         except CorpusError as exc:  # a span that does not fit its document
             raise CliError(f"{args.spans}: document {doc_id!r}: {exc}") from exc
         out_docs.append(Document(doc_id, result.text, doc.source))
-        shifted_gold[doc_id] = [s for s in result.shifted_spans if isinstance(s, Span)]
+        shifted_gold[doc_id] = [s for s in result.shifted_spans if isinstance(s.category, Category)]
         audit.append({
             "document": doc_id,
             "group": list(group_of[doc_id]),

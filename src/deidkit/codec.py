@@ -92,24 +92,31 @@ def _scan_regions(marked: str) -> tuple[str, list[tuple[Category, str, int]], li
     Close markers bind to the most recent open of the same category; opens
     trapped inside a closed pair lose to the earliest-closed pair and are
     discarded along with their markers. Unmatched markers stay literal text.
+    The count of pending opens per category lets an unmatched close skip the
+    search, and every open a search walks past is trapped and deleted, so
+    pairing is linear overall.
     """
     occurrences = list(_MARKER_RE.finditer(marked))
     literal = [True] * len(occurrences)
     pairs: list[tuple[int, int, Category]] = []  # (open idx, close idx, category)
     noise: list[tuple[int, int, Category]] = []  # (trapped open idx, close idx, category)
     pending: list[tuple[int, Category]] = []
+    open_count = dict.fromkeys(MARKERS, 0)
     for idx, match in enumerate(occurrences):
         if match[0] in _OPEN_TO_CATEGORY:
-            pending.append((idx, _OPEN_TO_CATEGORY[match[0]]))
+            cat = _OPEN_TO_CATEGORY[match[0]]
+            pending.append((idx, cat))
+            open_count[cat] += 1
             continue
         cat = _CLOSE_TO_CATEGORY[match[0]]
-        k = next((k for k in reversed(range(len(pending))) if pending[k][1] == cat), None)
-        if k is None:
+        if not open_count[cat]:
             continue  # unmatched close stays literal
+        k = next(k for k in reversed(range(len(pending))) if pending[k][1] == cat)
         pairs.append((pending[k][0], idx, cat))
         noise.extend((open_idx, idx, open_cat) for open_idx, open_cat in pending[k + 1 :])
-        for open_idx, _ in pending[k:]:
+        for open_idx, open_cat in pending[k:]:
             literal[open_idx] = False
+            open_count[open_cat] -= 1
         literal[idx] = False
         del pending[k:]
 
@@ -188,6 +195,7 @@ def decode(marked: str, original: Document) -> DecodeReport:
     text = original.text
     anchors = _align(stripped, text)
     accepted: list[Span] = []
+    taken = bytearray(len(text))  # 1 wherever an accepted span lies
     for cat, inner, strip_start in regions:
         if not inner:
             report.dropped.append(DroppedRegion("", cat, DROP_EMPTY))
@@ -202,16 +210,14 @@ def decode(marked: str, original: Document) -> DecodeReport:
             while hit >= 0:
                 candidates.append(hit)
                 hit = text.find(inner, hit + 1)
-        usable = [
-            c for c in candidates
-            if not any(s.start < c + len(inner) and c < s.end for s in accepted)
-        ]
+        usable = [c for c in candidates if taken.find(1, c, c + len(inner)) < 0]
         if not usable:
             reason = DROP_OVERLAP if candidates else DROP_NOT_IN_ORIGINAL
             report.dropped.append(DroppedRegion(inner, cat, reason))
             continue
         best = min(usable, key=lambda c: (abs(c - mapped), c))
         accepted.append(Span(best, best + len(inner), cat, inner))
+        taken[best : best + len(inner)] = b"\x01" * len(inner)
         if exact:
             report.anchored_exact += 1
         else:

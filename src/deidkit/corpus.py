@@ -83,16 +83,6 @@ class OverlappingSpans(CorpusError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Span:
-    """Half-open character interval [start, end) with category and surface text."""
-
-    start: int
-    end: int
-    category: Category
-    surface: str
-
-
 @dataclass(frozen=True)
 class Placeholder:
     """A transcript placeholder category, e.g. STUDENT or INSTAGRAM ACCOUNT."""
@@ -100,12 +90,19 @@ class Placeholder:
     name: str
     name_kind: bool
 
+    @property
+    def value(self) -> str:
+        """The label audit records carry, as ``Category.value`` is for a category."""
+        return f"PLACEHOLDER:{self.name}"
+
 
 @dataclass(frozen=True, order=True)
-class PlaceholderSpan:
+class Span:
+    """Half-open character interval [start, end) with category and surface text."""
+
     start: int
     end: int
-    category: Placeholder
+    category: Category | Placeholder
     surface: str
 
 
@@ -245,7 +242,7 @@ def _emit(result: BioConversion, text: str, cat: str, start: int, end: int) -> N
         result.dropped_categories[cat] += 1
 
 
-def validate_spans(text: str, spans: Sequence[Span | PlaceholderSpan]) -> None:
+def validate_spans(text: str, spans: Sequence[Span]) -> None:
     """Check bounds, surface consistency, ordering, and non-overlap."""
     prev_end = -1
     prev_start = -1
@@ -264,12 +261,12 @@ def validate_spans(text: str, spans: Sequence[Span | PlaceholderSpan]) -> None:
         prev_start, prev_end = span.start, span.end
 
 
-def ingest_tscc(transcript: str, document_id: str) -> tuple[Document, list[PlaceholderSpan]]:
+def ingest_tscc(transcript: str, document_id: str) -> tuple[Document, list[Span]]:
     """Ingest a role/text transcript, returning the document and its placeholders.
 
     Each line must match ``role: text``; blank lines are skipped. Every
-    〈PLACEHOLDER〉 token becomes a PlaceholderSpan; STUDENT and TEACHER are
-    name-kind, every other placeholder category is not.
+    〈PLACEHOLDER〉 token becomes a span whose category is a Placeholder;
+    STUDENT and TEACHER are name-kind, every other placeholder is not.
     """
     kept: list[str] = []
     for lineno, line in enumerate(transcript.splitlines(), start=1):
@@ -281,7 +278,7 @@ def ingest_tscc(transcript: str, document_id: str) -> tuple[Document, list[Place
 
     text = "\n".join(kept)
     spans = [
-        PlaceholderSpan(
+        Span(
             start=m.start(),
             end=m.end(),
             category=Placeholder(m.group(1), m.group(1) in NAME_KIND_PLACEHOLDERS),
@@ -456,29 +453,30 @@ def read_crapii_jsonl(path: str | Path) -> Iterator[TokenRecord]:
     return read_jsonl(path, _token_record)
 
 
-def _span_to_entry(span: Span | PlaceholderSpan) -> dict:
+def _span_to_entry(span: Span) -> dict:
     entry = {"start": span.start, "end": span.end, "text": span.surface}
-    if isinstance(span, PlaceholderSpan):
+    if isinstance(span.category, Placeholder):
         entry.update(placeholder=span.category.name, name_kind=span.category.name_kind)
     else:
         entry["category"] = span.category.value
     return entry
 
 
-def _entry_to_span(entry: Mapping) -> Span | PlaceholderSpan:
+def _entry_to_span(entry: Mapping) -> Span:
     start, end, surface = int(entry["start"]), int(entry["end"]), entry["text"]
     if "placeholder" in entry:
-        placeholder = Placeholder(entry["placeholder"], bool(entry["name_kind"]))
-        return PlaceholderSpan(start, end, placeholder, surface)
-    return Span(start, end, Category(entry["category"]), surface)
+        category = Placeholder(entry["placeholder"], bool(entry["name_kind"]))
+    else:
+        category = Category(entry["category"])
+    return Span(start, end, category, surface)
 
 
-def spans_to_standoff(document_id: str, spans: Sequence[Span | PlaceholderSpan]) -> dict:
+def spans_to_standoff(document_id: str, spans: Sequence[Span]) -> dict:
     return {"document": document_id, "spans": [_span_to_entry(s) for s in spans]}
 
 
-def standoff_to_spans(obj: Mapping) -> tuple[str, list[Span | PlaceholderSpan]]:
-    """Parse one document's entry; each span is a category or a placeholder span."""
+def standoff_to_spans(obj: Mapping) -> tuple[str, list[Span]]:
+    """Parse one document's entry; each span's category is a Category or a Placeholder."""
     doc_id = obj.get("document") if isinstance(obj, Mapping) else None
     try:
         return str(obj["document"]), [_entry_to_span(e) for e in obj["spans"]]
@@ -488,13 +486,11 @@ def standoff_to_spans(obj: Mapping) -> tuple[str, list[Span | PlaceholderSpan]]:
         raise CorpusError(f"document {doc_id!r}: malformed span entry: {exc}") from exc
 
 
-def write_standoff(
-    path: str | Path, spans_by_doc: Mapping[str, Sequence[Span | PlaceholderSpan]]
-) -> None:
+def write_standoff(path: str | Path, spans_by_doc: Mapping[str, Sequence[Span]]) -> None:
     write_json(path, [spans_to_standoff(d, spans_by_doc[d]) for d in sorted(spans_by_doc)])
 
 
-def read_spans(path: str | Path) -> dict[str, list[Span]] | dict[str, list[PlaceholderSpan]]:
+def read_spans(path: str | Path) -> dict[str, list[Span]]:
     """Read a span file whose entries are all category spans or all placeholder spans."""
     payload = read_json(path)
     if isinstance(payload, dict):
@@ -508,14 +504,14 @@ def read_spans(path: str | Path) -> dict[str, list[Span]] | dict[str, list[Place
         except CorpusError as exc:
             raise CorpusError(f"{path}: {exc}") from exc
         out[doc_id] = spans
-    if len({type(s) for spans in out.values() for s in spans}) > 1:
+    if len({type(s.category) for spans in out.values() for s in spans}) > 1:
         raise CorpusError(f"{path}: mixes category and placeholder span entries")
     return out
 
 
 def read_standoff(path: str | Path) -> dict[str, list[Span]]:
     out = read_spans(path)
-    if any(isinstance(s, PlaceholderSpan) for spans in out.values() for s in spans):
+    if any(isinstance(s.category, Placeholder) for spans in out.values() for s in spans):
         raise CorpusError(f"{path}: holds placeholder spans where category spans are expected")
     return out
 

@@ -356,13 +356,15 @@ def _resolve_overlaps(candidates: list[Span]) -> list[Span]:
     """Keep each candidate that overlaps none kept before it.
 
     Candidates are taken earliest start first, then longest, then by category
-    name, so a shorter candidate that starts earlier beats a longer one.
+    name, so a shorter candidate that starts earlier beats a longer one. Kept
+    spans come out in start order, so a (non-empty) candidate overlaps one of
+    them iff it starts before the last kept end.
     """
     kept: list[Span] = []
     for span in sorted(candidates, key=lambda s: (s.start, -(s.end - s.start), s.category.value)):
-        if all(span.start >= other.end or span.end <= other.start for other in kept):
+        if not kept or span.start >= kept[-1].end:
             kept.append(span)
-    return sorted(kept)
+    return kept
 
 
 def rule_detect(doc: Document, pools: NamePool | None = None) -> list[Span]:

@@ -20,7 +20,6 @@ from .corpus import (
     Category,
     Document,
     Placeholder,
-    PlaceholderSpan,
     Span,
     read_csv,
     validate_spans,
@@ -115,9 +114,6 @@ def _stable_rng(doc_id: str, seed: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-CategoryKey = str  # Category value or "PLACEHOLDER:<name>"
-
-
 @dataclass
 class SurrogateState:
     """Per-document surrogate memory: repeat mentions get repeat surrogates."""
@@ -125,24 +121,24 @@ class SurrogateState:
     document_id: str
     seed: int
     consistent: bool = True
-    _memo: dict[tuple[str, CategoryKey], str] = field(default_factory=dict)
-    _used: dict[CategoryKey, set[str]] = field(default_factory=dict)
+    _memo: dict[tuple[str, str], str] = field(default_factory=dict)
+    _used: dict[str, set[str]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.rng = _stable_rng(self.document_id, self.seed)
 
-    def remember(self, surface: str, key: CategoryKey, surrogate: str) -> str:
+    def remember(self, surface: str, key: str, surrogate: str) -> str:
         if self.consistent:
             self._memo[(surface, key)] = surrogate
         self._used.setdefault(key, set()).add(surrogate)
         return surrogate
 
-    def recall(self, surface: str, key: CategoryKey) -> str | None:
+    def recall(self, surface: str, key: str) -> str | None:
         if not self.consistent:
             return None
         return self._memo.get((surface, key))
 
-    def used(self, key: CategoryKey) -> set[str]:
+    def used(self, key: str) -> set[str]:
         return self._used.setdefault(key, set())
 
 
@@ -262,11 +258,7 @@ def surrogate_for(
     pools: NamePool | None = None,
 ) -> str:
     """Produce (or recall) the synthetic stand-in for one entity; never the entity itself."""
-    key: CategoryKey
-    if isinstance(category, Placeholder):
-        key = f"PLACEHOLDER:{category.name}"
-    else:
-        key = category.value
+    key = category.value
     cached = state.recall(surface, key)
     if cached is not None:
         return cached
@@ -315,12 +307,12 @@ class Replacement:
 class HipsResult:
     text: str
     replacements: list[Replacement]
-    shifted_spans: list[Span | PlaceholderSpan]
+    shifted_spans: list[Span]
 
 
 def apply_hips(
     doc: Document,
-    spans: Sequence[Span | PlaceholderSpan],
+    spans: Sequence[Span],
     group: tuple[str, str],
     seed: int,
     pools: NamePool | None = None,
@@ -338,7 +330,7 @@ def apply_hips(
 
     parts: list[str] = []
     replacements: list[Replacement] = []
-    shifted: list[Span | PlaceholderSpan] = []
+    shifted: list[Span] = []
     cursor = 0
     out_len = 0
     for span in ordered:
@@ -351,27 +343,15 @@ def apply_hips(
         out_len += len(surrogate)
         cursor = span.end
 
-        if isinstance(span.category, Placeholder):
-            category_label = f"PLACEHOLDER:{span.category.name}"
-            if span.category.name_kind:
-                shifted.append(
-                    Span(out_start, out_len, Category.NAME_STUDENT, surrogate)
-                )
-            else:
-                shifted.append(
-                    PlaceholderSpan(out_start, out_len, span.category, surrogate)
-                )
-            shape_changed = False
-        else:
-            category_label = span.category.value
-            shifted.append(Span(out_start, out_len, span.category, surrogate))
-            shape_changed = (
-                span.category is Category.NAME_STUDENT
-                and len(span.surface.split()) > 2
-            )
+        name_kind = isinstance(span.category, Placeholder) and span.category.name_kind
+        category = Category.NAME_STUDENT if name_kind else span.category
+        shifted.append(Span(out_start, out_len, category, surrogate))
+        shape_changed = (
+            span.category is Category.NAME_STUDENT and len(span.surface.split()) > 2
+        )
         replacements.append(
             Replacement(
-                category=category_label,
+                category=span.category.value,
                 original=span.surface,
                 surrogate=surrogate,
                 input_start=span.start,

@@ -739,6 +739,12 @@ _MALFORMED_INPUTS = {
     "split-file-unknown-document": (
         '{"test": ["nope"]}',
         ["detect", "--detector", "rules", "--in", "{corpus}", "--split-file", "{bad}"]),
+    # Spans meant for document 379 under a wrong id would leave "John Doe" in it.
+    "replace-spans-unknown-document": (
+        '[{"document": "379x", "spans": [{"start": 3, "end": 11, "category": "NAME_STUDENT", '
+        '"text": "John Doe"}]}]',
+        ["replace", "--in", "{corpus}", "--spans", "{bad}", "--pools", "{pools}",
+         "--out-docs", "{bad}.docs.jsonl", "--out-audit", "{bad}.audit.jsonl"]),
 }
 
 
@@ -749,7 +755,9 @@ def test_malformed_input_is_one_line_error(fixture_paths, tmp_path, capsys, case
     bad.write_text(content, encoding="utf-8")
     names = {k: str(v) for k, v in fixture_paths.items()} | {"bad": str(bad)}
     argv = [arg.format(**names) for arg in template]
-    code = run_cli(*argv, "--out", str(tmp_path / "out.json"))
+    if "replace" not in argv:  # replace names its own outputs; it has no --out
+        argv += ["--out", str(tmp_path / "out.json")]
+    code = run_cli(*argv)
     err = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -319,6 +320,26 @@ class TestDecode:
         assert report.spans == [Span(5, 15, Category.NAME_STUDENT, "Ada ~~~Lin")]
         assert report.anchored_exact == 1
         assert report.dropped == [DroppedRegion("~~~Lin", Category.EMAIL, DROP_INTERLEAVED)]
+
+    def test_many_unmatched_markers_decode_in_linear_time(self):
+        # Each close has no pending open of its category; searching the
+        # 8,000 pending opens for every close took seconds.
+        started = time.process_time()
+        report = decode("QQQ" * 8000 + "###" * 8000, Document("x", "x"))
+        assert time.process_time() - started < 1.0
+        assert report.spans == []
+        assert report.dropped == []
+
+    def test_many_marked_regions_decode_in_linear_time(self):
+        # Checking every candidate against every accepted span took seconds.
+        doc = Document("x", " ".join(["Ann"] * 8000))
+        spans = [Span(4 * i, 4 * i + 3, Category.NAME_STUDENT, "Ann") for i in range(8000)]
+        marked = encode(doc, spans)
+        started = time.process_time()
+        report = decode(marked, doc)
+        assert time.process_time() - started < 1.0
+        assert report.spans == spans
+        assert report.anchored_exact == 8000
 
     def test_decode_is_total_on_garbage(self):
         doc = Document("x", "anything at all")

@@ -20,12 +20,14 @@ from deidkit.corpus import (
     ingest_tscc,
     read_crapii_jsonl,
     read_documents,
+    read_spans,
     read_standoff,
     reconstruct_text,
     spans_to_standoff,
     split_corpus,
     standoff_to_spans,
     validate_spans,
+    write_standoff,
 )
 
 TABLE_RECORD = TokenRecord(
@@ -302,6 +304,16 @@ def test_standoff_roundtrip(mini_gold):
         back_id, back = standoff_to_spans(obj)
         assert back_id == doc_id
         assert back == spans
+
+
+def test_placeholder_span_file_roundtrip(fixture_paths, tmp_path):
+    doc, spans = ingest_tscc(fixture_paths["tscc"].read_text(encoding="utf-8"), "tscc-1")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    write_standoff(first, {doc.id: spans})
+    back = read_spans(first)
+    assert back == {doc.id: spans}
+    write_standoff(second, back)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_read_documents_names_the_line_and_keeps_the_error_class(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -19,6 +20,7 @@ from deidkit.detect import (
     LlmClientConfig,
     MARKER_LEGEND,
     TransportError,
+    _resolve_overlaps,
     build_fewshot_messages,
     build_finetune_record,
     llm_detect,
@@ -111,6 +113,42 @@ class TestRuleDetect:
             second = rule_detect(doc, pools=pools)
             assert first == second
             contract_check(doc, first)
+
+
+def all_pairs_overlaps(candidates: list[Span]) -> list[Span]:
+    """The reference rule: keep each candidate that overlaps no span kept before it."""
+    kept: list[Span] = []
+    for span in sorted(candidates, key=lambda s: (s.start, -(s.end - s.start), s.category.value)):
+        if all(span.start >= other.end or span.end <= other.start for other in kept):
+            kept.append(span)
+    return sorted(kept)
+
+
+def random_candidates(rng: random.Random, n: int, width: int) -> list[Span]:
+    out = []
+    for _ in range(n):
+        start = rng.randrange(width)
+        end = rng.randrange(start + 1, start + 12)
+        out.append(Span(start, end, rng.choice(list(Category)), "x" * (end - start)))
+    return out
+
+
+class TestResolveOverlaps:
+    def test_matches_all_pairs_reference(self):
+        rng = random.Random(3)
+        for _ in range(1000):
+            candidates = random_candidates(rng, rng.randrange(0, 40), rng.randrange(1, 60))
+            assert _resolve_overlaps(candidates) == all_pairs_overlaps(candidates)
+
+    def test_nested_and_equal_candidates(self):
+        rng = random.Random(7)
+        nested = [
+            Span(i, 8000 - i, Category.NAME_STUDENT, "x" * (8000 - 2 * i)) for i in range(2000)
+        ]
+        equal = [Span(100, 200, rng.choice(list(Category)), "x" * 100) for _ in range(2000)]
+        candidates = nested + equal
+        rng.shuffle(candidates)
+        assert _resolve_overlaps(candidates) == all_pairs_overlaps(candidates) == [nested[0]]
 
 
 class TestFewshotPrompt:
