@@ -33,7 +33,9 @@ from .eval import (
     parse_and_map_name,
     render_metrics_table,
 )
-from .hips import apply_hips, assign_groups, load_name_pools, load_region_table, simulate_leakage
+from .hips import (
+    HipsError, apply_hips, assign_groups, load_name_pools, load_region_table, simulate_leakage
+)
 from .verify import VerifierVariant, build_verifier_dataset, verify_spans, write_verifier_training_file
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -343,9 +345,8 @@ def _cmd_replace(args: argparse.Namespace) -> int:
                 group_of[doc_id],
                 seed=args.seed,
                 pools=pools,
-                consistent=not args.inconsistent,
             )
-        except CorpusError as exc:  # a span that does not fit its document
+        except (CorpusError, HipsError) as exc:  # a span that does not fit or has no surrogate
             raise CliError(f"{args.spans}: document {doc_id!r}: {exc}") from exc
         out_docs.append(Document(doc_id, result.text, doc.source))
         shifted_gold[doc_id] = [s for s in result.shifted_spans if isinstance(s.category, Category)]
@@ -552,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pools")
     p.add_argument("--group", help="fixed Gender:Culture group; default assigns per document")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inconsistent", action="store_true", help="resample repeat mentions")
     p.add_argument("--out-docs", required=True)
     p.add_argument("--out-audit", required=True)
     p.add_argument("--out-gold", help="write shifted spans as standoff gold")

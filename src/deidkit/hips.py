@@ -114,34 +114,6 @@ def _stable_rng(doc_id: str, seed: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-@dataclass
-class SurrogateState:
-    """Per-document surrogate memory: repeat mentions get repeat surrogates."""
-
-    document_id: str
-    seed: int
-    consistent: bool = True
-    _memo: dict[tuple[str, str], str] = field(default_factory=dict)
-    _used: dict[str, set[str]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.rng = _stable_rng(self.document_id, self.seed)
-
-    def remember(self, surface: str, key: str, surrogate: str) -> str:
-        if self.consistent:
-            self._memo[(surface, key)] = surrogate
-        self._used.setdefault(key, set()).add(surrogate)
-        return surrogate
-
-    def recall(self, surface: str, key: str) -> str | None:
-        if not self.consistent:
-            return None
-        return self._memo.get((surface, key))
-
-    def used(self, key: str) -> set[str]:
-        return self._used.setdefault(key, set())
-
-
 def _pick_unused(
     make: Callable[[random.Random], str],
     original: str,
@@ -167,27 +139,6 @@ def _pick_unused(
     if spare is None:
         raise HipsError(f"no surrogate other than {original!r} can be drawn")
     return spare
-
-
-def _full_name(
-    original: str, firsts: list[str], lasts: list[str], used: set[str], rng: random.Random
-) -> str:
-    every_pair = (f"{first} {last}" for first in firsts for last in lasts)  # lazy fallback
-    return _pick_unused(
-        lambda r: f"{r.choice(firsts)} {r.choice(lasts)}", original, used, rng, every_pair
-    )
-
-
-def _name_surrogate(
-    original: str, group: tuple[str, str], pools: NamePool, used: set[str], rng: random.Random
-) -> str:
-    firsts = pools.first_names(group)
-    lasts = pools.last_names(group)
-    if len(original.split()) == 1:
-        return _pick_unused(lambda r: r.choice(firsts), original, used, rng, firsts)
-    # Two tokens keep their shape; longer names simplify to First Last and the
-    # replacement map records the shape change.
-    return _full_name(original, firsts, lasts, used, rng)
 
 
 def _letters_surrogate(
@@ -233,52 +184,43 @@ _PLACEHOLDER_TEMPLATES: dict[str, tuple[str, ...]] = {
 }
 _GENERIC_FILLERS = ("Alder", "Birch", "Cedar", "Druid", "Ember", "Fennel")
 
-def _placeholder_surrogate(
-    ph: Placeholder,
-    group: tuple[str, str],
-    pools: NamePool | None,
-    used: set[str],
-    rng: random.Random,
-) -> str:
-    if ph.name_kind:
-        if pools is None:
-            raise HipsError("name pools are required to replace name placeholders")
-        return _full_name(ph.name, pools.first_names(group), pools.last_names(group), used, rng)
-    options = _PLACEHOLDER_TEMPLATES.get(ph.name.upper())
-    if options:
-        return rng.choice(options)
-    return rng.choice(_GENERIC_FILLERS)
-
 
 def surrogate_for(
     surface: str,
     category: Category | Placeholder,
     group: tuple[str, str],
-    state: SurrogateState,
-    pools: NamePool | None = None,
+    pools: NamePool | None,
+    used: set[str],
+    rng: random.Random,
 ) -> str:
-    """Produce (or recall) the synthetic stand-in for one entity; never the entity itself."""
-    key = category.value
-    cached = state.recall(surface, key)
-    if cached is not None:
-        return cached
+    """Draw a synthetic stand-in for one entity; never the entity itself.
 
-    used, rng = state.used(key), state.rng
-    if isinstance(category, Placeholder):
-        surrogate = _placeholder_surrogate(category, group, pools, used, rng)
-    elif category is Category.NAME_STUDENT:
+    ``used`` holds the surrogates already given in this category, which a
+    draw avoids while the pool has room. Remembering repeat mentions is the
+    caller's job (``apply_hips`` does it per document).
+    """
+    placeholder = isinstance(category, Placeholder)
+    if category is Category.NAME_STUDENT or (placeholder and category.name_kind):
         if pools is None:
-            raise HipsError("name pools are required for NAME_STUDENT surrogates")
-        surrogate = _name_surrogate(surface, group, pools, used, rng)
-    elif category is Category.EMAIL:
-        surrogate = _letters_surrogate(surface, "{}@example.com", 8, used, rng)
-    elif category is Category.URL_PERSONAL:
-        surrogate = _letters_surrogate(surface, "https://www.example.org/{}", 10, used, rng)
-    elif category is Category.PHONE_NUM:
-        surrogate = _phone_surrogate(surface, used, rng)
-    else:
-        raise HipsError(f"no surrogate strategy for category {category!r}")
-    return state.remember(surface, key, surrogate)
+            raise HipsError("name pools are required for name surrogates: pass --pools")
+        firsts, lasts = pools.first_names(group), pools.last_names(group)
+        if category is Category.NAME_STUDENT and len(surface.split()) == 1:
+            return _pick_unused(lambda r: r.choice(firsts), surface, used, rng, firsts)
+        # Two tokens keep their shape; longer names simplify to First Last (the
+        # replacement map records the shape change), as name placeholders do.
+        every_pair = (f"{first} {last}" for first in firsts for last in lasts)  # lazy fallback
+        return _pick_unused(
+            lambda r: f"{r.choice(firsts)} {r.choice(lasts)}", surface, used, rng, every_pair
+        )
+    if placeholder:
+        return rng.choice(_PLACEHOLDER_TEMPLATES.get(category.name.upper()) or _GENERIC_FILLERS)
+    if category is Category.EMAIL:
+        return _letters_surrogate(surface, "{}@example.com", 8, used, rng)
+    if category is Category.URL_PERSONAL:
+        return _letters_surrogate(surface, "https://www.example.org/{}", 10, used, rng)
+    if category is Category.PHONE_NUM:
+        return _phone_surrogate(surface, used, rng)
+    raise HipsError(f"no surrogate strategy for category {category!r}")
 
 
 @dataclass
@@ -316,17 +258,20 @@ def apply_hips(
     group: tuple[str, str],
     seed: int,
     pools: NamePool | None = None,
-    consistent: bool = True,
 ) -> HipsResult:
     """Replace every span with its surrogate, leaving all other text intact.
 
-    Shifted spans report where each surrogate landed in the output text;
-    name-kind placeholders come back as NAME_STUDENT spans since their
-    replacements are real-looking names.
+    One RNG keyed by document id and seed draws every surrogate, and a repeat
+    mention of a surface in a category reuses its surrogate. Shifted spans
+    report where each surrogate landed in the output text; name-kind
+    placeholders come back as NAME_STUDENT spans since their replacements
+    are real-looking names.
     """
     ordered = sorted(spans, key=lambda s: (s.start, s.end))
     validate_spans(doc.text, ordered)
-    state = SurrogateState(document_id=doc.id, seed=seed, consistent=consistent)
+    rng = _stable_rng(doc.id, seed)
+    memo: dict[tuple[str, str], str] = {}
+    used: dict[str, set[str]] = {}
 
     parts: list[str] = []
     replacements: list[Replacement] = []
@@ -337,7 +282,12 @@ def apply_hips(
         gap = doc.text[cursor : span.start]
         parts.append(gap)
         out_len += len(gap)
-        surrogate = surrogate_for(span.surface, span.category, group, state, pools)
+        key = (span.surface, span.category.value)
+        if key not in memo:
+            taken = used.setdefault(span.category.value, set())
+            memo[key] = surrogate_for(span.surface, span.category, group, pools, taken, rng)
+            taken.add(memo[key])
+        surrogate = memo[key]
         parts.append(surrogate)
         out_start = out_len
         out_len += len(surrogate)

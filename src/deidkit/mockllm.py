@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 from . import codec
 from .corpus import Document, Span
 from .detect import FEWSHOT_TARGET_LEAD, FINETUNE_USER_INSTRUCTION
+from .verify import VERIFIER_PROMPT_HEAD
 
 MODES = ("echo-gold", "perturb", "deny-all")
 PERTURB_RATE = 0.05
@@ -87,7 +88,7 @@ class MockLlm:
             (m.get("content", "") for m in reversed(messages) if m.get("role") == "user"),
             "",
         )
-        if user_content.startswith("Determine if "):
+        if user_content.startswith(VERIFIER_PROMPT_HEAD):
             return "F" if self.mode == "deny-all" else "T"
 
         text = extract_target_text(user_content)

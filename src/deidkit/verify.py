@@ -19,13 +19,15 @@ from .detect import ChatMessage, FINETUNE_SYSTEM_PROMPT, SupportsComplete
 
 VERIFIER_SYSTEM_PROMPT = FINETUNE_SYSTEM_PROMPT
 
-USER_TEMPLATE_WITHOUT_COT = (
-    "Determine if {entity} is a privately identifiable information in its "
+#: Every verification question starts with this; the mock endpoint keys on it.
+VERIFIER_PROMPT_HEAD = "Determine if "
+USER_TEMPLATE_WITHOUT_COT = VERIFIER_PROMPT_HEAD + (
+    "{entity} is a privately identifiable information in its "
     "context: {context}, think carefully before saying no to protect against "
     "PII leakage, only output T or F."
 )
-USER_TEMPLATE_WITH_COT = (
-    "Determine if {entity} is a privately identifiable information in its "
+USER_TEMPLATE_WITH_COT = VERIFIER_PROMPT_HEAD + (
+    "{entity} is a privately identifiable information in its "
     "context: {context}. Think step-by-step before outputting T or F."
 )
 

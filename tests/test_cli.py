@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -362,6 +363,31 @@ class TestReplaceCommand:
         assert "〈" not in text
         gold = corpus.read_standoff(out_gold)
         assert len(gold["t1"]) == 2  # STUDENT and TEACHER become name spans
+
+
+    # SHA-256 over anon.jsonl then audit.jsonl. Reruns promise byte-identical
+    # outputs, so any change to the surrogate stream has to show up here.
+    STREAM_SHA256 = {
+        ("corpus", 0): "0b7905e89fa04f50b18b70027e7cf75c35ab3591dcc35c4a6d6417142ce4ee49",
+        ("corpus", 3): "aea4c8d9586110caa40dae3e57ebdb312a9ddcd26d12e1ce248887a7311e8324",
+        ("tscc", 0): "6726d736d1e25dfd6177457b63ccc6998476cb74a39c67c00ed4ba788729bc02",
+        ("tscc", 3): "2c3f1a4d2979abbb132ca78cc7750aae0b3f804c4fe40ba0276b4eea76720826",
+    }
+
+    @pytest.mark.parametrize("source,seed", sorted(STREAM_SHA256))
+    def test_replace_stream_is_pinned(self, fixture_paths, tmp_path, source, seed):
+        if source == "tscc":
+            docs, spans = tmp_path / "tdocs.jsonl", tmp_path / "tgold.json"
+            assert run_cli("ingest", "--tscc", str(fixture_paths["tscc"]),
+                           "--out-docs", str(docs), "--out-gold", str(spans)) == 0
+        else:
+            docs, spans = fixture_paths["corpus"], fixture_paths["gold"]
+        anon, audit = tmp_path / "anon.jsonl", tmp_path / "audit.jsonl"
+        assert run_cli("replace", "--in", str(docs), "--spans", str(spans),
+                       "--pools", str(fixture_paths["pools"]), "--seed", str(seed),
+                       "--out-docs", str(anon), "--out-audit", str(audit)) == 0
+        digest = hashlib.sha256(anon.read_bytes() + audit.read_bytes()).hexdigest()
+        assert digest == self.STREAM_SHA256[(source, seed)]
 
 
 class TestUtilityCommands:
@@ -778,6 +804,34 @@ def test_replace_span_out_of_bounds_names_the_span_file(fixture_paths, tmp_path,
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert str(spans) in lines[0] and "out of bounds" in lines[0], lines[0]
+
+
+@pytest.mark.parametrize("source", ["tscc-placeholder", "name-span"])
+def test_replace_without_pools_names_the_flag_and_the_span_file(
+    fixture_paths, tmp_path, capsys, source
+):
+    if source == "tscc-placeholder":
+        docs, spans = tmp_path / "tdocs.jsonl", tmp_path / "tgold.json"
+        assert run_cli("ingest", "--tscc", str(fixture_paths["tscc"]),
+                       "--out-docs", str(docs), "--out-gold", str(spans)) == 0
+        capsys.readouterr()
+    else:
+        docs, spans = fixture_paths["corpus"], fixture_paths["gold"]
+    code = run_cli("replace", "--in", str(docs), "--spans", str(spans),
+                   "--out-docs", str(tmp_path / "anon.jsonl"), "--out-audit", str(tmp_path / "a.jsonl"))
+    err = capsys.readouterr().err
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "--pools" in lines[0] and str(spans) in lines[0], lines[0]
+
+
+def test_replace_has_no_inconsistent_flag(fixture_paths, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("replace", "--in", str(fixture_paths["corpus"]), "--inconsistent",
+                "--out-docs", str(tmp_path / "anon.jsonl"), "--out-audit", str(tmp_path / "a.jsonl"))
+    assert exit_info.value.code == 2
+    assert "--inconsistent" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("port", ["99999", "-1"])

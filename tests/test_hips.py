@@ -5,6 +5,7 @@ import re
 from urllib.parse import urlparse
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deidkit.corpus import Category, Document, Placeholder, Span, ingest_tscc
 from deidkit.hips import (
@@ -12,7 +13,7 @@ from deidkit.hips import (
     EmptyGroup,
     HipsError,
     NamePool,
-    SurrogateState,
+    _stable_rng,
     apply_hips,
     assign_groups,
     load_name_pools,
@@ -35,6 +36,15 @@ def pools(tmp_path_factory) -> NamePool:
 
     paths = minicorpus.materialize(tmp_path_factory.mktemp("pools"))
     return load_name_pools(paths["pools"])
+
+
+def text_with_spans(cases, doc_id: str = "doc") -> tuple[Document, list[Span]]:
+    """One document holding each ``(surface, category)`` in order, as spans."""
+    spans, start = [], 0
+    for surface, category in cases:
+        spans.append(Span(start, start + len(surface), category, surface))
+        start += len(surface) + 3
+    return Document(doc_id, " | ".join(surface for surface, _ in cases)), spans
 
 
 def stub_pool(first: str = "John", last: str = "Doe") -> NamePool:
@@ -98,63 +108,61 @@ class TestAssignGroups:
 
 class TestSurrogateFor:
     def test_two_token_name_shape(self, pools):
-        state = SurrogateState("doc", seed=0)
-        out = surrogate_for("John Smith", Category.NAME_STUDENT, ("Female", "Africa"), state, pools)
+        out = surrogate_for("John Smith", Category.NAME_STUDENT, ("Female", "Africa"), pools,
+                            set(), _stable_rng("doc", 0))
         assert len(out.split()) == 2
         assert out != "John Smith"
 
     def test_single_token_name_shape(self, pools):
-        state = SurrogateState("doc", seed=0)
-        out = surrogate_for("Newton", Category.NAME_STUDENT, ("Male", "Asia"), state, pools)
+        out = surrogate_for("Newton", Category.NAME_STUDENT, ("Male", "Asia"), pools,
+                            set(), _stable_rng("doc", 0))
         assert len(out.split()) == 1
 
     def test_phone_mask_preserved_and_differs(self):
-        state = SurrogateState("doc", seed=0)
         original = "(555)555-5555"
-        out = surrogate_for(original, Category.PHONE_NUM, ("Male", "Asia"), state)
+        out = surrogate_for(original, Category.PHONE_NUM, ("Male", "Asia"), None,
+                            set(), _stable_rng("doc", 0))
         assert punctuation_mask(out) == punctuation_mask(original)
         assert out != original
 
     def test_phone_never_equals_original_across_seeds(self):
         original = "(123)456-7890"
         for seed in range(200):
-            state = SurrogateState("doc", seed=seed)
-            out = surrogate_for(original, Category.PHONE_NUM, ("Male", "Asia"), state)
+            out = surrogate_for(original, Category.PHONE_NUM, ("Male", "Asia"), None,
+                                set(), _stable_rng("doc", seed))
             assert out != original
 
     def test_email_parses(self):
-        state = SurrogateState("doc", seed=3)
-        out = surrogate_for("a@b.co", Category.EMAIL, ("Male", "Asia"), state)
+        out = surrogate_for("a@b.co", Category.EMAIL, ("Male", "Asia"), None,
+                            set(), _stable_rng("doc", 3))
         assert EMAIL_RE.match(out)
         assert out != "a@b.co"
 
     def test_url_parses(self):
-        state = SurrogateState("doc", seed=3)
-        out = surrogate_for("www.me.example", Category.URL_PERSONAL, ("Male", "Asia"), state)
+        out = surrogate_for("www.me.example", Category.URL_PERSONAL, ("Male", "Asia"), None,
+                            set(), _stable_rng("doc", 3))
         parsed = urlparse(out)
         assert parsed.scheme == "https"
         assert parsed.netloc
 
     def test_repeat_mention_consistency(self, pools):
-        state = SurrogateState("doc", seed=5)
-        group = ("Female", "Americas")
-        first = surrogate_for("John Smith", Category.NAME_STUDENT, group, state, pools)
-        second = surrogate_for("John Smith", Category.NAME_STUDENT, group, state, pools)
+        doc, spans = text_with_spans([("John Smith", Category.NAME_STUDENT)] * 2)
+        result = apply_hips(doc, spans, ("Female", "Americas"), seed=5, pools=pools)
+        first, second = (r.surrogate for r in result.replacements)
         assert first == second
 
     def test_distinct_surfaces_distinct_surrogates_while_capacity(self, pools):
-        state = SurrogateState("doc", seed=5)
         group = ("Male", "Americas")  # 3 firsts x 3 lasts = 9 combos
-        outs = {
-            surrogate_for(name, Category.NAME_STUDENT, group, state, pools)
-            for name in ("Ada One", "Ben Two", "Cal Three", "Dee Four")
-        }
+        names = ("Ada One", "Ben Two", "Cal Three", "Dee Four")
+        doc, spans = text_with_spans([(name, Category.NAME_STUDENT) for name in names])
+        result = apply_hips(doc, spans, group, seed=5, pools=pools)
+        outs = {r.surrogate for r in result.replacements}
         assert len(outs) == 4
 
     def test_name_requires_pool(self):
-        state = SurrogateState("doc", seed=0)
         with pytest.raises(Exception):
-            surrogate_for("John", Category.NAME_STUDENT, ("Male", "Asia"), state, None)
+            surrogate_for("John", Category.NAME_STUDENT, ("Male", "Asia"), None,
+                          set(), _stable_rng("doc", 0))
 
     def test_no_surrogate_equals_its_original(self):
         # A 10-first x 5-last pool makes a draw hit the original often, and
@@ -165,7 +173,6 @@ class TestSurrogateFor:
         student = Placeholder("STUDENT", True)
         rng = random.Random(8)
         for doc in range(300):
-            state = SurrogateState(f"doc{doc}", seed=doc)
             cases = [(rng.choice(firsts), Category.NAME_STUDENT) for _ in range(15)]
             cases += [(f"{rng.choice(firsts)} {rng.choice(lasts)}", Category.NAME_STUDENT)]
             cases += [
@@ -176,15 +183,16 @@ class TestSurrogateFor:
                 ("call me maybe", Category.PHONE_NUM),  # digitless LLM output
                 ("STUDENT", student),
             ]
-            for surface, category in cases:
-                out = surrogate_for(surface, category, ("Female", "Asia"), state, pool)
-                assert out != surface, (surface, category)
+            document, spans = text_with_spans(cases, f"doc{doc}")
+            result = apply_hips(document, spans, ("Female", "Asia"), seed=doc, pools=pool)
+            for rep in result.replacements:
+                assert rep.surrogate != rep.original, (rep.original, rep.category)
 
     def test_group_that_only_holds_the_original_raises(self):
-        state = SurrogateState("doc", seed=0)
         for surface in ("John", "John Doe"):
             with pytest.raises(HipsError):
-                surrogate_for(surface, Category.NAME_STUDENT, ("Male", "Asia"), state, stub_pool())
+                surrogate_for(surface, Category.NAME_STUDENT, ("Male", "Asia"), stub_pool(),
+                              set(), _stable_rng("doc", 0))
 
 
 class TestApplyHips:
@@ -261,6 +269,30 @@ class TestApplyHips:
         result = apply_hips(doc, spans, ("Male", "Americas"), seed=0, pools=stub_pool())
         assert "〈" not in result.text
         assert result.text.startswith("student: my @")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(700, 5000), st.sampled_from(ALL_GROUPS))
+def test_essay_length_replacement_properties(pools, seed, words, group):
+    from test_codec import long_case
+
+    doc, spans = long_case(random.Random(seed), words)
+    result = apply_hips(doc, spans, group, seed=seed, pools=pools)
+    reps = result.replacements
+    # Splice oracle: cutting the originals from the input and the surrogates
+    # from the output leaves the same text.
+    edges_in = [0] + [x for r in reps for x in (r.input_start, r.input_end)] + [len(doc.text)]
+    edges_out = [0] + [x for r in reps for x in (r.output_start, r.output_end)] + [len(result.text)]
+    assert [doc.text[a:b] for a, b in zip(edges_in[::2], edges_in[1::2])] == [
+        result.text[a:b] for a, b in zip(edges_out[::2], edges_out[1::2])
+    ]
+    surrogate_of: dict[tuple[str, str], str] = {}
+    for r in reps:
+        assert surrogate_of.setdefault((r.original, r.category), r.surrogate) == r.surrogate
+        assert r.surrogate != r.original
+    assert len(result.shifted_spans) == len(spans)
+    for shifted in result.shifted_spans:
+        assert result.text[shifted.start : shifted.end] == shifted.surface
 
 
 class TestSimulateLeakage:

@@ -8,6 +8,7 @@ import pytest
 from deidkit.corpus import Category, Document, Span
 from deidkit.detect import rule_detect
 from deidkit.hips import load_name_pools
+from deidkit.mockllm import MockLlm
 from deidkit.verify import (
     MAX_COT_ATTEMPTS,
     USER_TEMPLATE_WITH_COT,
@@ -80,6 +81,14 @@ class TestVerifierMessages:
             entity="Newton", context="some context"
         )
         assert "step-by-step" in messages[1].content
+
+    @pytest.mark.parametrize("variant", list(VerifierVariant))
+    @pytest.mark.parametrize("mode,verdict", [("echo-gold", "T"), ("deny-all", "F")])
+    def test_mock_endpoint_answers_both_variants(self, variant, mode, verdict):
+        # The mock tells verification from detection requests by the prompt head.
+        messages = build_verifier_messages("Newton", "some context", variant)
+        body = {"messages": [{"role": m.role, "content": m.content} for m in messages]}
+        assert MockLlm(mode, {}).respond(body) == verdict
 
 
 class TestVerifySpans:
