@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -21,9 +22,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from . import __version__, corpus, detect, mockllm, verify
+from . import __version__, corpus, detect, mockllm
 from .corpus import Category, CorpusError, Document, Span
-from .detect import ChatClient, EmptyCompletion, LlmClientConfig, TransportError
+from .detect import ChatClient, TransportError
 from .eval import (
     bias_report,
     cost_summary,
@@ -34,7 +35,8 @@ from .eval import (
     render_metrics_table,
 )
 from .hips import (
-    HipsError, apply_hips, assign_groups, load_name_pools, load_region_table, simulate_leakage
+    EmptyGroup, HipsError, apply_hips, assign_groups, load_name_pools, load_region_table,
+    simulate_leakage,
 )
 from .verify import VerifierVariant, build_verifier_dataset, verify_spans, write_verifier_training_file
 
@@ -51,13 +53,11 @@ _CONFIG_FLAGS = {
     "llm.base_url": "base_url",
     "llm.model": "model",
     "llm.api_key_env": "api_key_env",
-    "llm.temperature": "temperature",
     "llm.requests_per_minute": "rpm",
     "llm.max_retries": "max_retries",
 }
 #: Types of every known run-config key, sections first; unknown keys are ignored.
 _CONFIG_TYPES = {"llm": (dict,), "pricing": (dict,)} | {key: (str,) for key in _CONFIG_FLAGS} | {
-    "llm.temperature": (int, float),
     "llm.requests_per_minute": (int,),
     "llm.max_retries": (int,),
     "pricing.usd_per_1m_input": (int, float),
@@ -158,13 +158,13 @@ def _load_docs(path: str) -> dict[str, Document]:
 def _build_client(args: argparse.Namespace) -> ChatClient:
     if not args.base_url:
         raise CliError("an LLM detector needs --base-url (or llm.base_url in the config)")
-    # The llm section's keys are LlmClientConfig's field names.
+    # The llm section's keys are ChatClient's parameter names.
     fields = {
         key.removeprefix("llm."): getattr(args, dest)
         for key, dest in _CONFIG_FLAGS.items()
         if key.startswith("llm.") and getattr(args, dest) is not None
     }
-    return ChatClient(LlmClientConfig(**fields))
+    return ChatClient(**fields)
 
 
 def _map_docs(
@@ -179,6 +179,13 @@ def _map_docs(
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
+
+
+def _record_line(path: str, ordinal: int) -> int:
+    """Line number of the ``ordinal``-th (1-based) record of a JSON-Lines file."""
+    with open(path, encoding="utf-8") as handle:
+        records = (lineno for lineno, line in enumerate(handle, start=1) if line.strip())
+        return next(itertools.islice(records, ordinal - 1, None))
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -197,8 +204,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     gold: dict[str, list[Span]] = {}
     dropped: dict[str, int] = {}
     repaired = 0
-    for rec in corpus.read_crapii_jsonl(args.infile):
-        conversion = corpus.bio_to_spans(rec, strict=args.strict)
+    for ordinal, rec in enumerate(corpus.read_crapii_jsonl(args.infile), start=1):
+        try:
+            conversion = corpus.bio_to_spans(rec, strict=args.strict)
+        except CorpusError as exc:  # a label or text fault the record reader does not check
+            raise CliError(f"{args.infile}:{_record_line(args.infile, ordinal)}: {exc}") from exc
         docs.append(Document(rec.document_id, conversion.text, "crapii"))
         gold[rec.document_id] = conversion.spans
         repaired += conversion.repaired_continuations
@@ -306,7 +316,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _check_span_documents(args.spans, detections, docs)
 
     def verify_one(doc_id: str) -> list[Span]:
-        return verify_spans(docs[doc_id], detections[doc_id], client, variant, args.window)
+        return verify_spans(docs[doc_id], detections[doc_id], client, variant)
 
     try:
         corpus.write_standoff(args.out, _map_docs(verify_one, sorted(detections), args.jobs))
@@ -347,7 +357,9 @@ def _cmd_replace(args: argparse.Namespace) -> int:
                 pools=pools,
             )
         except (CorpusError, HipsError) as exc:  # a span that does not fit or has no surrogate
-            raise CliError(f"{args.spans}: document {doc_id!r}: {exc}") from exc
+            # A group the pools lack is the pools file's fault, not the span file's.
+            source = args.pools if isinstance(exc, EmptyGroup) else args.spans
+            raise CliError(f"{source}: document {doc_id!r}: {exc}") from exc
         out_docs.append(Document(doc_id, result.text, doc.source))
         shifted_gold[doc_id] = [s for s in result.shifted_spans if isinstance(s.category, Category)]
         audit.append({
@@ -458,9 +470,7 @@ def _cmd_make_verifier_data(args: argparse.Namespace) -> int:
     variant = VerifierVariant(args.variant)
     client = _build_client(args) if variant is VerifierVariant.WITH_COT else None
     try:
-        examples = build_verifier_dataset(
-            detections, gold, docs, variant, client=client, window_chars=args.window
-        )
+        examples = build_verifier_dataset(detections, gold, docs, variant, client=client)
     finally:
         if client is not None:
             client.close()
@@ -541,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--spans", required=True)
     p.add_argument("--variant", choices=[v.value for v in VerifierVariant], default="without-cot")
-    p.add_argument("--window", type=int, default=verify.DEFAULT_CONTEXT_WINDOW)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_llm_flags(p)
@@ -600,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--variant", choices=[v.value for v in VerifierVariant], default="without-cot")
-    p.add_argument("--window", type=int, default=verify.DEFAULT_CONTEXT_WINDOW)
     p.add_argument("--out", required=True)
     _add_llm_flags(p)
     p.set_defaults(func=_cmd_make_verifier_data)
@@ -620,7 +628,6 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--base-url")
     p.add_argument("--model")
     p.add_argument("--api-key-env")
-    p.add_argument("--temperature", type=float)
     p.add_argument("--rpm", type=int)
     p.add_argument("--max-retries", type=int)
 
@@ -636,10 +643,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if out:
             _write_manifest(out, settings, args)
         return code
-    except (TransportError, EmptyCompletion) as exc:
+    except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return 2
-    except (CliError, CorpusError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -493,8 +493,6 @@ def write_standoff(path: str | Path, spans_by_doc: Mapping[str, Sequence[Span]])
 def read_spans(path: str | Path) -> dict[str, list[Span]]:
     """Read a span file whose entries are all category spans or all placeholder spans."""
     payload = read_json(path)
-    if isinstance(payload, dict):
-        payload = [payload]
     if not isinstance(payload, list):
         raise CorpusError(f"{path}: expected a list of document span entries")
     out: dict = {}

@@ -85,11 +85,11 @@ class DetectError(ValueError):
 
 
 class TransportError(RuntimeError):
-    """The chat endpoint stayed unreachable after the configured retries."""
+    """The chat endpoint failed: unreachable after the retries, or it refused the request."""
 
 
-class EmptyCompletion(RuntimeError):
-    pass
+class EmptyCompletion(TransportError):
+    """The endpoint answered, but not with a chat completion."""
 
 
 @dataclass(frozen=True)
@@ -105,22 +105,6 @@ class ChatMessage:
 
     def as_dict(self) -> dict[str, str]:
         return {"role": self.role, "content": self.content}
-
-
-@dataclass
-class LlmClientConfig:
-    base_url: str
-    model: str = "gpt-4o-mini"
-    api_key_env: str = "DEIDKIT_API_KEY"
-    temperature: float = 0.0
-    requests_per_minute: int = 1000
-    max_retries: int = 3
-
-    def __post_init__(self):
-        if self.requests_per_minute <= 0:
-            raise DetectError("requests_per_minute must be positive")
-        if self.temperature < 0:
-            raise DetectError("temperature must be >= 0")
 
 
 class SupportsComplete(Protocol):
@@ -163,27 +147,37 @@ class ChatClient:
     keep-alive connection to the endpoint.
 
     Wire format: POST ``{base_url}/chat/completions`` with a JSON body of
-    ``{model, messages, temperature[, max_tokens]}``; the completion is read
-    from the first choice's message content. The API key, when the configured
-    environment variable is set, travels as a bearer token.
+    ``{model, messages, temperature[, max_tokens]}``, the temperature always
+    0; the completion is read from the first choice's message content. The
+    API key, when the ``api_key_env`` environment variable is set, travels as
+    a bearer token.
     """
 
-    def __init__(self, config: LlmClientConfig):
-        self.config = config
-        url = urllib.parse.urlsplit(config.base_url)
+    def __init__(
+        self,
+        base_url: str,
+        model: str = "gpt-4o-mini",
+        api_key_env: str = "DEIDKIT_API_KEY",
+        requests_per_minute: int = 1000,
+        max_retries: int = 3,
+    ):
+        if requests_per_minute <= 0:
+            raise DetectError("requests_per_minute must be positive")
+        url = urllib.parse.urlsplit(base_url)
         try:
             port = url.port
         except ValueError as exc:
-            raise DetectError(f"base URL {config.base_url!r}: {exc}") from exc
+            raise DetectError(f"base URL {base_url!r}: {exc}") from exc
         if url.scheme not in ("http", "https") or not url.hostname:
-            raise DetectError(f"base URL must look like http(s)://host/..., not {config.base_url!r}")
+            raise DetectError(f"base URL must look like http(s)://host/..., not {base_url!r}")
+        self._model, self._api_key_env, self._max_retries = model, api_key_env, max_retries
         self._host, self._port = url.hostname, port
         self._path = url.path.rstrip("/") + "/chat/completions"
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
         self._local = threading.local()
         self._connections: list[http.client.HTTPConnection] = []
         self._connections_lock = threading.Lock()
-        self._bucket = _TokenBucket(config.requests_per_minute)
+        self._bucket = _TokenBucket(requests_per_minute)
         self._backoff_base = 0.25
         self._usage_lock = threading.Lock()
         self.estimated_input_tokens = 0
@@ -240,20 +234,20 @@ class ChatClient:
 
     def complete(self, messages: Sequence[ChatMessage], max_tokens: int | None = None) -> str:
         body = {
-            "model": self.config.model,
+            "model": self._model,
             "messages": [m.as_dict() for m in messages],
-            "temperature": self.config.temperature,
+            "temperature": 0.0,
         }
         if max_tokens is not None:
             body["max_tokens"] = max_tokens
         payload = json.dumps(body).encode()
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.config.api_key_env)
+        api_key = os.environ.get(self._api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
         last_error: Exception | None = None
-        for attempt in range(self.config.max_retries + 1):
+        for attempt in range(self._max_retries + 1):
             self._bucket.acquire()
             try:
                 status, data = self._post(payload, headers)
@@ -278,10 +272,10 @@ class ChatClient:
                         f"{data.decode('utf-8', 'replace')[:200]}"
                     )
                 last_error = TransportError(f"HTTP {status}")
-            if attempt < self.config.max_retries:
+            if attempt < self._max_retries:
                 time.sleep(self._backoff_base * (2**attempt))
         raise TransportError(
-            f"chat endpoint unreachable after {self.config.max_retries + 1} attempts: {last_error}"
+            f"chat endpoint unreachable after {self._max_retries + 1} attempts: {last_error}"
         )
 
     @staticmethod

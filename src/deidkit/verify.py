@@ -31,7 +31,8 @@ USER_TEMPLATE_WITH_COT = VERIFIER_PROMPT_HEAD + (
     "context: {context}. Think step-by-step before outputting T or F."
 )
 
-DEFAULT_CONTEXT_WINDOW = 150
+#: Characters of context on each side of a span, the same for training and inference.
+CONTEXT_WINDOW = 150
 MAX_COT_ATTEMPTS = 6
 
 
@@ -56,12 +57,10 @@ class VerifierExample:
             raise ValueError("entity must occur in its context")
 
 
-def extract_context(doc: Document, span: Span, window_chars: int = DEFAULT_CONTEXT_WINDOW) -> str:
+def extract_context(doc: Document, span: Span) -> str:
     """Window of text around the span, clipped to the document bounds."""
-    if window_chars < 0:
-        raise ValueError("window_chars must be >= 0")
-    start = max(0, span.start - window_chars)
-    end = min(len(doc.text), span.end + window_chars)
+    start = max(0, span.start - CONTEXT_WINDOW)
+    end = min(len(doc.text), span.end + CONTEXT_WINDOW)
     return doc.text[start:end]
 
 
@@ -108,12 +107,11 @@ def verify_spans(
     spans: Sequence[Span],
     client: SupportsComplete,
     variant: VerifierVariant,
-    window_chars: int = DEFAULT_CONTEXT_WINDOW,
 ) -> list[Span]:
     """Keep exactly the spans the verifier confirms; never adds or reorders."""
     kept: list[Span] = []
     for span in spans:
-        context = extract_context(doc, span, window_chars)
+        context = extract_context(doc, span)
         completion = client.complete(build_verifier_messages(span.surface, context, variant))
         if _effective_verdict(completion, variant) == "T":
             kept.append(span)
@@ -126,7 +124,6 @@ def build_verifier_dataset(
     docs: Mapping[str, Document],
     variant: VerifierVariant,
     client: SupportsComplete | None = None,
-    window_chars: int = DEFAULT_CONTEXT_WINDOW,
 ) -> list[VerifierExample]:
     """Label detections T/F against gold and, for CoT, generate reasoning.
 
@@ -142,7 +139,7 @@ def build_verifier_dataset(
         doc = docs[doc_id]
         gold = {(s.start, s.end, s.category) for s in gold_by_doc.get(doc_id, ())}
         for span in detections_by_doc[doc_id]:
-            context = extract_context(doc, span, window_chars)
+            context = extract_context(doc, span)
             label = "T" if (span.start, span.end, span.category) in gold else "F"
             if variant is VerifierVariant.WITHOUT_COT:
                 examples.append(VerifierExample(span.surface, context, label))

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -148,6 +148,38 @@ class TestIngestAndSplit:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0], lines
         assert not any(tmp_path.iterdir())
+
+    def _ingest_repairable_record(self, tmp_path, *flags: str) -> tuple[Path, int]:
+        # An I- tag that continues nothing, and a label outside the four categories.
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({
+            "document": "d1",
+            "full_text": "Hi Ann Lee from jdoe42",
+            "tokens": ["Hi", "Ann", "Lee", "from", "jdoe42"],
+            "labels": ["O", "I-NAME_STUDENT", "I-NAME_STUDENT", "O", "B-USERNAME"],
+            "trailing_whitespace": [True, True, True, True, False],
+        }) + "\n", encoding="utf-8")
+        code = run_cli("ingest", "--in", str(records), *flags,
+                       "--out-docs", str(tmp_path / "docs.jsonl"),
+                       "--out-gold", str(tmp_path / "gold.json"))
+        return records, code
+
+    def test_ingest_reports_repairs_and_out_of_scope_labels(self, tmp_path, capsys):
+        _, code = self._ingest_repairable_record(tmp_path)
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            'ingest: 1 BIO continuation(s) repaired; dropped out-of-scope: {"USERNAME": 1}'
+        ]
+        assert corpus.read_standoff(tmp_path / "gold.json")["d1"] == [
+            corpus.Span(3, 10, corpus.Category.NAME_STUDENT, "Ann Lee")
+        ]
+
+    def test_ingest_strict_names_the_file_and_line(self, tmp_path, capsys):
+        records, code = self._ingest_repairable_record(tmp_path, "--strict")
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {records}:1: "), lines
+        assert "I-NAME_STUDENT" in lines[0]
 
     def test_split_deterministic_bytes(self, fixture_paths, tmp_path):
         out_a = tmp_path / "split_a.json"
@@ -714,6 +746,12 @@ _MALFORMED_INPUTS = {
         '{"document": "d", "tokens": ["hi"], "labels": ["O"]}\n',
         ["detect", "--detector", "rules", "--in", "{bad}"]),
     "span-file-not-json": ('[{"document": ', ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
+    "span-file-a-bare-object": (
+        '{"document": "379", "spans": []}', ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
+    "span-file-of-placeholders-as-pred": (
+        '[{"document": "379", "spans": [{"start": 3, "end": 11, "placeholder": "STUDENT", '
+        '"name_kind": true, "text": "John Doe"}]}]',
+        ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
     "gender-table-without-gender": (
         "first_name,count\nAmina,3\n",
         ["bias", "--pred", "{gold}", "--gold", "{gold}", "--gender-table", "{bad}",
@@ -740,8 +778,6 @@ _MALFORMED_INPUTS = {
     "config-llm-not-an-object": ('{"llm": "x"}', ["--config", "{bad}", *_VERIFY]),
     "config-max-retries-a-string": (
         '{"llm": {"max_retries": "3"}}', ["--config", "{bad}", *_VERIFY]),
-    "config-temperature-a-string": (
-        '{"llm": {"temperature": "hot"}}', ["--config", "{bad}", *_VERIFY]),
     "config-unset-env-variable": (
         '{"llm": {"base_url": "http://${DEIDKIT_UNSET_VAR_XYZ}/v1"}}',
         ["--config", "{bad}", *_VERIFY]),
@@ -826,6 +862,48 @@ def test_replace_without_pools_names_the_flag_and_the_span_file(
     assert "--pools" in lines[0] and str(spans) in lines[0], lines[0]
 
 
+def test_replace_pools_without_the_group_names_the_pools_file(fixture_paths, tmp_path, capsys):
+    pools = tmp_path / "pools.csv"
+    rows = fixture_paths["pools"].read_text(encoding="utf-8").splitlines(keepends=True)
+    pools.write_text("".join(row for row in rows if ",Oceania," not in row), encoding="utf-8")
+    code = run_cli("replace", "--in", str(fixture_paths["corpus"]),
+                   "--spans", str(fixture_paths["gold"]), "--pools", str(pools),
+                   "--group", "Female:Oceania",
+                   "--out-docs", str(tmp_path / "anon.jsonl"), "--out-audit", str(tmp_path / "a.jsonl"))
+    err = capsys.readouterr().err
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {pools}: "), err
+    assert "(Female, Oceania)" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in", "{corpus}", "--spans", "{gold}", "--window", "5"],
+    ["make-verifier-data", "--in", "{corpus}", "--gold", "{gold}", "--detections", "{gold}",
+     "--window", "5"],
+    ["detect", "--in", "{corpus}", "--temperature", "1"],
+], ids=["verify-window", "make-verifier-data-window", "detect-temperature"])
+def test_fixed_llm_settings_have_no_flag(fixture_paths, tmp_path, capsys, argv):
+    names = {k: str(v) for k, v in fixture_paths.items()}
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*[arg.format(**names) for arg in argv], "--out", str(tmp_path / "out.json"))
+    assert exit_info.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_llm_temperature_in_the_config_is_ignored(fixture_paths, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"llm": {"temperature": "hot"}}), encoding="utf-8")
+    reply = json.dumps({"choices": [{"message": {"content": "no entities"}}]}).encode()
+    with capture_server(reply) as (base_url, models):
+        code = run_cli("--config", str(config), "detect", "--detector", "llm-finetuned",
+                       "--in", str(fixture_paths["corpus"]), "--base-url", base_url,
+                       "--out", str(tmp_path / "pred.json"))
+    assert code == 0
+    assert models
+
+
 def test_replace_has_no_inconsistent_flag(fixture_paths, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         run_cli("replace", "--in", str(fixture_paths["corpus"]), "--inconsistent",
@@ -907,24 +985,30 @@ def test_non_json_reply_is_a_transport_error(fixture_paths, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("transport error:")
 
 
-def _flag_dests(parser: argparse.ArgumentParser) -> set[str]:
-    dests = set()
+def _flag_actions(parser: argparse.ArgumentParser):
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
-                dests |= _flag_dests(sub)
+                yield from _flag_actions(sub)
         elif action.option_strings:
-            dests.add(action.dest)
-    return dests
+            yield action
 
 
 def test_config_keys_and_input_names_are_flag_dests():
     # A renamed flag would otherwise drop silently out of the config or the manifest.
-    dests = _flag_dests(cli.build_parser())
+    dests = {action.dest for action in _flag_actions(cli.build_parser())}
     assert set(cli._CONFIG_FLAGS.values()) <= dests
     assert set(cli._INPUT_FLAGS) <= dests
     llm_keys = {k.removeprefix("llm.") for k in cli._CONFIG_FLAGS if k.startswith("llm.")}
-    assert llm_keys <= {f.name for f in dataclasses.fields(cli.LlmClientConfig)}
+    assert llm_keys <= set(inspect.signature(cli.ChatClient).parameters)
+
+
+def test_readme_names_only_real_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    options = {opt for action in _flag_actions(cli.build_parser()) for opt in action.option_strings}
+    assert named, "the README names no flag"
+    assert named <= options, sorted(named - options)
 
 
 _TRACE_SCRIPT = r"""

@@ -3,11 +3,12 @@ from __future__ import annotations
 import json
 import random
 import threading
+import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from deidkit import codec
+from deidkit import codec, detect
 from deidkit.cli import main
 from deidkit.corpus import Category, Document, Span, validate_spans
 from deidkit.detect import (
@@ -17,9 +18,9 @@ from deidkit.detect import (
     EmptyCompletion,
     FEWSHOT_TARGET_LEAD,
     FINETUNE_USER_INSTRUCTION,
-    LlmClientConfig,
     MARKER_LEGEND,
     TransportError,
+    _TokenBucket,
     _resolve_overlaps,
     build_fewshot_messages,
     build_finetune_record,
@@ -266,6 +267,8 @@ class TestLlmDetect:
 class _CapturingHandler(BaseHTTPRequestHandler):
     captured: list = []
     fail_first: int = 0
+    fail_status: int = 503
+    reply: dict = {"choices": [{"message": {"role": "assistant", "content": "ok"}}]}
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -274,12 +277,10 @@ class _CapturingHandler(BaseHTTPRequestHandler):
         )
         if type(self).fail_first > 0:
             type(self).fail_first -= 1
-            self.send_response(503)
+            self.send_response(type(self).fail_status)
             self.end_headers()
             return
-        payload = json.dumps(
-            {"choices": [{"message": {"role": "assistant", "content": "ok"}}]}
-        ).encode()
+        payload = json.dumps(type(self).reply).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -331,17 +332,16 @@ def keepalive_server():
 
 class TestChatClient:
     def make_client(self, server, **overrides) -> ChatClient:
-        config = LlmClientConfig(
+        return ChatClient(
             base_url=f"http://127.0.0.1:{server.server_address[1]}/v1",
             model="test-model",
             **overrides,
         )
-        return ChatClient(config)
 
     def test_wire_format(self, capture_server, monkeypatch):
         server, handler = capture_server
         monkeypatch.setenv("DEIDKIT_API_KEY", "sk-test")
-        client = self.make_client(server, temperature=0.0)
+        client = self.make_client(server)
         out = client.complete([ChatMessage("user", "hello")], max_tokens=32)
         assert out == "ok"
         sent = handler.captured[0]
@@ -368,11 +368,25 @@ class TestChatClient:
             client.complete([ChatMessage("user", "x")])
 
     def test_unreachable_endpoint(self):
-        config = LlmClientConfig(
-            base_url="http://127.0.0.1:1/v1", model="m", max_retries=0
-        )
+        client = ChatClient(base_url="http://127.0.0.1:1/v1", model="m", max_retries=0)
         with pytest.raises(TransportError):
-            ChatClient(config).complete([ChatMessage("user", "x")])
+            client.complete([ChatMessage("user", "x")])
+
+    def test_non_retryable_status_fails_after_one_request(self, capture_server):
+        server, handler = capture_server
+        handler.fail_first, handler.fail_status = 10, 401
+        client = self.make_client(server, max_retries=3)
+        with pytest.raises(TransportError, match="HTTP 401"):
+            client.complete([ChatMessage("user", "x")])
+        assert len(handler.captured) == 1
+
+    def test_reply_without_choices_is_empty_completion(self, capture_server):
+        server, handler = capture_server
+        handler.reply = {"choices": []}
+        client = self.make_client(server, max_retries=3)
+        with pytest.raises(EmptyCompletion, match="malformed completion payload"):
+            client.complete([ChatMessage("user", "x")])
+        assert len(handler.captured) == 1
 
     def test_empty_completion_detected(self):
         with pytest.raises(EmptyCompletion):
@@ -380,9 +394,7 @@ class TestChatClient:
 
     def test_config_validation(self):
         with pytest.raises(Exception):
-            LlmClientConfig(base_url="http://x", model="m", requests_per_minute=0)
-        with pytest.raises(Exception):
-            LlmClientConfig(base_url="http://x", model="m", temperature=-1)
+            ChatClient(base_url="http://x", model="m", requests_per_minute=0)
 
     def test_usage_accumulates(self, capture_server):
         server, handler = capture_server
@@ -412,11 +424,11 @@ class TestChatClient:
 
     def test_https_against_a_plain_http_port_is_transport_error(self, capture_server):
         server, handler = capture_server
-        config = LlmClientConfig(
+        client = ChatClient(
             base_url=f"https://127.0.0.1:{server.server_address[1]}/v1", model="m", max_retries=0
         )
         with pytest.raises(TransportError):
-            ChatClient(config).complete([ChatMessage("user", "x")])
+            client.complete([ChatMessage("user", "x")])
         assert handler.captured == []
 
     def test_non_http_base_url_exits_1(self, fixture_paths, tmp_path, capsys):
@@ -429,6 +441,23 @@ class TestChatClient:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         assert "ftp://x" in lines[0]
+
+
+def test_token_bucket_waits_once_its_minute_is_spent(monkeypatch):
+    clock, sleeps = [100.0], []
+
+    def sleep(seconds: float) -> None:
+        sleeps.append(seconds)
+        clock[0] += seconds
+
+    fake_time = types.SimpleNamespace(monotonic=lambda: clock[0], sleep=sleep)
+    monkeypatch.setattr(detect, "time", fake_time)
+    bucket = _TokenBucket(per_minute=60)
+    for _ in range(60):
+        bucket.acquire()
+    assert sleeps == []
+    bucket.acquire()  # the 61st request in the same instant waits one token's time
+    assert sleeps == [1.0]
 
 
 def test_completion_budget_guard():

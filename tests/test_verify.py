@@ -35,19 +35,18 @@ class TestExtractContext:
     def test_clips_at_document_start(self):
         doc = Document("x", "Ann wrote this")
         span = Span(0, 3, Category.NAME_STUDENT, "Ann")
-        context = extract_context(doc, span, window_chars=150)
+        context = extract_context(doc, span)
         assert context == doc.text
 
     def test_full_sentence_when_window_covers_it(self):
-        context = extract_context(NEWTON_DOC, NEWTON_SPAN, window_chars=150)
+        context = extract_context(NEWTON_DOC, NEWTON_SPAN)
         assert context == "The Newton method is used for optimization"
 
-    def test_zero_window_is_surface(self):
-        assert extract_context(NEWTON_DOC, NEWTON_SPAN, window_chars=0) == "Newton"
-
     def test_window_bounds(self):
-        context = extract_context(NEWTON_DOC, NEWTON_SPAN, window_chars=4)
-        assert context == "The Newton met"
+        # 150 characters each side: the lowercase runs are in, the uppercase ones out.
+        doc = Document("w", "L" * 50 + "l" * 150 + "Newton" + "r" * 150 + "R" * 50)
+        span = Span(200, 206, Category.NAME_STUDENT, "Newton")
+        assert extract_context(doc, span) == "l" * 150 + "Newton" + "r" * 150
 
 
 class TestParseVerdict:
