@@ -19,12 +19,12 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import __version__, corpus, detect, mockllm
 from .corpus import Category, CorpusError, Document, Span
-from .detect import ChatClient, TransportError
 from .eval import (
     bias_report,
     cost_summary,
@@ -38,6 +38,7 @@ from .hips import (
     EmptyGroup, HipsError, apply_hips, assign_groups, load_name_pools, load_region_table,
     simulate_leakage,
 )
+from .llm import ChatClient, TransportError
 from .verify import VerifierVariant, build_verifier_dataset, verify_spans, write_verifier_training_file
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -68,6 +69,8 @@ _INPUT_FLAGS = (
     "config", "infile", "tscc", "gold", "spans", "pred", "detections", "ledger",
     "pools", "split_file", "gender_table", "surname_table", "region_table",
 )
+#: Every detector: the rules, then one LLM detector per prompt mode.
+_DETECTORS = ("rules", *(f"llm-{mode}" for mode in detect.PROMPT_BUILDERS))
 
 
 class CliError(ValueError):
@@ -278,24 +281,16 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     pools = load_name_pools(args.pools) if args.pools else None
     detector_name = args.detector or "rules"
-    client = None
-    if detector_name == "rules":
-        def detect_one(doc_id: str) -> list[Span]:
-            return detect.rule_detect(docs[doc_id], pools=pools)
-    elif detector_name in ("llm-fewshot", "llm-finetuned"):
-        client = _build_client(args)
-        mode = detector_name.removeprefix("llm-")
-
-        def detect_one(doc_id: str) -> list[Span]:
-            return detect.llm_detect(docs[doc_id], client, mode).spans
-    else:
+    if detector_name not in _DETECTORS:
         raise CliError(f"unknown detector {detector_name!r}")
+    mode = detector_name.removeprefix("llm-")
+    with (nullcontext() if detector_name == "rules" else _build_client(args)) as client:
+        def detect_one(doc_id: str) -> list[Span]:
+            if client is None:
+                return detect.rule_detect(docs[doc_id], pools=pools)
+            return detect.llm_detect(docs[doc_id], client, mode).spans
 
-    try:
         corpus.write_standoff(args.out, _map_docs(detect_one, ids, args.jobs))
-    finally:
-        if client is not None:
-            client.close()
     if client is not None and args.pricing is not None:
         tokens_in, tokens_out = client.estimated_input_tokens, client.estimated_output_tokens
         usd = tokens_in / 1e6 * args.pricing.get("usd_per_1m_input", 0.0) + (
@@ -318,10 +313,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     def verify_one(doc_id: str) -> list[Span]:
         return verify_spans(docs[doc_id], detections[doc_id], client, variant)
 
-    try:
+    with client:
         corpus.write_standoff(args.out, _map_docs(verify_one, sorted(detections), args.jobs))
-    finally:
-        client.close()
     return 0
 
 
@@ -455,8 +448,10 @@ def _cmd_make_finetune(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
     gold = corpus.read_standoff(args.gold)
     ids = _select_ids(docs, args)
+    _check_span_documents(args.gold, {i: gold[i] for i in ids if i in gold}, docs)
+    # A document with no text has nothing to label, and an empty target teaches nothing.
     count = detect.write_finetune_file(
-        args.out, ((docs[i], gold.get(i, [])) for i in ids)
+        args.out, ((docs[i], gold.get(i, [])) for i in ids if docs[i].text.strip())
     )
     print(f"wrote {count} training record(s) to {args.out}")
     return 0
@@ -468,12 +463,8 @@ def _cmd_make_verifier_data(args: argparse.Namespace) -> int:
     detections = corpus.read_standoff(args.detections)
     _check_span_documents(args.detections, detections, docs)
     variant = VerifierVariant(args.variant)
-    client = _build_client(args) if variant is VerifierVariant.WITH_COT else None
-    try:
+    with (_build_client(args) if variant is VerifierVariant.WITH_COT else nullcontext()) as client:
         examples = build_verifier_dataset(detections, gold, docs, variant, client=client)
-    finally:
-        if client is not None:
-            client.close()
     count = write_verifier_training_file(args.out, examples, variant)
     forced = sum(1 for e in examples if e.forced_default)
     print(f"wrote {count} verifier example(s) to {args.out} ({forced} defaulted to T)")
@@ -537,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("detect", help="run a detector over documents")
-    p.add_argument("--detector", choices=["rules", "llm-fewshot", "llm-finetuned"])
+    p.add_argument("--detector", choices=_DETECTORS)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pools", help="name pool CSV for the gazetteer")

@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Document, Span, write_jsonl
-from .detect import ChatMessage, FINETUNE_SYSTEM_PROMPT, SupportsComplete
+from .detect import FINETUNE_SYSTEM_PROMPT
+from .llm import SupportsComplete
 
 VERIFIER_SYSTEM_PROMPT = FINETUNE_SYSTEM_PROMPT
 
@@ -66,15 +67,15 @@ def extract_context(doc: Document, span: Span) -> str:
 
 def build_verifier_messages(
     entity: str, context: str, variant: VerifierVariant
-) -> list[ChatMessage]:
+) -> list[dict[str, str]]:
     template = (
         USER_TEMPLATE_WITH_COT
         if variant is VerifierVariant.WITH_COT
         else USER_TEMPLATE_WITHOUT_COT
     )
     return [
-        ChatMessage("system", VERIFIER_SYSTEM_PROMPT),
-        ChatMessage("user", template.format(entity=entity, context=context)),
+        {"role": "system", "content": VERIFIER_SYSTEM_PROMPT},
+        {"role": "user", "content": template.format(entity=entity, context=context)},
     ]
 
 
@@ -177,10 +178,7 @@ def verifier_training_record(example: VerifierExample, variant: VerifierVariant)
         assistant = f"{example.reasoning.rstrip()} {example.label}"
     else:
         assistant = example.label
-    return {
-        "messages": [m.as_dict() for m in messages]
-        + [{"role": "assistant", "content": assistant}]
-    }
+    return {"messages": messages + [{"role": "assistant", "content": assistant}]}
 
 
 def write_verifier_training_file(

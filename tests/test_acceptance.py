@@ -208,7 +208,7 @@ def test_criterion_5_verifier_contract(fixture_paths, mini_docs, mini_gold, scri
         gold_surfaces = {s.surface for s in mini_gold[doc_id]}
 
         def oracle(messages, _gold=gold_surfaces):
-            content = messages[-1].content
+            content = messages[-1]["content"]
             entity = content.split("Determine if ", 1)[1].split(
                 " is a privately identifiable information", 1
             )[0]

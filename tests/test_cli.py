@@ -985,6 +985,67 @@ def test_non_json_reply_is_a_transport_error(fixture_paths, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("transport error:")
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--max-retries", "-1", "max_retries must be >= 0"),
+    ("--rpm", "0", "requests_per_minute must be positive"),
+])
+def test_bad_client_setting_is_one_line_error(
+    fixture_paths, tmp_path, capsys, flag, value, message
+):
+    # Rejected before any request: an attempt on port 1 would exit 2.
+    code = run_cli("verify", "--in", str(fixture_paths["corpus"]),
+                   "--spans", str(fixture_paths["gold"]), "--base-url", "http://127.0.0.1:1/v1",
+                   flag, value, "--out", str(tmp_path / "x.json"))
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "x.json").exists()
+
+
+def _with_an_empty_document(tmp_path, mini_docs, mini_gold) -> tuple[Path, Path]:
+    docs, gold = tmp_path / "docs.jsonl", tmp_path / "gold.json"
+    corpus.write_documents(docs, [corpus.Document("e1", ""), mini_docs["379"]])
+    corpus.write_standoff(gold, {"379": mini_gold["379"]})
+    return docs, gold
+
+
+def test_empty_document_is_not_sent_to_the_detector(tmp_path, mini_docs, mini_gold):
+    # The mock answers an empty text with itself, which is no completion.
+    docs, gold = _with_an_empty_document(tmp_path, mini_docs, mini_gold)
+    out = tmp_path / "pred.json"
+    with mock_llm_server("echo-gold", docs, gold) as base_url:
+        code = run_cli("detect", "--detector", "llm-finetuned", "--in", str(docs),
+                       "--base-url", base_url, "--jobs", "2", "--out", str(out))
+    assert code == 0
+    entries = {e["document"]: e["spans"] for e in json.loads(out.read_text(encoding="utf-8"))}
+    assert entries["e1"] == []
+    assert corpus.read_standoff(out)["379"] == mini_gold["379"]
+
+
+def test_make_finetune_skips_empty_documents(tmp_path, mini_docs, mini_gold, capsys):
+    docs, gold = _with_an_empty_document(tmp_path, mini_docs, mini_gold)
+    out = tmp_path / "train.jsonl"
+    assert run_cli("make-finetune", "--in", str(docs), "--gold", str(gold), "--out", str(out)) == 0
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert len(records) == 1
+    assert records[0]["messages"][1]["content"].endswith("\n" + mini_docs["379"].text)
+    assert capsys.readouterr().out == f"wrote 1 training record(s) to {out}\n"
+
+
+def test_make_finetune_gold_mismatch_names_the_file_and_document(fixture_paths, tmp_path, capsys):
+    gold = tmp_path / "gold.json"
+    gold.write_text(json.dumps([{"document": "379", "spans": [
+        {"start": 3, "end": 11, "category": "NAME_STUDENT", "text": "Jane Doe"}]}]), encoding="utf-8")
+    out = tmp_path / "train.jsonl"
+    code = run_cli("make-finetune", "--in", str(fixture_paths["corpus"]), "--gold", str(gold),
+                   "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {gold}: document '379': "), err
+    assert "'Jane Doe'" in lines[0]
+    assert not out.exists()
+
+
 def _flag_actions(parser: argparse.ArgumentParser):
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
@@ -1108,3 +1169,28 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+def test_transport_lives_in_one_module():
+    # The chat client owns the HTTP client side and TLS, the mock endpoint the
+    # server side, and nothing else in the package speaks the chat protocol.
+    package = Path(__file__).resolve().parents[1] / "src" / "deidkit"
+    importers: dict[str, set[str]] = {"http.client": set(), "ssl": set(), "http.server": set()}
+    completers: set[str] = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "complete" for item in node.body
+            ):
+                completers.add(path.name)
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                if name in importers:
+                    importers[name].add(path.name)
+    assert importers == {"http.client": {"llm.py"}, "ssl": {"llm.py"}, "http.server": {"mockllm.py"}}
+    assert completers == {"llm.py"}

@@ -8,19 +8,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from deidkit import codec, detect
+from deidkit import codec, llm
 from deidkit.cli import main
 from deidkit.corpus import Category, Document, Span, validate_spans
 from deidkit.detect import (
-    ChatClient,
-    ChatMessage,
     DEFAULT_FEWSHOT_EXEMPLARS,
-    EmptyCompletion,
     FEWSHOT_TARGET_LEAD,
     FINETUNE_USER_INSTRUCTION,
     MARKER_LEGEND,
-    TransportError,
-    _TokenBucket,
     _resolve_overlaps,
     build_fewshot_messages,
     build_finetune_record,
@@ -29,6 +24,7 @@ from deidkit.detect import (
     write_finetune_file,
 )
 from deidkit.hips import load_name_pools
+from deidkit.llm import ChatClient, EmptyCompletion, TransportError, _TokenBucket
 
 TABLE_DOC = Document("379", "Hi John Doe. Tel: (555)555-5555", "crapii")
 TABLE_SPANS = [
@@ -155,21 +151,21 @@ class TestResolveOverlaps:
 class TestFewshotPrompt:
     def test_message_shape(self):
         messages = build_fewshot_messages(TABLE_DOC)
-        assert [m.role for m in messages] == ["system", "user"]
-        assert TABLE_DOC.text in messages[1].content
+        assert [m["role"] for m in messages] == ["system", "user"]
+        assert TABLE_DOC.text in messages[1]["content"]
 
     def test_legend_contains_all_marker_pairs(self):
         messages = build_fewshot_messages(TABLE_DOC)
         for open_m, close_m in codec.MARKERS.values():
-            assert open_m in messages[1].content
-            assert close_m in messages[1].content
-        assert MARKER_LEGEND in messages[1].content
+            assert open_m in messages[1]["content"]
+            assert close_m in messages[1]["content"]
+        assert MARKER_LEGEND in messages[1]["content"]
 
     def test_three_exemplars_embedded(self):
         messages = build_fewshot_messages(TABLE_DOC)
         for plain, marked in DEFAULT_FEWSHOT_EXEMPLARS:
-            assert plain in messages[1].content
-            assert marked in messages[1].content
+            assert plain in messages[1]["content"]
+            assert marked in messages[1]["content"]
 
     def test_default_exemplars_roundtrip(self):
         for plain, marked in DEFAULT_FEWSHOT_EXEMPLARS:
@@ -177,7 +173,7 @@ class TestFewshotPrompt:
 
     def test_target_lead_present(self):
         messages = build_fewshot_messages(TABLE_DOC)
-        assert FEWSHOT_TARGET_LEAD in messages[1].content
+        assert FEWSHOT_TARGET_LEAD in messages[1]["content"]
 
 
 class TestFinetuneRecords:
@@ -225,7 +221,7 @@ class EchoGoldClient:
     def complete(self, messages, max_tokens=None):
         from deidkit.mockllm import extract_target_text
 
-        text = extract_target_text(messages[-1].content)
+        text = extract_target_text(messages[-1]["content"])
         spans = self.gold_by_text.get(text, [])
         return codec.encode(Document("echo", text), list(spans))
 
@@ -258,6 +254,14 @@ class TestLlmDetect:
         assert report.spans == []
         assert len(report.dropped) == 1
 
+    @pytest.mark.parametrize("text", ["", "  \n"])
+    def test_blank_document_is_not_sent(self, scripted_client, text):
+        client = scripted_client(lambda m: "x")
+        for mode in ("finetuned", "fewshot"):
+            report = llm_detect(Document("e", text), client, mode)
+            assert report.spans == [] and report.dropped == []
+        assert client.calls == []
+
     def test_unknown_mode_rejected(self, scripted_client):
         client = scripted_client(lambda m: "x")
         with pytest.raises(Exception):
@@ -266,6 +270,7 @@ class TestLlmDetect:
 
 class _CapturingHandler(BaseHTTPRequestHandler):
     captured: list = []
+    ok_first: int = 0  # replies that succeed before the fail_first failures
     fail_first: int = 0
     fail_status: int = 503
     reply: dict = {"choices": [{"message": {"role": "assistant", "content": "ok"}}]}
@@ -275,9 +280,12 @@ class _CapturingHandler(BaseHTTPRequestHandler):
         type(self).captured.append(
             {"body": body, "auth": self.headers.get("Authorization")}
         )
-        if type(self).fail_first > 0:
+        if type(self).ok_first > 0:
+            type(self).ok_first -= 1
+        elif type(self).fail_first > 0:
             type(self).fail_first -= 1
             self.send_response(type(self).fail_status)
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         payload = json.dumps(type(self).reply).encode()
@@ -342,7 +350,7 @@ class TestChatClient:
         server, handler = capture_server
         monkeypatch.setenv("DEIDKIT_API_KEY", "sk-test")
         client = self.make_client(server)
-        out = client.complete([ChatMessage("user", "hello")], max_tokens=32)
+        out = client.complete([{"role": "user", "content": "hello"}], max_tokens=32)
         assert out == "ok"
         sent = handler.captured[0]
         assert sent["body"]["model"] == "test-model"
@@ -356,7 +364,7 @@ class TestChatClient:
         handler.fail_first = 2
         client = self.make_client(server, max_retries=3)
         client._backoff_base = 0.01
-        assert client.complete([ChatMessage("user", "x")]) == "ok"
+        assert client.complete([{"role": "user", "content": "x"}]) == "ok"
         assert len(handler.captured) == 3
 
     def test_transport_error_after_max_retries(self, capture_server):
@@ -365,19 +373,19 @@ class TestChatClient:
         client = self.make_client(server, max_retries=1)
         client._backoff_base = 0.01
         with pytest.raises(TransportError):
-            client.complete([ChatMessage("user", "x")])
+            client.complete([{"role": "user", "content": "x"}])
 
     def test_unreachable_endpoint(self):
         client = ChatClient(base_url="http://127.0.0.1:1/v1", model="m", max_retries=0)
         with pytest.raises(TransportError):
-            client.complete([ChatMessage("user", "x")])
+            client.complete([{"role": "user", "content": "x"}])
 
     def test_non_retryable_status_fails_after_one_request(self, capture_server):
         server, handler = capture_server
         handler.fail_first, handler.fail_status = 10, 401
         client = self.make_client(server, max_retries=3)
         with pytest.raises(TransportError, match="HTTP 401"):
-            client.complete([ChatMessage("user", "x")])
+            client.complete([{"role": "user", "content": "x"}])
         assert len(handler.captured) == 1
 
     def test_reply_without_choices_is_empty_completion(self, capture_server):
@@ -385,7 +393,7 @@ class TestChatClient:
         handler.reply = {"choices": []}
         client = self.make_client(server, max_retries=3)
         with pytest.raises(EmptyCompletion, match="malformed completion payload"):
-            client.complete([ChatMessage("user", "x")])
+            client.complete([{"role": "user", "content": "x"}])
         assert len(handler.captured) == 1
 
     def test_empty_completion_detected(self):
@@ -399,7 +407,7 @@ class TestChatClient:
     def test_usage_accumulates(self, capture_server):
         server, handler = capture_server
         client = self.make_client(server)
-        client.complete([ChatMessage("user", "h" * 40)])
+        client.complete([{"role": "user", "content": "h" * 40}])
         assert client.estimated_input_tokens == 10
         assert client.estimated_output_tokens >= 1
 
@@ -407,7 +415,7 @@ class TestChatClient:
         server, handler = keepalive_server
         client = self.make_client(server)
         for _ in range(5):
-            assert client.complete([ChatMessage("user", "x")]) == "ok"
+            assert client.complete([{"role": "user", "content": "x"}]) == "ok"
         client.close()
         assert len(handler.captured) == 5
         assert handler.connections == 1
@@ -417,7 +425,7 @@ class TestChatClient:
         handler.drop_after_reply = True
         client = self.make_client(server, max_retries=0)
         for _ in range(5):
-            assert client.complete([ChatMessage("user", "x")]) == "ok"
+            assert client.complete([{"role": "user", "content": "x"}]) == "ok"
         client.close()
         assert len(handler.captured) == 5
         assert handler.connections == 5
@@ -428,8 +436,25 @@ class TestChatClient:
             base_url=f"https://127.0.0.1:{server.server_address[1]}/v1", model="m", max_retries=0
         )
         with pytest.raises(TransportError):
-            client.complete([ChatMessage("user", "x")])
+            client.complete([{"role": "user", "content": "x"}])
         assert handler.captured == []
+
+    def test_failing_stage_closes_its_connections(
+        self, keepalive_server, fixture_paths, tmp_path, capsys
+    ):
+        # The suite's ResourceWarning filter fails a connection left open.
+        server, handler = keepalive_server
+        handler.ok_first, handler.fail_first, handler.fail_status = 1, 10**6, 401
+        code = main([
+            "verify", "--in", str(fixture_paths["corpus"]), "--spans", str(fixture_paths["gold"]),
+            "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1", "--jobs", "2",
+            "--out", str(tmp_path / "kept.json"),
+        ])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("transport error:"), lines
+        assert "HTTP 401" in lines[0]
+        assert 1 <= handler.connections <= 2
 
     def test_non_http_base_url_exits_1(self, fixture_paths, tmp_path, capsys):
         code = main([
@@ -451,7 +476,7 @@ def test_token_bucket_waits_once_its_minute_is_spent(monkeypatch):
         clock[0] += seconds
 
     fake_time = types.SimpleNamespace(monotonic=lambda: clock[0], sleep=sleep)
-    monkeypatch.setattr(detect, "time", fake_time)
+    monkeypatch.setattr(llm, "time", fake_time)
     bucket = _TokenBucket(per_minute=60)
     for _ in range(60):
         bucket.acquire()

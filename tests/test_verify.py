@@ -69,24 +69,24 @@ class TestParseVerdict:
 class TestVerifierMessages:
     def test_without_cot_wording(self):
         messages = build_verifier_messages("Newton", "some context", VerifierVariant.WITHOUT_COT)
-        assert messages[1].content == USER_TEMPLATE_WITHOUT_COT.format(
+        assert messages[1]["content"] == USER_TEMPLATE_WITHOUT_COT.format(
             entity="Newton", context="some context"
         )
-        assert "only output T or F" in messages[1].content
+        assert "only output T or F" in messages[1]["content"]
 
     def test_with_cot_wording(self):
         messages = build_verifier_messages("Newton", "some context", VerifierVariant.WITH_COT)
-        assert messages[1].content == USER_TEMPLATE_WITH_COT.format(
+        assert messages[1]["content"] == USER_TEMPLATE_WITH_COT.format(
             entity="Newton", context="some context"
         )
-        assert "step-by-step" in messages[1].content
+        assert "step-by-step" in messages[1]["content"]
 
     @pytest.mark.parametrize("variant", list(VerifierVariant))
     @pytest.mark.parametrize("mode,verdict", [("echo-gold", "T"), ("deny-all", "F")])
     def test_mock_endpoint_answers_both_variants(self, variant, mode, verdict):
         # The mock tells verification from detection requests by the prompt head.
         messages = build_verifier_messages("Newton", "some context", variant)
-        body = {"messages": [{"role": m.role, "content": m.content} for m in messages]}
+        body = {"messages": messages}
         assert MockLlm(mode, {}).respond(body) == verdict
 
 
@@ -129,7 +129,7 @@ class TestVerifySpans:
 
         for doc_id, doc in mini_docs.items():
             def oracle(messages, _gold=gold_surfaces[doc_id]):
-                content = messages[-1].content
+                content = messages[-1]["content"]
                 entity = content.split("Determine if ", 1)[1].split(
                     " is a privately identifiable information", 1
                 )[0]
