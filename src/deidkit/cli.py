@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
@@ -231,12 +232,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_split(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
     gold = corpus.read_standoff(args.gold) if args.gold else {}
-    entity_counts: dict[str, dict[str, int]] = {doc_id: {} for doc_id in docs}
-    for doc_id, spans in gold.items():
-        counts: dict[str, int] = {}
-        for span in spans:
-            counts[span.category.value] = counts.get(span.category.value, 0) + 1
-        entity_counts[doc_id] = counts
+    _check_span_documents(args.gold, gold, docs)
+    entity_counts = {d: Counter(s.category.value for s in gold.get(d, ())) for d in docs}
     ratios = tuple(float(x) for x in args.ratios.split(","))
     if len(ratios) != 3:
         raise CliError("--ratios needs three comma-separated numbers")
@@ -260,15 +257,11 @@ def _select_ids(docs: dict[str, Document], args: argparse.Namespace) -> list[str
     return sorted(docs)
 
 
-def _check_known_document(path: str, doc_id: str, docs: Mapping[str, Document]) -> None:
-    if doc_id not in docs:
-        raise CliError(f"{path}: spans reference unknown document {doc_id!r}")
-
-
 def _check_span_documents(path: str, spans_by_doc: Mapping, docs: Mapping[str, Document]) -> None:
     """Every span names a known document and fits its text, before any of it is used."""
     for doc_id, spans in spans_by_doc.items():
-        _check_known_document(path, doc_id, docs)
+        if doc_id not in docs:
+            raise CliError(f"{path}: spans reference unknown document {doc_id!r}")
         try:
             corpus.validate_spans(docs[doc_id].text, spans)
         except CorpusError as exc:
@@ -279,10 +272,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
     ids = _select_ids(docs, args)
 
-    pools = load_name_pools(args.pools) if args.pools else None
     detector_name = args.detector or "rules"
     if detector_name not in _DETECTORS:
         raise CliError(f"unknown detector {detector_name!r}")
+    pools = load_name_pools(args.pools) if args.pools and detector_name == "rules" else None
     mode = detector_name.removeprefix("llm-")
     with (nullcontext() if detector_name == "rules" else _build_client(args)) as client:
         def detect_one(doc_id: str) -> list[Span]:
@@ -322,11 +315,11 @@ def _cmd_replace(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
     pools = load_name_pools(args.pools) if args.pools else None
 
-    spans_by_doc = corpus.read_spans(args.spans) if args.spans else {}
-    # A span entry for a document missing from --in would never be applied.
-    # Span validity is left to apply_hips, which sorts the spans first.
-    for doc_id in spans_by_doc:
-        _check_known_document(args.spans, doc_id, docs)
+    spans_by_doc = {
+        doc_id: sorted(spans, key=lambda s: (s.start, s.end))  # apply_hips's order
+        for doc_id, spans in (corpus.read_spans(args.spans) if args.spans else {}).items()
+    }
+    _check_span_documents(args.spans, spans_by_doc, docs)
 
     if args.group:
         gender, _, culture = args.group.partition(":")
@@ -349,7 +342,7 @@ def _cmd_replace(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 pools=pools,
             )
-        except (CorpusError, HipsError) as exc:  # a span that does not fit or has no surrogate
+        except HipsError as exc:  # a span that has no surrogate
             # A group the pools lack is the pools file's fault, not the span file's.
             source = args.pools if isinstance(exc, EmptyGroup) else args.spans
             raise CliError(f"{source}: document {doc_id!r}: {exc}") from exc
@@ -448,7 +441,7 @@ def _cmd_make_finetune(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
     gold = corpus.read_standoff(args.gold)
     ids = _select_ids(docs, args)
-    _check_span_documents(args.gold, {i: gold[i] for i in ids if i in gold}, docs)
+    _check_span_documents(args.gold, gold, docs)
     # A document with no text has nothing to label, and an empty target teaches nothing.
     count = detect.write_finetune_file(
         args.out, ((docs[i], gold.get(i, [])) for i in ids if docs[i].text.strip())
@@ -462,6 +455,7 @@ def _cmd_make_verifier_data(args: argparse.Namespace) -> int:
     gold = corpus.read_standoff(args.gold)
     detections = corpus.read_standoff(args.detections)
     _check_span_documents(args.detections, detections, docs)
+    _check_span_documents(args.gold, gold, docs)
     variant = VerifierVariant(args.variant)
     with (_build_client(args) if variant is VerifierVariant.WITH_COT else nullcontext()) as client:
         examples = build_verifier_dataset(detections, gold, docs, variant, client=client)
@@ -478,6 +472,7 @@ def _cmd_mock_llm(args: argparse.Namespace) -> int:
     if args.corpus:
         docs = _load_docs(args.corpus)
         gold = corpus.read_standoff(args.gold) if args.gold else {}
+        _check_span_documents(args.gold, gold, docs)
         for doc_id, doc in docs.items():
             gold_by_text[doc.text] = gold.get(doc_id, [])
     mock = mockllm.MockLlm(args.mode, gold_by_text, seed=args.seed)

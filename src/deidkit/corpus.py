@@ -45,42 +45,7 @@ _TSCC_LINE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_ -]*):\s?(.*)$")
 
 
 class CorpusError(ValueError):
-    """Base class for corpus validation failures."""
-
-
-class LengthMismatch(CorpusError):
-    pass
-
-
-class ReconstructionMismatch(CorpusError):
-    def __init__(self, document_id: str, offset: int):
-        self.document_id = document_id
-        self.offset = offset
-        super().__init__(
-            f"document {document_id!r}: reconstructed text diverges from "
-            f"full_text at offset {offset}"
-        )
-
-
-class MalformedBIO(CorpusError):
-    def __init__(self, index: int, label: str):
-        self.index = index
-        self.label = label
-        super().__init__(f"label {label!r} at token index {index} continues no open entity")
-
-
-class MalformedLine(CorpusError):
-    def __init__(self, lineno: int, line: str):
-        self.lineno = lineno
-        super().__init__(f"line {lineno} does not match 'role: text': {line!r}")
-
-
-class InfeasibleStratification(CorpusError):
-    pass
-
-
-class OverlappingSpans(CorpusError):
-    pass
+    """A corpus validation failure."""
 
 
 @dataclass(frozen=True)
@@ -156,7 +121,7 @@ def reconstruct_text(rec: TokenRecord) -> str:
     """
     n = len(rec.tokens)
     if len(rec.labels) != n or len(rec.trailing_whitespace) != n:
-        raise LengthMismatch(
+        raise CorpusError(
             f"document {rec.document_id!r}: tokens={n} labels={len(rec.labels)} "
             f"trailing_whitespace={len(rec.trailing_whitespace)}"
         )
@@ -171,12 +136,19 @@ def reconstruct_text(rec: TokenRecord) -> str:
             (i for i, (a, b) in enumerate(zip(text, rec.full_text)) if a != b),
             min(len(text), len(rec.full_text)),
         )
-        raise ReconstructionMismatch(rec.document_id, offset)
+        raise CorpusError(
+            f"document {rec.document_id!r}: reconstructed text diverges from "
+            f"full_text at offset {offset}"
+        )
     return text
 
 
 def _canonical_category(tag: str) -> str:
     return LABEL_ALIASES.get(tag, tag)
+
+
+def _malformed_bio(index: int, label: str) -> CorpusError:
+    return CorpusError(f"label {label!r} at token index {index} continues no open entity")
 
 
 def bio_to_spans(rec: TokenRecord, strict: bool = False) -> BioConversion:
@@ -208,7 +180,7 @@ def bio_to_spans(rec: TokenRecord, strict: bool = False) -> BioConversion:
             continue
 
         if len(label) < 3 or label[1] != "-" or label[0] not in "BI":
-            raise MalformedBIO(i, label)
+            raise _malformed_bio(i, label)
         prefix, raw_cat = label[0], label[2:]
         cat = _canonical_category(raw_cat)
 
@@ -219,7 +191,7 @@ def bio_to_spans(rec: TokenRecord, strict: bool = False) -> BioConversion:
         if prefix == "I":
             # I after O or after a different category.
             if strict:
-                raise MalformedBIO(i, label)
+                raise _malformed_bio(i, label)
             result.repaired_continuations += 1
             prefix = "B"
 
@@ -257,7 +229,7 @@ def validate_spans(text: str, spans: Sequence[Span]) -> None:
         if span.start < prev_start:
             raise CorpusError("spans are not sorted by start")
         if span.start < prev_end:
-            raise OverlappingSpans(f"span {span} overlaps previous span ending at {prev_end}")
+            raise CorpusError(f"span {span} overlaps previous span ending at {prev_end}")
         prev_start, prev_end = span.start, span.end
 
 
@@ -273,7 +245,7 @@ def ingest_tscc(transcript: str, document_id: str) -> tuple[Document, list[Span]
         if not line.strip():
             continue
         if not _TSCC_LINE_RE.match(line):
-            raise MalformedLine(lineno, line)
+            raise CorpusError(f"line {lineno} does not match 'role: text': {line!r}")
         kept.append(line)
 
     text = "\n".join(kept)
@@ -303,7 +275,7 @@ def split_corpus(
     going to test. When ``stratify`` is set, every category whose corpus
     total is at least 3 is guaranteed at least one gold entity in every
     split; a category concentrated in fewer than 3 documents makes that
-    impossible and raises InfeasibleStratification.
+    impossible and raises CorpusError.
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise CorpusError(f"ratios {ratios} do not sum to 1")
@@ -341,7 +313,7 @@ def split_corpus(
             if totals[cat] < 3:
                 continue  # the guarantee only applies from 3 entities up
             if len(carriers[cat]) < 3:
-                raise InfeasibleStratification(
+                raise CorpusError(
                     f"category {cat} has {totals[cat]} entities in only "
                     f"{len(carriers[cat])} documents; cannot cover 3 splits"
                 )
@@ -353,12 +325,12 @@ def split_corpus(
                 ):
                     continue
                 if sizes[split_idx] >= targets[split_idx]:
-                    raise InfeasibleStratification(
+                    raise CorpusError(
                         f"split {split_idx} is full before category {cat} could be placed"
                     )
                 picked = next((d for d in carriers[cat] if d not in assigned), None)
                 if picked is None:
-                    raise InfeasibleStratification(
+                    raise CorpusError(
                         f"no unassigned document carries category {cat} for split {split_idx}"
                     )
                 assigned[picked] = split_idx
@@ -400,7 +372,7 @@ def write_json(path: str | Path, payload: Any) -> None:
 
 
 def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[T]:
-    """Yield ``parse(obj)`` per non-blank line; a CorpusError from ``parse`` keeps its class."""
+    """Yield ``parse(obj)`` per non-blank line; a fault is a CorpusError naming the line."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -414,8 +386,7 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[T]:
             except TypeError as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
             except CorpusError as exc:
-                exc.args = (f"{path}:{lineno}: {exc}",)
-                raise
+                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
             yield item
 
 

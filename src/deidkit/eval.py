@@ -22,7 +22,6 @@ __all__ = [
     "Demographic",
     "BiasReport",
     "CostLedger",
-    "MissingDemographic",
     "match_spans",
     "f_beta",
     "metrics_from_counts",
@@ -34,10 +33,6 @@ __all__ = [
     "load_surname_table",
     "render_metrics_table",
 ]
-
-
-class MissingDemographic(ValueError):
-    pass
 
 
 @dataclass
@@ -243,7 +238,7 @@ class BiasReport:
         }
 
 
-def bias_report(entries: Iterable[tuple[Demographic | None, bool]]) -> BiasReport:
+def bias_report(entries: Iterable[tuple[Demographic, bool]]) -> BiasReport:
     """Recall per gender and per culture over gold name entities.
 
     Each entry pairs a gold name's demographic with whether the model matched
@@ -259,8 +254,6 @@ def bias_report(entries: Iterable[tuple[Demographic | None, bool]]) -> BiasRepor
     known = 0
 
     for demographic, matched in entries:
-        if demographic is None:
-            raise MissingDemographic("every gold name span needs a Demographic")
         total += 1
         matched_total += int(matched)
         if demographic.gender != UNKNOWN and demographic.culture != UNKNOWN:

@@ -3,9 +3,11 @@ from __future__ import annotations
 import argparse
 import ast
 import hashlib
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import deidkit
 from deidkit import cli, codec, corpus, mockllm
 from deidkit.cli import main
 
@@ -421,6 +424,22 @@ class TestReplaceCommand:
         digest = hashlib.sha256(anon.read_bytes() + audit.read_bytes()).hexdigest()
         assert digest == self.STREAM_SHA256[(source, seed)]
 
+    def test_replace_sorts_spans_before_checking_them(self, fixture_paths, tmp_path):
+        entries = json.loads(fixture_paths["gold"].read_text(encoding="utf-8"))
+        mixed = next(e for e in entries if e["document"] == "mixed")
+        assert len(mixed["spans"]) == 3
+        mixed["spans"].reverse()
+        reversed_spans = tmp_path / "reversed.json"
+        reversed_spans.write_text(json.dumps(entries), encoding="utf-8")
+        outputs = []
+        for spans in (fixture_paths["gold"], reversed_spans):
+            anon, audit = tmp_path / f"{spans.stem}.anon.jsonl", tmp_path / f"{spans.stem}.audit.jsonl"
+            assert run_cli("replace", "--in", str(fixture_paths["corpus"]), "--spans", str(spans),
+                           "--pools", str(fixture_paths["pools"]),
+                           "--out-docs", str(anon), "--out-audit", str(audit)) == 0
+            outputs.append((anon.read_bytes(), audit.read_bytes()))
+        assert outputs[0] == outputs[1]
+
 
 class TestUtilityCommands:
     def test_simulate_leakage_matches_closed_form(self, tmp_path, capsys):
@@ -543,6 +562,33 @@ class TestUtilityCommands:
         assert code == 0
         pred = corpus.read_standoff(out)
         assert any(s.category.value == "NAME_STUDENT" for s in pred["379"])
+
+    def test_only_the_rules_detector_loads_the_pools(
+        self, fixture_paths, mini_docs, mini_gold, tmp_path, monkeypatch
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"pools": str(fixture_paths["pools"])}), encoding="utf-8")
+        loaded: list[str] = []
+        load = cli.load_name_pools
+        monkeypatch.setattr(cli, "load_name_pools", lambda path: loaded.append(path) or load(path))
+        argv = ["--config", str(config), "detect", "--in", str(fixture_paths["corpus"])]
+        server = mockllm.make_server(
+            mockllm.MockLlm("echo-gold", {d.text: mini_gold.get(d.id, []) for d in mini_docs.values()})
+        )
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            out = tmp_path / "llm.json"
+            assert run_cli(*argv, "--detector", "llm-finetuned", "--out", str(out),
+                           "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1") == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert loaded == []
+        # The manifest records the inputs the run was given, used or not.
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+        assert str(fixture_paths["pools"]) in manifest["inputs"]
+        assert run_cli(*argv, "--detector", "rules", "--out", str(tmp_path / "rules.json")) == 0
+        assert loaded == [str(fixture_paths["pools"])]
 
     def test_pricing_config_emits_cost_ledger(self, fixture_paths, tmp_path):
         config = tmp_path / "run.json"
@@ -733,6 +779,11 @@ class TestJobs:
 _UNKNOWN_DOCUMENT_SPANS = (
     '[{"document": "nope", "spans": [{"start": 0, "end": 2, "category": "EMAIL", "text": "hi"}]}]'
 )
+# Document 379 reads "Hi John Doe. ..."; this span's surface differs from text[3:11].
+_SURFACE_DIFFERS_SPANS = (
+    '[{"document": "379", "spans": [{"start": 3, "end": 11, "category": "NAME_STUDENT", '
+    '"text": "Jane Roe"}]}]'
+)
 _VERIFY = ["verify", "--in", "{corpus}", "--spans", "{gold}", "--base-url", "http://127.0.0.1:1/v1"]
 
 # Each case: the content of the malformed file and the command that reads it,
@@ -795,9 +846,25 @@ _MALFORMED_INPUTS = {
         '"text": "zzz"}]}]',
         ["verify", "--in", "{corpus}", "--spans", "{bad}", "--base-url", "http://127.0.0.1:1/v1"]),
     "make-verifier-data-span-surface-differs": (
-        '[{"document": "379", "spans": [{"start": 3, "end": 11, "category": "NAME_STUDENT", '
-        '"text": "Jane Roe"}]}]',
+        _SURFACE_DIFFERS_SPANS,
         ["make-verifier-data", "--in", "{corpus}", "--gold", "{gold}", "--detections", "{bad}"]),
+    "make-finetune-gold-unknown-document": (
+        _UNKNOWN_DOCUMENT_SPANS, ["make-finetune", "--in", "{corpus}", "--gold", "{bad}"]),
+    "make-verifier-data-gold-unknown-document": (
+        _UNKNOWN_DOCUMENT_SPANS,
+        ["make-verifier-data", "--in", "{corpus}", "--gold", "{bad}", "--detections", "{gold}"]),
+    "make-verifier-data-gold-span-surface-differs": (
+        _SURFACE_DIFFERS_SPANS,
+        ["make-verifier-data", "--in", "{corpus}", "--gold", "{bad}", "--detections", "{gold}"]),
+    # A split naming a document outside --in would break every later --split-file run.
+    "split-gold-unknown-document": (
+        '[{"document": "ghost", "spans": []}]', ["split", "--in", "{corpus}", "--gold", "{bad}"]),
+    "split-gold-span-surface-differs": (
+        _SURFACE_DIFFERS_SPANS, ["split", "--in", "{corpus}", "--gold", "{bad}"]),
+    # Checked before the mock listens, so the fault is not served as HTTP 400s.
+    "mock-llm-gold-span-surface-differs": (
+        _SURFACE_DIFFERS_SPANS,
+        ["mock-llm", "--mode", "echo-gold", "--corpus", "{corpus}", "--gold", "{bad}"]),
     "split-file-unknown-document": (
         '{"test": ["nope"]}',
         ["detect", "--detector", "rules", "--in", "{corpus}", "--split-file", "{bad}"]),
@@ -817,11 +884,13 @@ def test_malformed_input_is_one_line_error(fixture_paths, tmp_path, capsys, case
     bad.write_text(content, encoding="utf-8")
     names = {k: str(v) for k, v in fixture_paths.items()} | {"bad": str(bad)}
     argv = [arg.format(**names) for arg in template]
-    if "replace" not in argv:  # replace names its own outputs; it has no --out
-        argv += ["--out", str(tmp_path / "out.json")]
+    out = tmp_path / "out.json"
+    if "replace" not in argv and "mock-llm" not in argv:  # neither has an --out
+        argv += ["--out", str(out)]
     code = run_cli(*argv)
     err = capsys.readouterr().err
     assert code == 1
+    assert not out.exists()
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
@@ -1194,3 +1263,19 @@ def test_transport_lives_in_one_module():
                     importers[name].add(path.name)
     assert importers == {"http.client": {"llm.py"}, "ssl": {"llm.py"}, "http.server": {"mockllm.py"}}
     assert completers == {"llm.py"}
+
+
+def test_one_error_class_per_module():
+    # The CLI tells only a validation fault (exit 1) from a transport fault
+    # (exit 2); a subclass stays only where a caller tells it apart.
+    defined = set()
+    for info in pkgutil.iter_modules(deidkit.__path__):
+        module = importlib.import_module(f"deidkit.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                defined.add(f"{info.name}.{name}")
+    assert defined == {
+        "corpus.CorpusError", "cli.CliError", "hips.HipsError", "hips.EmptyGroup",
+        "llm.TransportError", "llm.EmptyCompletion",
+    }

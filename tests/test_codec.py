@@ -17,7 +17,7 @@ from deidkit.codec import (
     encode,
     strip_markers,
 )
-from deidkit.corpus import Category, Document, OverlappingSpans, Span
+from deidkit.corpus import Category, CorpusError, Document, Span
 
 TABLE_DOC = Document("379", "Hi John Doe. Tel: (555)555-5555", "crapii")
 TABLE_SPANS = [
@@ -163,7 +163,7 @@ class TestEncode:
             Span(0, 3, Category.NAME_STUDENT, "abc"),
             Span(2, 4, Category.EMAIL, "cd"),
         ]
-        with pytest.raises(OverlappingSpans):
+        with pytest.raises(CorpusError, match="overlaps previous span"):
             encode(doc, spans)
 
     def test_marker_collision_skips_region_by_default(self):

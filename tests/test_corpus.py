@@ -9,11 +9,6 @@ import minicorpus
 from deidkit.corpus import (
     Category,
     CorpusError,
-    InfeasibleStratification,
-    LengthMismatch,
-    MalformedBIO,
-    MalformedLine,
-    ReconstructionMismatch,
     Span,
     TokenRecord,
     bio_to_spans,
@@ -97,14 +92,13 @@ class TestReconstructText:
             assert reconstruct_text(rec) == naive_join(tokens, trailing)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(CorpusError, match="tokens=2 labels=1"):
             reconstruct_text(TokenRecord("x", ["a", "b"], ["O"], [True, False]))
 
     def test_reconstruction_mismatch_reports_offset(self):
         rec = TokenRecord("x", ["ab", "cd"], ["O", "O"], [True, False], full_text="ab xd")
-        with pytest.raises(ReconstructionMismatch) as excinfo:
+        with pytest.raises(CorpusError, match="at offset 3$"):
             reconstruct_text(rec)
-        assert excinfo.value.offset == 3
 
 
 class TestBioToSpans:
@@ -133,9 +127,8 @@ class TestBioToSpans:
 
     def test_strict_raises_on_bare_continuation(self):
         rec = TokenRecord("x", ["a", "b"], ["O", "I-EMAIL"], [True, False])
-        with pytest.raises(MalformedBIO) as excinfo:
+        with pytest.raises(CorpusError, match="at token index 1 "):
             bio_to_spans(rec, strict=True)
-        assert excinfo.value.index == 1
 
     def test_category_switch_closes_run(self):
         rec = TokenRecord(
@@ -250,7 +243,7 @@ class TestSplitCorpus:
         counts = {f"d{i}": {} for i in range(30)}
         counts["d0"] = {"EMAIL": 4}
         counts["d1"] = {"EMAIL": 2}
-        with pytest.raises(InfeasibleStratification):
+        with pytest.raises(CorpusError, match="in only 2 documents"):
             split_corpus(counts, seed=0)
 
     def test_bad_ratios_rejected(self):
@@ -281,9 +274,8 @@ class TestIngestTscc:
         assert not spans[0].category.name_kind
 
     def test_malformed_line(self):
-        with pytest.raises(MalformedLine) as excinfo:
+        with pytest.raises(CorpusError, match="^line 2 "):
             ingest_tscc("teacher: hello\njust text without a role", "t4")
-        assert excinfo.value.lineno == 2
 
     def test_sample_transcript(self, fixture_paths):
         doc, spans = ingest_tscc(
@@ -322,10 +314,10 @@ def test_read_documents_names_the_line_and_keeps_the_error_class(tmp_path):
         "document": "d", "tokens": ["hi"], "labels": ["O"],
         "trailing_whitespace": [False], "full_text": "ho",
     }) + "\n", encoding="utf-8")
-    with pytest.raises(ReconstructionMismatch) as excinfo:
+    with pytest.raises(CorpusError) as excinfo:
         read_documents(path)
     assert str(excinfo.value).startswith(f"{path}:2: document 'd'")
-    assert excinfo.value.offset == 1
+    assert str(excinfo.value).endswith("at offset 1")
 
 
 def test_read_documents_accepts_both_schemas(fixture_paths, tmp_path):

@@ -10,7 +10,6 @@ from deidkit.corpus import Category, Span
 from deidkit.eval import (
     ConfusionCounts,
     Demographic,
-    MissingDemographic,
     bias_report,
     cost_summary,
     evaluate_documents,
@@ -242,10 +241,6 @@ class TestBias:
         report = bias_report(entries)
         assert report.gender_totals == {"Male": 2}
         assert report.coverage == pytest.approx(2 / 3)
-
-    def test_missing_demographic_rejected(self):
-        with pytest.raises(MissingDemographic):
-            bias_report([(None, True)])
 
 
 @pytest.fixture(scope="module")
