@@ -31,13 +31,13 @@ from .eval import (
     cost_summary,
     evaluate_documents,
     load_gender_table,
+    load_region_table,
     load_surname_table,
     parse_and_map_name,
     render_metrics_table,
 )
 from .hips import (
-    EmptyGroup, HipsError, apply_hips, assign_groups, load_name_pools, load_region_table,
-    simulate_leakage,
+    EmptyGroup, HipsError, apply_hips, assign_groups, load_name_pools, simulate_leakage,
 )
 from .llm import ChatClient, TransportError
 from .verify import VerifierVariant, build_verifier_dataset, verify_spans, write_verifier_training_file
@@ -468,6 +468,8 @@ def _cmd_make_verifier_data(args: argparse.Namespace) -> int:
 def _cmd_mock_llm(args: argparse.Namespace) -> int:
     if not 0 <= args.port <= 65535:
         raise CliError(f"--port must be between 0 and 65535, not {args.port}")
+    if args.gold and not args.corpus:
+        raise CliError(f"--gold {args.gold} needs --corpus, the documents its spans belong to")
     gold_by_text: dict[str, list[Span]] = {}
     if args.corpus:
         docs = _load_docs(args.corpus)

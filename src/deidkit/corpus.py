@@ -493,7 +493,10 @@ def _document(obj: Mapping) -> Document:
     if "tokens" in obj:
         rec = _token_record(obj)
         return Document(rec.document_id, reconstruct_text(rec), "crapii")
-    return Document(str(obj["id"]), obj["text"], obj.get("source", "raw"))
+    text = obj["text"]
+    if not isinstance(text, str):
+        raise CorpusError(f"document text must be a string, not {type(text).__name__}")
+    return Document(str(obj["id"]), text, obj.get("source", "raw"))
 
 
 def read_documents(path: str | Path) -> list[Document]:

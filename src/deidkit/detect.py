@@ -88,7 +88,11 @@ _URL_RES = (
     re.compile(r"\bwww\.[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+(?:/[^\s<>\"']*)?"),
 )
 _TRAILING_PUNCT = ".,;:!?)]}\"'"
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z'\-]*")
+# A word is a run of [A-Za-z'-] from its first letter on; group 1 is a word
+# whose first letter is a capital (lowercase mentions are not name evidence).
+# The lookbehind puts the match at the start of the run, so only ' and - may
+# precede that letter: "a-Bob" holds no capitalised word, "-Bob" holds "Bob".
+_CAPITALISED_WORD_RE = re.compile(r"(?<![A-Za-z'\-])[\-']*([A-Z][A-Za-z'\-]*)")
 
 
 def _pattern_candidates(text: str) -> list[Span]:
@@ -109,13 +113,8 @@ def _pattern_candidates(text: str) -> list[Span]:
 
 
 def _gazetteer_candidates(text: str, pools: NamePool) -> list[Span]:
-    first = {n.lower() for n in pools.all_first_names()}
-    last = {n.lower() for n in pools.all_last_names()}
-    words = [
-        (m.start(), m.end(), m.group(0))
-        for m in _WORD_RE.finditer(text)
-        if m.group(0)[0].isupper()  # lowercase mentions are not name evidence
-    ]
+    first, last = pools.lowercase_names
+    words = [(m.start(1), m.end(1), m.group(1)) for m in _CAPITALISED_WORD_RE.finditer(text)]
     found: list[Span] = []
     for i, (start, end, word) in enumerate(words):
         if i + 1 < len(words):

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Category, CorpusError, Span, read_csv
-from .hips import CULTURES, map_country_to_culture
+from .hips import CULTURES
 
 __all__ = [
     "ConfusionCounts",
@@ -31,6 +31,8 @@ __all__ = [
     "cost_summary",
     "load_gender_table",
     "load_surname_table",
+    "load_region_table",
+    "map_country_to_culture",
     "render_metrics_table",
 ]
 
@@ -183,6 +185,18 @@ def load_gender_table(path: str | Path) -> dict[str, str]:
 
 def load_surname_table(path: str | Path) -> dict[str, str]:
     return _load_argmax_table(path, "surname", "country")
+
+
+def load_region_table(path: str | Path) -> dict[str, str]:
+    """Load the country,region CSV that maps countries onto the five regions."""
+    return {
+        row["country"].strip().lower(): row["region"].strip()
+        for row in read_csv(path, ("country", "region"))
+    }
+
+
+def map_country_to_culture(country: str, region_table: Mapping[str, str]) -> str:
+    return region_table.get(country.strip().lower(), UNKNOWN)
 
 
 def parse_and_map_name(

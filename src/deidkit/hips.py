@@ -13,8 +13,9 @@ import hashlib
 import random
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .corpus import (
     Category,
@@ -61,11 +62,18 @@ class NamePool:
             raise EmptyGroup(*group)
         return names
 
-    def all_first_names(self) -> list[str]:
-        return [n for firsts, _ in self.groups.values() for n in firsts]
+    @cached_property
+    def lowercase_names(self) -> tuple[frozenset[str], frozenset[str]]:
+        """Every first and every last name, lowercased.
 
-    def all_last_names(self) -> list[str]:
-        return [n for _, lasts in self.groups.values() for n in lasts]
+        Built on first use and kept for the pool's life, so ``groups`` must be
+        complete by then.
+        """
+        groups = self.groups.values()
+        return (
+            frozenset(n.lower() for firsts, _ in groups for n in firsts),
+            frozenset(n.lower() for _, lasts in groups for n in lasts),
+        )
 
 
 def load_name_pools(path: str | Path) -> NamePool:
@@ -85,18 +93,6 @@ def load_name_pools(path: str | Path) -> NamePool:
         firsts, lasts = pool.groups.setdefault(group, ([], []))
         (firsts if kind == "first" else lasts).append(name)
     return pool
-
-
-def load_region_table(path: str | Path) -> dict[str, str]:
-    """Load the country,region CSV that maps countries onto the five regions."""
-    return {
-        row["country"].strip().lower(): row["region"].strip()
-        for row in read_csv(path, ("country", "region"))
-    }
-
-
-def map_country_to_culture(country: str, region_table: Mapping[str, str]) -> str:
-    return region_table.get(country.strip().lower(), "Unknown")
 
 
 def assign_groups(transcript_ids: Sequence[str], seed: int) -> dict[str, tuple[str, str]]:

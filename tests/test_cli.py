@@ -793,6 +793,8 @@ _MALFORMED_INPUTS = {
         '{"text": "no id here"}\n', ["detect", "--detector", "rules", "--in", "{bad}"]),
     "documents-line-not-json": (
         '{"id": "a", "text": \n', ["detect", "--detector", "rules", "--in", "{bad}"]),
+    "documents-text-not-a-string": (
+        '{"id": "d", "text": 1.5}\n', ["detect", "--detector", "rules", "--in", "{bad}"]),
     "token-record-missing-trailing-whitespace": (
         '{"document": "d", "tokens": ["hi"], "labels": ["O"]}\n',
         ["detect", "--detector", "rules", "--in", "{bad}"]),
@@ -989,6 +991,17 @@ def test_mock_llm_port_out_of_range_is_one_line_error(capsys, port):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert "--port" in lines[0]
+
+
+def test_mock_llm_gold_without_corpus_is_one_line_error(fixture_paths, capsys):
+    # Checked before the mock listens, so run_cli returns instead of serving.
+    code = run_cli("mock-llm", "--mode", "echo-gold", "--gold", str(fixture_paths["gold"]))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "listening" not in captured.out
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "--gold" in lines[0] and "--corpus" in lines[0], lines[0]
 
 
 def test_bias_without_tables_names_the_missing_flag(fixture_paths, tmp_path, capsys):

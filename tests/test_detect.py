@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import threading
 import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from deidkit import codec, llm
 from deidkit.cli import main
@@ -16,6 +18,7 @@ from deidkit.detect import (
     FEWSHOT_TARGET_LEAD,
     FINETUNE_USER_INSTRUCTION,
     MARKER_LEGEND,
+    _CAPITALISED_WORD_RE,
     _resolve_overlaps,
     build_fewshot_messages,
     build_finetune_record,
@@ -110,6 +113,45 @@ class TestRuleDetect:
             second = rule_detect(doc, pools=pools)
             assert first == second
             contract_check(doc, first)
+
+    # A run of [A-Za-z'-] is one word from its first letter on, and it is name
+    # evidence only if that letter is a capital.
+    @pytest.mark.parametrize("text, names", [
+        ("met a-Dana today", []),
+        ("met aDana today", []),
+        ("met a--Dana today", []),
+        ("met -Dana today", ["Dana"]),
+        ("met 'Dana today", ["Dana"]),
+        ("met --'Maria Garcia today", ["Maria Garcia"]),
+        ("met O'Newton today", []),
+        ("met Mary-Jane today", []),
+        ("met Dana- today", []),
+        ("met Dana-", []),
+    ])
+    def test_word_boundaries(self, pools, text, names):
+        spans = rule_detect(Document("x", text), pools=pools)
+        assert [s.surface for s in spans] == names
+
+    def test_name_sets_are_built_once_per_pool(self, pools, mini_docs):
+        names = pools.lowercase_names
+        doc = mini_docs["379"]
+        rule_detect(doc, pools=pools)
+        rule_detect(doc, pools=pools)
+        assert pools.lowercase_names is names
+
+
+# The word scan before the capitalised-word regex: every word, then a filter.
+_REFERENCE_WORD_RE = re.compile(r"[A-Za-z][A-Za-z'\-]*")
+
+
+@seed(20251019)
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="aBz-' .\n9@é", max_size=40))
+def test_capitalised_words_are_the_words_that_start_upper(text):
+    expected = [
+        m.span() for m in _REFERENCE_WORD_RE.finditer(text) if m.group(0)[0].isupper()
+    ]
+    assert [m.span(1) for m in _CAPITALISED_WORD_RE.finditer(text)] == expected
 
 
 def all_pairs_overlaps(candidates: list[Span]) -> list[Span]:

@@ -15,13 +15,13 @@ from deidkit.eval import (
     evaluate_documents,
     f_beta,
     load_gender_table,
+    load_region_table,
     load_surname_table,
     match_spans,
     metrics_from_counts,
     parse_and_map_name,
     render_metrics_table,
 )
-from deidkit.hips import load_region_table
 
 NAME = Category.NAME_STUDENT
 EMAIL = Category.EMAIL

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deidkit.corpus import Category, Document, Placeholder, Span, ingest_tscc
+from deidkit.eval import load_region_table, map_country_to_culture
 from deidkit.hips import (
     ALL_GROUPS,
     EmptyGroup,
@@ -17,8 +18,6 @@ from deidkit.hips import (
     apply_hips,
     assign_groups,
     load_name_pools,
-    load_region_table,
-    map_country_to_culture,
     simulate_leakage,
     surrogate_for,
 )
