@@ -171,14 +171,21 @@ def _build_client(args: argparse.Namespace) -> ChatClient:
     return ChatClient(**fields)
 
 
-def _map_docs(
-    fn: Callable[[str], list[Span]], ids: Sequence[str], jobs: int
-) -> dict[str, list[Span]]:
-    """Run ``fn`` over document ids with at most ``jobs`` in flight."""
-    if jobs < 1:
-        raise CliError("--jobs must be >= 1")
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return dict(zip(ids, pool.map(fn, ids)))
+def _write_spans(
+    args: argparse.Namespace, ids: Sequence[str], per_doc: Callable[[str], list[Span]], client=None
+) -> None:
+    """Write ``--out`` from ``per_doc`` over ``ids``, at most ``--jobs`` in flight.
+
+    The first failure, in id order, cancels the documents not yet started and is
+    raised once the running ones finish, so nothing is written. ``client`` is
+    closed after the last document.
+    """
+    with client or nullcontext():
+        if args.jobs < 1:
+            raise CliError("--jobs must be >= 1")
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            spans = dict(zip(ids, pool.map(per_doc, ids)))
+    corpus.write_standoff(args.out, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +282,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     detector_name = args.detector or "rules"
     if detector_name not in _DETECTORS:
         raise CliError(f"unknown detector {detector_name!r}")
-    pools = load_name_pools(args.pools) if args.pools and detector_name == "rules" else None
-    mode = detector_name.removeprefix("llm-")
-    with (nullcontext() if detector_name == "rules" else _build_client(args)) as client:
-        def detect_one(doc_id: str) -> list[Span]:
-            if client is None:
-                return detect.rule_detect(docs[doc_id], pools=pools)
-            return detect.llm_detect(docs[doc_id], client, mode).spans
-
-        corpus.write_standoff(args.out, _map_docs(detect_one, ids, args.jobs))
-    if client is not None and args.pricing is not None:
+    if detector_name == "rules":
+        pools = load_name_pools(args.pools) if args.pools else None
+        _write_spans(args, ids, lambda i: detect.rule_detect(docs[i], pools=pools))
+        return 0
+    client, mode = _build_client(args), detector_name.removeprefix("llm-")
+    _write_spans(args, ids, lambda i: detect.llm_detect(docs[i], client, mode).spans, client)
+    if args.pricing is not None:
         tokens_in, tokens_out = client.estimated_input_tokens, client.estimated_output_tokens
         usd = tokens_in / 1e6 * args.pricing.get("usd_per_1m_input", 0.0) + (
             tokens_out / 1e6 * args.pricing.get("usd_per_1m_output", 0.0)
@@ -302,12 +306,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     client = _build_client(args)
     variant = VerifierVariant(args.variant)
     _check_span_documents(args.spans, detections, docs)
-
-    def verify_one(doc_id: str) -> list[Span]:
-        return verify_spans(docs[doc_id], detections[doc_id], client, variant)
-
-    with client:
-        corpus.write_standoff(args.out, _map_docs(verify_one, sorted(detections), args.jobs))
+    _write_spans(args, sorted(detections),
+                 lambda i: verify_spans(docs[i], detections[i], client, variant), client)
     return 0
 
 

@@ -409,13 +409,23 @@ def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str
         yield from reader
 
 
+def _list_of(obj: Mapping, key: str, kind: type) -> list:
+    value = obj[key]
+    if not isinstance(value, list) or not set(map(type, value)) <= {kind}:
+        raise CorpusError(f"{key} must be a list of {kind.__name__}")
+    return value
+
+
 def _token_record(obj: Mapping) -> TokenRecord:
+    full_text = obj.get("full_text")
+    if full_text is not None and not isinstance(full_text, str):
+        raise CorpusError(f"full_text must be a string or null, not {type(full_text).__name__}")
     return TokenRecord(
         document_id=str(obj["document"]),
-        tokens=list(obj["tokens"]),
-        labels=list(obj["labels"]),
-        trailing_whitespace=[bool(x) for x in obj["trailing_whitespace"]],
-        full_text=obj.get("full_text"),
+        tokens=_list_of(obj, "tokens", str),
+        labels=_list_of(obj, "labels", str),
+        trailing_whitespace=_list_of(obj, "trailing_whitespace", bool),
+        full_text=full_text,
     )
 
 
@@ -434,7 +444,11 @@ def _span_to_entry(span: Span) -> dict:
 
 
 def _entry_to_span(entry: Mapping) -> Span:
-    start, end, surface = int(entry["start"]), int(entry["end"]), entry["text"]
+    start, end, surface = entry["start"], entry["end"], entry["text"]
+    if type(start) is not int or type(end) is not int:  # a bool is an int, but no offset
+        raise CorpusError(f"span offsets must be integers, not {start!r} and {end!r}")
+    if not isinstance(surface, str):
+        raise CorpusError(f"span text must be a string, not {type(surface).__name__}")
     if "placeholder" in entry:
         category = Placeholder(entry["placeholder"], bool(entry["name_kind"]))
     else:

@@ -15,27 +15,6 @@ from typing import Iterable, Mapping, Sequence
 from .corpus import Category, CorpusError, Span, read_csv
 from .hips import CULTURES
 
-__all__ = [
-    "ConfusionCounts",
-    "CategoryMetrics",
-    "MetricsReport",
-    "Demographic",
-    "BiasReport",
-    "CostLedger",
-    "match_spans",
-    "f_beta",
-    "metrics_from_counts",
-    "evaluate_documents",
-    "bias_report",
-    "parse_and_map_name",
-    "cost_summary",
-    "load_gender_table",
-    "load_surname_table",
-    "load_region_table",
-    "map_country_to_culture",
-    "render_metrics_table",
-]
-
 
 @dataclass
 class ConfusionCounts:

@@ -6,6 +6,7 @@ the messages it is given as they are.
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import math
@@ -66,15 +67,16 @@ class ChatClient:
     """Thread-safe chat-completion client with rate limiting and retries.
 
     It does not cap concurrent requests itself: callers bound them by the
-    number of threads they run (the CLI's ``--jobs``). Each thread keeps one
-    keep-alive connection to the endpoint; leaving a ``with`` block closes
-    them all.
+    number of threads they run (the CLI's ``--jobs``). A request reuses an idle
+    keep-alive connection or opens one, so no more are open than requests were
+    in flight at once; leaving a ``with`` block closes them.
 
     Wire format: POST ``{base_url}/chat/completions`` with a JSON body of
     ``{model, messages, temperature[, max_tokens]}``, the temperature always
-    0; the completion is read from the first choice's message content. The
-    API key, when the ``api_key_env`` environment variable is set, travels as
-    a bearer token.
+    0; the completion is read from the first choice's message content, and a
+    choice cut at ``max_tokens`` (``finish_reason: "length"``) is an
+    ``EmptyCompletion``. The API key, when the ``api_key_env`` environment
+    variable is set, travels as a bearer token.
     """
 
     def __init__(
@@ -99,10 +101,11 @@ class ChatClient:
         self._model, self._api_key_env, self._max_retries = model, api_key_env, max_retries
         self._host, self._port = url.hostname, port
         self._path = url.path.rstrip("/") + "/chat/completions"
-        self._tls = ssl.create_default_context() if url.scheme == "https" else None
-        self._local = threading.local()
-        self._connections: list[http.client.HTTPConnection] = []
-        self._connections_lock = threading.Lock()
+        self._connect = http.client.HTTPConnection
+        if url.scheme == "https":
+            tls = ssl.create_default_context()
+            self._connect = functools.partial(http.client.HTTPSConnection, context=tls)
+        self._idle: list[http.client.HTTPConnection] = []
         self._bucket = _TokenBucket(requests_per_minute)
         self._backoff_base = 0.25
         self._usage_lock = threading.Lock()
@@ -115,39 +118,25 @@ class ChatClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            if self._tls is None:
-                conn = http.client.HTTPConnection(self._host, self._port, timeout=120)
-            else:
-                conn = http.client.HTTPSConnection(
-                    self._host, self._port, timeout=120, context=self._tls
-                )
-            self._local.conn = conn
-            with self._connections_lock:
-                self._connections.append(conn)
-        return conn
-
     def close(self) -> None:
-        """Close every thread's connection; call it once no request is in flight.
+        """Close the idle connections; call it once no request is in flight.
 
         A later request opens a new connection.
         """
-        with self._connections_lock:
-            connections, self._connections = self._connections, []
-            self._local = threading.local()
-        for conn in connections:
-            conn.close()
+        while self._idle:
+            self._idle.pop().close()
 
     def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
-        """One attempt on this thread's connection: (status, response body).
+        """One attempt on an idle connection, or a new one: (status, response body).
 
         A reused connection that the server dropped while idle is reopened and
         the request sent again once; that is not a failed attempt. On any other
-        failure the connection is closed, so the next attempt starts afresh.
+        failure the connection is closed and dropped; otherwise it is idle again.
         """
-        conn = self._connection()
+        try:
+            conn = self._idle.pop()  # list.pop and list.append are atomic
+        except IndexError:
+            conn = self._connect(self._host, self._port, timeout=120)
         try:
             reused = conn.sock is not None
             try:
@@ -159,10 +148,12 @@ class ChatClient:
                 conn.close()
                 conn.request("POST", self._path, body, headers)
                 response = conn.getresponse()
-            return response.status, response.read()
-        except (OSError, http.client.HTTPException):
+            reply = response.status, response.read()
+        except BaseException:
             conn.close()
             raise
+        self._idle.append(conn)
+        return reply
 
     def complete(self, messages: Sequence[dict[str, str]], max_tokens: int | None = None) -> str:
         body = {"model": self._model, "messages": list(messages), "temperature": 0.0}
@@ -209,9 +200,12 @@ class ChatClient:
     @staticmethod
     def _parse(payload: dict) -> str:
         try:
-            content = payload["choices"][0]["message"]["content"]
+            choice = payload["choices"][0]
+            content = choice["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise EmptyCompletion(f"malformed completion payload: {exc}") from exc
+        if choice.get("finish_reason") == "length":
+            raise EmptyCompletion("completion cut at max_tokens")
         if not content:
             raise EmptyCompletion("completion content is empty")
         return content

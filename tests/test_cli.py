@@ -784,6 +784,13 @@ _SURFACE_DIFFERS_SPANS = (
     '[{"document": "379", "spans": [{"start": 3, "end": 11, "category": "NAME_STUDENT", '
     '"text": "Jane Roe"}]}]'
 )
+_JOHN_DOE_SPANS = (
+    '[{"document": "379", "spans": [{"start": 3, "end": 11, "category": "NAME_STUDENT", '
+    '"text": "John Doe"}]}]'
+)
+_INGEST = [
+    "ingest", "--in", "{bad}", "--out-docs", "{bad}.docs.jsonl", "--out-gold", "{bad}.gold.json",
+]
 _VERIFY = ["verify", "--in", "{corpus}", "--spans", "{gold}", "--base-url", "http://127.0.0.1:1/v1"]
 
 # Each case: the content of the malformed file and the command that reads it,
@@ -823,6 +830,30 @@ _MALFORMED_INPUTS = {
         "first_name,gender,count\nAmina,Female,x\n",
         ["bias", "--pred", "{gold}", "--gold", "{gold}", "--gender-table", "{bad}",
          "--surname-table", "{surname}", "--region-table", "{region}"]),
+    # Token-record types are checked where the record is read, so ingest names the line.
+    "token-record-token-not-a-string": (
+        '{"document": "d", "tokens": [5], "labels": ["O"], "trailing_whitespace": [false]}\n',
+        _INGEST),
+    "token-record-label-null": (
+        '{"document": "d", "tokens": ["hi"], "labels": [null], "trailing_whitespace": [false]}\n',
+        _INGEST),
+    "token-record-full-text-a-number": (
+        '{"document": "d", "tokens": ["5"], "labels": ["O"], "trailing_whitespace": [false],'
+        ' "full_text": 5}\n',
+        _INGEST),
+    # Each of these was once read as an offset: "3" and 3.9 as 3 (a true positive), true as 1.
+    "span-offset-a-string": (
+        _JOHN_DOE_SPANS.replace('"start": 3', '"start": "3"'),
+        ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
+    "span-offset-a-float": (
+        _JOHN_DOE_SPANS.replace('"start": 3', '"start": 3.9'),
+        ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
+    "span-offset-a-bool": (
+        _JOHN_DOE_SPANS.replace('"start": 3', '"start": true'),
+        ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
+    "span-text-not-a-string": (
+        _JOHN_DOE_SPANS.replace('"John Doe"', '8'),
+        ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
     "token-record-text-mismatch": (
         '{"document": "d", "tokens": ["hi"], "labels": ["O"], "trailing_whitespace": [false],'
         ' "full_text": "ho"}\n',
@@ -887,7 +918,7 @@ def test_malformed_input_is_one_line_error(fixture_paths, tmp_path, capsys, case
     names = {k: str(v) for k, v in fixture_paths.items()} | {"bad": str(bad)}
     argv = [arg.format(**names) for arg in template]
     out = tmp_path / "out.json"
-    if "replace" not in argv and "mock-llm" not in argv:  # neither has an --out
+    if not {"ingest", "replace", "mock-llm"} & set(argv):  # none of them has an --out
         argv += ["--out", str(out)]
     code = run_cli(*argv)
     err = capsys.readouterr().err

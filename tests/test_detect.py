@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
+import sys
 import threading
 import types
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -462,6 +465,29 @@ class TestChatClient:
         assert len(handler.captured) == 5
         assert handler.connections == 1
 
+    def test_threads_reuse_idle_connections(self, keepalive_server):
+        server, handler = keepalive_server
+        client = self.make_client(server)
+        start = threading.Barrier(2, timeout=10)
+
+        def five_calls() -> list[str]:
+            start.wait()  # both threads are in flight before either sends
+            return [client.complete([{"role": "user", "content": "x"}]) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the idle-list operations too
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(five_calls) for _ in range(2)]
+                assert [reply for f in futures for reply in f.result(timeout=30)] == ["ok"] * 10
+        finally:
+            sys.setswitchinterval(interval)
+        client.close()
+        del client
+        gc.collect()  # a connection close() missed would raise a ResourceWarning here
+        assert len(handler.captured) == 10
+        assert 1 <= handler.connections <= 2
+
     def test_connection_dropped_while_idle_is_reopened_without_a_retry(self, keepalive_server):
         server, handler = keepalive_server
         handler.drop_after_reply = True
@@ -486,17 +512,50 @@ class TestChatClient:
     ):
         # The suite's ResourceWarning filter fails a connection left open.
         server, handler = keepalive_server
-        handler.ok_first, handler.fail_first, handler.fail_status = 1, 10**6, 401
+        config = tmp_path / "config.json"
+        config.write_text('{"pricing": {"usd_per_1m_input": 0.15, "usd_per_1m_output": 0.6}}')
+        out = tmp_path / "kept.json"
+        for stage in (
+            ["verify", "--spans", str(fixture_paths["gold"])],
+            ["--config", str(config), "detect", "--detector", "llm-finetuned"],
+        ):
+            handler.ok_first, handler.fail_first, handler.fail_status = 1, 10**6, 401
+            handler.connections = 0
+            code = main([
+                *stage, "--in", str(fixture_paths["corpus"]),
+                "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1", "--jobs", "2",
+                "--out", str(out),
+            ])
+            gc.collect()
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert code == 2
+            assert len(lines) == 1 and lines[0].startswith("transport error:"), lines
+            assert "HTTP 401" in lines[0]
+            assert 1 <= handler.connections <= 2
+            assert not out.exists() and not (tmp_path / "kept.json.cost.json").exists()
+
+    def test_reply_cut_at_max_tokens_is_transport_error(
+        self, capture_server, fixture_paths, tmp_path, capsys
+    ):
+        stopped = {"choices": [{"message": {"content": "x"}, "finish_reason": "stop"}]}
+        assert ChatClient._parse(stopped) == "x"
+        server, handler = capture_server
+        handler.reply = {"choices": [
+            {"message": {"role": "assistant", "content": "ok"}, "finish_reason": "length"}
+        ]}
+        with pytest.raises(EmptyCompletion, match="cut at max_tokens"):
+            self.make_client(server, max_retries=3).complete([{"role": "user", "content": "x"}])
+        assert len(handler.captured) == 1  # not retried: at temperature 0 it comes back the same
+        out = tmp_path / "pred.json"
         code = main([
-            "verify", "--in", str(fixture_paths["corpus"]), "--spans", str(fixture_paths["gold"]),
-            "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1", "--jobs", "2",
-            "--out", str(tmp_path / "kept.json"),
+            "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
+            "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1", "--out", str(out),
         ])
         lines = capsys.readouterr().err.strip().splitlines()
         assert code == 2
         assert len(lines) == 1 and lines[0].startswith("transport error:"), lines
-        assert "HTTP 401" in lines[0]
-        assert 1 <= handler.connections <= 2
+        assert "cut at max_tokens" in lines[0]
+        assert not out.exists()
 
     def test_non_http_base_url_exits_1(self, fixture_paths, tmp_path, capsys):
         code = main([
