@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import os
 import re
 import sys
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -35,6 +35,7 @@ from .eval import (
     load_surname_table,
     parse_and_map_name,
     render_metrics_table,
+    stage_ledger,
 )
 from .hips import (
     EmptyGroup, HipsError, apply_hips, assign_groups, load_name_pools, simulate_leakage,
@@ -176,27 +177,31 @@ def _write_spans(
 ) -> None:
     """Write ``--out`` from ``per_doc`` over ``ids``, at most ``--jobs`` in flight.
 
-    The first failure, in id order, cancels the documents not yet started and is
-    raised once the running ones finish, so nothing is written. ``client`` is
+    No document starts once one has failed. The first failure in id order is
+    raised when the running ones finish, so nothing is written. ``client`` is
     closed after the last document.
     """
+    failed = threading.Event()
+
+    def run(doc_id: str) -> list[Span] | None:
+        if failed.is_set():
+            return None  # never read: documents start in id order, so the failure comes first
+        try:
+            return per_doc(doc_id)
+        except BaseException:
+            failed.set()
+            raise
+
     with client or nullcontext():
         if args.jobs < 1:
             raise CliError("--jobs must be >= 1")
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            spans = dict(zip(ids, pool.map(per_doc, ids)))
+            spans = dict(zip(ids, pool.map(run, ids)))
     corpus.write_standoff(args.out, spans)
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
-
-
-def _record_line(path: str, ordinal: int) -> int:
-    """Line number of the ``ordinal``-th (1-based) record of a JSON-Lines file."""
-    with open(path, encoding="utf-8") as handle:
-        records = (lineno for lineno, line in enumerate(handle, start=1) if line.strip())
-        return next(itertools.islice(records, ordinal - 1, None))
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -213,18 +218,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     docs: list[Document] = []
     gold: dict[str, list[Span]] = {}
-    dropped: dict[str, int] = {}
+    dropped: Counter = Counter()
     repaired = 0
-    for ordinal, rec in enumerate(corpus.read_crapii_jsonl(args.infile), start=1):
-        try:
-            conversion = corpus.bio_to_spans(rec, strict=args.strict)
-        except CorpusError as exc:  # a label or text fault the record reader does not check
-            raise CliError(f"{args.infile}:{_record_line(args.infile, ordinal)}: {exc}") from exc
+    for rec, conversion in corpus.read_crapii_jsonl(args.infile, strict=args.strict):
         docs.append(Document(rec.document_id, conversion.text, "crapii"))
         gold[rec.document_id] = conversion.spans
         repaired += conversion.repaired_continuations
-        for cat, count in conversion.dropped_categories.items():
-            dropped[cat] = dropped.get(cat, 0) + count
+        dropped.update(conversion.dropped_categories)
     corpus.write_documents(args.out_docs, docs)
     corpus.write_standoff(args.out_gold, gold)
     if repaired or dropped:
@@ -254,9 +254,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
 def _select_ids(docs: dict[str, Document], args: argparse.Namespace) -> list[str]:
     if getattr(args, "split_file", None):
         split = corpus.read_json(args.split_file)
-        if not isinstance(split, dict) or args.split_name not in split:
-            raise CliError(f"{args.split_file}: no set named {args.split_name!r}")
-        requested = [str(i) for i in split[args.split_name]]
+        requested = split.get(args.split_name) if isinstance(split, dict) else None
+        if not isinstance(requested, list) or not all(isinstance(i, str) for i in requested):
+            raise CliError(f"{args.split_file}: no list of document ids named {args.split_name!r}")
         missing = [i for i in requested if i not in docs]
         if missing:
             raise CliError(f"{args.split_file}: split references unknown documents: {missing[:5]}")
@@ -289,14 +289,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     client, mode = _build_client(args), detector_name.removeprefix("llm-")
     _write_spans(args, ids, lambda i: detect.llm_detect(docs[i], client, mode).spans, client)
     if args.pricing is not None:
-        tokens_in, tokens_out = client.estimated_input_tokens, client.estimated_output_tokens
-        usd = tokens_in / 1e6 * args.pricing.get("usd_per_1m_input", 0.0) + (
-            tokens_out / 1e6 * args.pricing.get("usd_per_1m_output", 0.0)
-        )
-        corpus.write_json(str(args.out) + ".cost.json", {
-            "items": {"evaluation": round(usd, 6)},
-            "tokens_per_stage": {"evaluation": tokens_in + tokens_out},
-        })
+        corpus.write_json(str(args.out) + ".cost.json", stage_ledger(
+            "evaluation", client.estimated_input_tokens, client.estimated_output_tokens, args.pricing
+        ))
     return 0
 
 
@@ -396,15 +391,13 @@ def _cmd_bias(args: argparse.Namespace) -> int:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
-    ledger_input = corpus.read_json(args.ledger)
-    if not isinstance(ledger_input, dict):
-        raise CliError(f"{args.ledger}: a cost ledger must be a JSON object")
+    ledger = corpus.read_json(args.ledger)
     try:
-        ledger = cost_summary(ledger_input.get("items", {}), ledger_input.get("tokens_per_stage"))
+        summary = cost_summary(ledger)
     except ValueError as exc:
         raise CliError(f"{args.ledger}: {exc}") from exc
-    corpus.write_json(args.out, ledger.as_dict())
-    print(json.dumps(ledger.as_dict(), indent=2, sort_keys=True))
+    corpus.write_json(args.out, summary)
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 

@@ -357,10 +357,17 @@ def split_corpus(
 # below, so a malformed input is one CorpusError naming its path (and line).
 
 
+def _not_a_number(constant: str) -> None:
+    raise ValueError(f"{constant} is not a number")
+
+
+_JSON = json.JSONDecoder(parse_constant=_not_a_number)  # NaN and Infinity are not JSON
+
+
 def read_json(path: str | Path) -> Any:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return _JSON.decode(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON (or not UTF-8), or NaN or Infinity
         raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -371,22 +378,31 @@ def write_json(path: str | Path, payload: Any) -> None:
     )
 
 
-def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[T]:
-    """Yield ``parse(obj)`` per non-blank line; a fault is a CorpusError naming the line."""
+def read_jsonl(
+    path: str | Path, parse: Callable[[Any], T], document_id: Callable[[T], str]
+) -> Iterator[T]:
+    """Yield ``parse(obj)`` per non-blank line; a fault is a CorpusError naming the line.
+
+    Each line is one document, so a ``document_id`` seen on an earlier line is a fault.
+    """
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                item = parse(json.loads(line))
-            except json.JSONDecodeError as exc:
+                item = parse(_JSON.decode(line))
+                if document_id(item) in seen:
+                    raise CorpusError(f"document {document_id(item)!r} is listed twice")
+                seen.add(document_id(item))
+            except CorpusError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+            except ValueError as exc:  # not JSON, or NaN or Infinity
                 raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             except KeyError as exc:
                 raise CorpusError(f"{path}:{lineno}: missing key {exc}") from exc
-            except TypeError as exc:
+            except (TypeError, AttributeError) as exc:  # a field, or the line, of the wrong type
                 raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
             yield item
 
 
@@ -429,9 +445,16 @@ def _token_record(obj: Mapping) -> TokenRecord:
     )
 
 
-def read_crapii_jsonl(path: str | Path) -> Iterator[TokenRecord]:
-    """Read token records from JSON-Lines with the public corpus schema."""
-    return read_jsonl(path, _token_record)
+def read_crapii_jsonl(
+    path: str | Path, strict: bool = False
+) -> Iterator[tuple[TokenRecord, BioConversion]]:
+    """Read token records with the public corpus schema, each with its ``bio_to_spans``."""
+
+    def convert(obj: Mapping) -> tuple[TokenRecord, BioConversion]:
+        rec = _token_record(obj)
+        return rec, bio_to_spans(rec, strict)
+
+    return read_jsonl(path, convert, lambda pair: pair[0].document_id)
 
 
 def _span_to_entry(span: Span) -> dict:
@@ -450,29 +473,19 @@ def _entry_to_span(entry: Mapping) -> Span:
     if not isinstance(surface, str):
         raise CorpusError(f"span text must be a string, not {type(surface).__name__}")
     if "placeholder" in entry:
-        category = Placeholder(entry["placeholder"], bool(entry["name_kind"]))
+        if not isinstance(entry["placeholder"], str) or type(entry["name_kind"]) is not bool:
+            raise CorpusError("a placeholder must be a string and its name_kind a bool")
+        category = Placeholder(entry["placeholder"], entry["name_kind"])
     else:
         category = Category(entry["category"])
     return Span(start, end, category, surface)
 
 
-def spans_to_standoff(document_id: str, spans: Sequence[Span]) -> dict:
-    return {"document": document_id, "spans": [_span_to_entry(s) for s in spans]}
-
-
-def standoff_to_spans(obj: Mapping) -> tuple[str, list[Span]]:
-    """Parse one document's entry; each span's category is a Category or a Placeholder."""
-    doc_id = obj.get("document") if isinstance(obj, Mapping) else None
-    try:
-        return str(obj["document"]), [_entry_to_span(e) for e in obj["spans"]]
-    except KeyError as exc:
-        raise CorpusError(f"document {doc_id!r}: span entry lacks key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CorpusError(f"document {doc_id!r}: malformed span entry: {exc}") from exc
-
-
 def write_standoff(path: str | Path, spans_by_doc: Mapping[str, Sequence[Span]]) -> None:
-    write_json(path, [spans_to_standoff(d, spans_by_doc[d]) for d in sorted(spans_by_doc)])
+    write_json(path, [
+        {"document": doc_id, "spans": [_span_to_entry(s) for s in spans_by_doc[doc_id]]}
+        for doc_id in sorted(spans_by_doc)
+    ])
 
 
 def read_spans(path: str | Path) -> dict[str, list[Span]]:
@@ -482,10 +495,15 @@ def read_spans(path: str | Path) -> dict[str, list[Span]]:
         raise CorpusError(f"{path}: expected a list of document span entries")
     out: dict = {}
     for obj in payload:
+        doc_id = obj.get("document") if isinstance(obj, Mapping) else None
         try:
-            doc_id, spans = standoff_to_spans(obj)
-        except CorpusError as exc:
-            raise CorpusError(f"{path}: {exc}") from exc
+            doc_id, spans = str(obj["document"]), [_entry_to_span(e) for e in obj["spans"]]
+        except KeyError as exc:
+            raise CorpusError(f"{path}: document {doc_id!r}: span entry lacks key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CorpusError(f"{path}: document {doc_id!r}: malformed span entry: {exc}") from exc
+        if doc_id in out:
+            raise CorpusError(f"{path}: document {doc_id!r} is listed twice")
         out[doc_id] = spans
     if len({type(s.category) for spans in out.values() for s in spans}) > 1:
         raise CorpusError(f"{path}: mixes category and placeholder span entries")
@@ -515,4 +533,4 @@ def _document(obj: Mapping) -> Document:
 
 def read_documents(path: str | Path) -> list[Document]:
     """Read documents from JSONL; accepts both ingested docs and raw token records."""
-    return list(read_jsonl(path, _document))
+    return list(read_jsonl(path, _document, lambda doc: doc.id))

@@ -8,7 +8,7 @@ denominators) are reported as missing, not as zero.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -279,49 +279,36 @@ def bias_report(entries: Iterable[tuple[Demographic, bool]]) -> BiasReport:
 # ---------------------------------------------------------------------------
 # Cost accounting
 
-@dataclass
-class CostLedger:
-    items: dict[str, float]
-    tokens_per_stage: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total_usd(self) -> float:
-        return sum(self.items.values())
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(self.tokens_per_stage.values())
-
-    @property
-    def usd_per_1m_tokens(self) -> float | None:
-        if self.total_tokens <= 0:
-            return None
-        return self.total_usd / (self.total_tokens / 1_000_000)
-
-    def as_dict(self) -> dict:
-        return {
-            "items": dict(self.items),
-            "tokens_per_stage": dict(self.tokens_per_stage),
-            "total_usd": round(self.total_usd, 6),
-            "total_tokens": self.total_tokens,
-            "usd_per_1m_tokens": self.usd_per_1m_tokens,
-        }
+def stage_ledger(stage: str, tokens_in: int, tokens_out: int, pricing: Mapping) -> dict:
+    """The cost ledger of one stage's chat requests, at ``pricing``'s USD per 1M tokens."""
+    usd = tokens_in / 1e6 * pricing.get("usd_per_1m_input", 0.0) + (
+        tokens_out / 1e6 * pricing.get("usd_per_1m_output", 0.0)
+    )
+    return {"items": {stage: round(usd, 6)}, "tokens_per_stage": {stage: tokens_in + tokens_out}}
 
 
-def cost_summary(
-    items: Mapping[str, float], tokens_per_stage: Mapping[str, int] | None = None
-) -> CostLedger:
-    """Totals plus the per-million-token average when token counts are known."""
-    tokens_per_stage = {} if tokens_per_stage is None else tokens_per_stage
-    if not isinstance(items, Mapping) or not isinstance(tokens_per_stage, Mapping):
+def cost_summary(ledger: object) -> dict:
+    """Check a parsed cost ledger and return it with its totals.
+
+    ``items`` maps a stage to a non-negative USD number, ``tokens_per_stage`` a
+    stage to an integer count; either may be left out, and a bool is neither.
+    """
+    if not isinstance(ledger, dict):
+        raise ValueError("a cost ledger must be a JSON object")
+    items, tokens_per_stage = ledger.get("items", {}), ledger.get("tokens_per_stage", {})
+    if not isinstance(items, dict) or not isinstance(tokens_per_stage, dict):
         raise ValueError("items and tokens_per_stage must be objects")
     for stage, usd in items.items():
-        if not isinstance(usd, (int, float)):
-            raise ValueError(f"non-numeric cost {usd!r} for stage {stage!r}")
-        if usd < 0:
-            raise ValueError(f"negative cost for stage {stage!r}")
+        if isinstance(usd, bool) or not isinstance(usd, (int, float)) or usd < 0:
+            raise ValueError(f"stage {stage!r}: cost must be a non-negative number, not {usd!r}")
     for stage, tokens in tokens_per_stage.items():
-        if not isinstance(tokens, int):
-            raise ValueError(f"non-integer token count {tokens!r} for stage {stage!r}")
-    return CostLedger(items=dict(items), tokens_per_stage=dict(tokens_per_stage))
-
+        if isinstance(tokens, bool) or not isinstance(tokens, int):
+            raise ValueError(f"stage {stage!r}: token count must be an integer, not {tokens!r}")
+    total_usd, total_tokens = sum(items.values()), sum(tokens_per_stage.values())
+    return {
+        "items": dict(items),
+        "tokens_per_stage": dict(tokens_per_stage),
+        "total_usd": round(total_usd, 6),
+        "total_tokens": total_tokens,
+        "usd_per_1m_tokens": total_usd / (total_tokens / 1_000_000) if total_tokens > 0 else None,
+    }

@@ -907,6 +907,42 @@ _MALFORMED_INPUTS = {
         '"text": "John Doe"}]}]',
         ["replace", "--in", "{corpus}", "--spans", "{bad}", "--pools", "{pools}",
          "--out-docs", "{bad}.docs.jsonl", "--out-audit", "{bad}.audit.jsonl"]),
+    # A repeated id once let the last entry win: here "John Doe" stayed in the output.
+    "replace-spans-repeat-a-document": (
+        _JOHN_DOE_SPANS[:-1] + ', {"document": "379", "spans": []}]',
+        ["replace", "--in", "{corpus}", "--spans", "{bad}", "--pools", "{pools}",
+         "--out-docs", "{bad}.docs.jsonl", "--out-audit", "{bad}.audit.jsonl"]),
+    "documents-repeat-an-id": (
+        '{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n',
+        ["detect", "--detector", "rules", "--in", "{bad}"]),
+    "token-record-repeats-a-document": (
+        '{"document": "d", "tokens": ["hi"], "labels": ["O"], "trailing_whitespace": [false]}\n'
+        * 2,
+        _INGEST),
+    # A named set is a list of strings: "abc" was once read as the ids a, b and c.
+    "split-file-set-a-number": (
+        '{"test": 5}', ["detect", "--detector", "rules", "--in", "{corpus}", "--split-file", "{bad}"]),
+    "split-file-set-null": (
+        '{"test": null}',
+        ["detect", "--detector", "rules", "--in", "{corpus}", "--split-file", "{bad}"]),
+    "split-file-set-a-string": (
+        '{"base_train": "abc"}',
+        ["make-finetune", "--in", "{corpus}", "--gold", "{gold}", "--split-file", "{bad}"]),
+    # A bool is no cost or count, and NaN and Infinity are not JSON numbers.
+    "ledger-item-a-bool": ('{"items": {"a": true}}', ["cost", "--ledger", "{bad}"]),
+    "ledger-token-count-a-bool": (
+        '{"items": {"a": 1}, "tokens_per_stage": {"a": true}}', ["cost", "--ledger", "{bad}"]),
+    "ledger-item-nan": ('{"items": {"a": NaN}}', ["cost", "--ledger", "{bad}"]),
+    # Found by the fuzz test: each raised an AttributeError out of main.
+    "token-record-line-not-an-object": ('"x"\n', _INGEST),
+    "replace-placeholder-not-a-string": (
+        '[{"document": "379", "spans": [{"start": 3, "end": 11, "placeholder": 5, '
+        '"name_kind": true, "text": "John Doe"}]}]',
+        ["replace", "--in", "{corpus}", "--spans", "{bad}", "--pools", "{pools}",
+         "--out-docs", "{bad}.docs.jsonl", "--out-audit", "{bad}.audit.jsonl"]),
+    "documents-line-with-infinity": (
+        '{"id": "a", "text": "x", "source": -Infinity}\n',
+        ["detect", "--detector", "rules", "--in", "{bad}"]),
 }
 
 

@@ -18,9 +18,7 @@ from deidkit.corpus import (
     read_spans,
     read_standoff,
     reconstruct_text,
-    spans_to_standoff,
     split_corpus,
-    standoff_to_spans,
     validate_spans,
     write_standoff,
 )
@@ -169,7 +167,7 @@ class TestBioToSpans:
             validate_spans(reconstruct_text(rec), conversion.spans)
 
     def test_mini_corpus_spans_surface_consistent(self, fixture_paths, mini_gold):
-        for rec in read_crapii_jsonl(fixture_paths["corpus"]):
+        for rec, _ in read_crapii_jsonl(fixture_paths["corpus"]):
             text = reconstruct_text(rec)
             conversion = bio_to_spans(rec)
             validate_spans(text, conversion.spans)
@@ -178,7 +176,7 @@ class TestBioToSpans:
 
 def test_fixture_tokenizer_roundtrips_mini_corpus(fixture_paths):
     # reconstruct_text(tokenize(text)) is the identity on the bundled corpus.
-    for rec in read_crapii_jsonl(fixture_paths["corpus"]):
+    for rec, _ in read_crapii_jsonl(fixture_paths["corpus"]):
         text = reconstruct_text(rec)
         tokens, trailing = minicorpus.tokenize(text)
         rebuilt = TokenRecord("x", tokens, ["O"] * len(tokens), trailing)
@@ -290,12 +288,10 @@ class TestIngestTscc:
         assert [s.category.name_kind for s in spans] == [True, True, False]
 
 
-def test_standoff_roundtrip(mini_gold):
-    for doc_id, spans in mini_gold.items():
-        obj = spans_to_standoff(doc_id, spans)
-        back_id, back = standoff_to_spans(obj)
-        assert back_id == doc_id
-        assert back == spans
+def test_standoff_roundtrip(mini_gold, tmp_path):
+    path = tmp_path / "gold.json"
+    write_standoff(path, mini_gold)
+    assert read_standoff(path) == mini_gold
 
 
 def test_placeholder_span_file_roundtrip(fixture_paths, tmp_path):

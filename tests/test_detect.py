@@ -557,6 +557,23 @@ class TestChatClient:
         assert "cut at max_tokens" in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs, most", [(1, 1), (2, 2)])
+    def test_no_document_starts_after_a_failure(
+        self, capture_server, fixture_paths, tmp_path, capsys, jobs, most
+    ):
+        server, handler = capture_server
+        handler.reply = {"choices": [{"message": {"content": "ok"}, "finish_reason": "length"}]}
+        for _ in range(3):  # a document started after the failure was a race, not a certainty
+            handler.captured.clear()
+            code = main([
+                "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
+                "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1",
+                "--jobs", str(jobs), "--out", str(tmp_path / "pred.json"),
+            ])
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert code == 2 and len(lines) == 1 and "cut at max_tokens" in lines[0], lines
+            assert 1 <= len(handler.captured) <= most
+
     def test_non_http_base_url_exits_1(self, fixture_paths, tmp_path, capsys):
         code = main([
             "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),

@@ -282,23 +282,23 @@ class TestParseAndMapName:
 class TestCostSummary:
     def test_published_ledgers(self):
         for model, items, total, _avg in metric_fixtures.COST_ROWS:
-            ledger = cost_summary(items)
-            assert ledger.total_usd == pytest.approx(total, abs=1e-9), model
+            ledger = cost_summary({"items": items})
+            assert ledger["total_usd"] == pytest.approx(total, abs=1e-9), model
 
     def test_average_per_million_tokens(self):
         # Token volume recovered from the published average, then re-derived.
         tokens = int(11.93 / 0.92 * 1_000_000)
-        ledger = cost_summary(
-            {"base_finetuning": 7.22, "evaluation": 4.71},
-            {"all": tokens},
-        )
-        assert abs(ledger.usd_per_1m_tokens - 0.92) < 0.01
+        ledger = cost_summary({
+            "items": {"base_finetuning": 7.22, "evaluation": 4.71},
+            "tokens_per_stage": {"all": tokens},
+        })
+        assert abs(ledger["usd_per_1m_tokens"] - 0.92) < 0.01
 
     def test_empty_ledger(self):
         ledger = cost_summary({})
-        assert ledger.total_usd == 0.0
-        assert ledger.usd_per_1m_tokens is None
+        assert ledger["total_usd"] == 0.0
+        assert ledger["usd_per_1m_tokens"] is None
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
-            cost_summary({"evaluation": -1.0})
+            cost_summary({"items": {"evaluation": -1.0}})
