@@ -105,6 +105,8 @@ def load_run_config(path: str | Path) -> dict:
         if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
             expected = " or ".join(t.__name__ for t in types)
             raise CliError(f"{path}: {key} must be {expected}, not {type(value).__name__}")
+    if config.get("detector") and config["detector"] not in _DETECTORS:
+        raise CliError(f"{path}: unknown detector {config['detector']!r}")
     config["llm"] = {
         k: _ENV_RE.sub(lambda m: _env_value(path, m), v) if isinstance(v, str) else v
         for k, v in (config.get("llm") or {}).items()
@@ -210,8 +212,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.infile and args.id is not None:
         raise CliError("--id applies to --tscc input, not --in")
     if args.tscc:
-        text = Path(args.tscc).read_text(encoding="utf-8")
-        doc, placeholders = corpus.ingest_tscc(text, args.id or Path(args.tscc).stem)
+        try:  # bytes that are not UTF-8, or a line that is not "role: text"
+            text = Path(args.tscc).read_text(encoding="utf-8")
+            doc, placeholders = corpus.ingest_tscc(text, args.id or Path(args.tscc).stem)
+        except ValueError as exc:
+            raise CliError(f"{args.tscc}: {exc}") from exc
         corpus.write_documents(args.out_docs, [doc])
         corpus.write_standoff(args.out_gold, {doc.id: placeholders})
         return 0
@@ -241,12 +246,11 @@ def _cmd_split(args: argparse.Namespace) -> int:
     gold = corpus.read_standoff(args.gold) if args.gold else {}
     _check_span_documents(args.gold, gold, docs)
     entity_counts = {d: Counter(s.category.value for s in gold.get(d, ())) for d in docs}
-    ratios = tuple(float(x) for x in args.ratios.split(","))
-    if len(ratios) != 3:
-        raise CliError("--ratios needs three comma-separated numbers")
-    split = corpus.split_corpus(
-        entity_counts, ratios=ratios, seed=args.seed, stratify=not args.no_stratify
-    )
+    try:  # too few or too many parts, or one that is not a number
+        base, verifier, test = map(float, args.ratios.split(","))
+    except ValueError:
+        raise CliError("--ratios needs three comma-separated numbers") from None
+    split = corpus.split_corpus(entity_counts, ratios=(base, verifier, test), seed=args.seed)
     corpus.write_json(args.out, split.as_dict())
     return 0
 
@@ -260,6 +264,11 @@ def _select_ids(docs: dict[str, Document], args: argparse.Namespace) -> list[str
         missing = [i for i in requested if i not in docs]
         if missing:
             raise CliError(f"{args.split_file}: split references unknown documents: {missing[:5]}")
+        repeated = [i for i, n in Counter(requested).items() if n > 1]
+        if repeated:
+            raise CliError(
+                f"{args.split_file}: document {repeated[0]!r} is listed twice in {args.split_name!r}"
+            )
         return requested
     return sorted(docs)
 
@@ -280,8 +289,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     ids = _select_ids(docs, args)
 
     detector_name = args.detector or "rules"
-    if detector_name not in _DETECTORS:
-        raise CliError(f"unknown detector {detector_name!r}")
     if detector_name == "rules":
         pools = load_name_pools(args.pools) if args.pools else None
         _write_spans(args, ids, lambda i: detect.rule_detect(docs[i], pools=pools))
@@ -310,10 +317,7 @@ def _cmd_replace(args: argparse.Namespace) -> int:
     docs = _load_docs(args.infile)
     pools = load_name_pools(args.pools) if args.pools else None
 
-    spans_by_doc = {
-        doc_id: sorted(spans, key=lambda s: (s.start, s.end))  # apply_hips's order
-        for doc_id, spans in (corpus.read_spans(args.spans) if args.spans else {}).items()
-    }
+    spans_by_doc = corpus.read_spans(args.spans) if args.spans else {}
     _check_span_documents(args.spans, spans_by_doc, docs)
 
     if args.group:
@@ -513,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", help="standoff gold spans used for stratification")
     p.add_argument("--ratios", default="0.25,0.15,0.60")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-stratify", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_split)
 

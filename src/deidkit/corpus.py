@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -265,91 +266,68 @@ def split_corpus(
     entity_counts: Mapping[str, Mapping[str, int]],
     ratios: tuple[float, float, float] = (0.25, 0.15, 0.60),
     seed: int = 0,
-    stratify: bool = True,
 ) -> CorpusSplit:
     """Partition document ids into base-train / verifier-train / test sets.
 
     ``entity_counts`` maps each document id to its gold entity count per
     category (documents without entities map to an empty mapping). Split
     sizes are round(N * ratio) for the first two sets with the remainder
-    going to test. When ``stratify`` is set, every category whose corpus
-    total is at least 3 is guaranteed at least one gold entity in every
-    split; a category concentrated in fewer than 3 documents makes that
-    impossible and raises CorpusError.
+    going to test. Every category whose corpus total is at least 3 is
+    guaranteed at least one gold entity in every split; a category
+    concentrated in fewer than 3 documents makes that impossible and raises
+    CorpusError.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:  # a NaN sum (NaN, or inf and -inf) fails too
         raise CorpusError(f"ratios {ratios} do not sum to 1")
 
-    counts_by_doc: dict[str, dict[str, int]] = {
-        str(doc_id): {str(k): int(v) for k, v in counts.items()}
-        for doc_id, counts in entity_counts.items()
-    }
-    doc_ids = sorted(counts_by_doc)
-    n = len(doc_ids)
+    shuffled = sorted(entity_counts)
+    n = len(shuffled)
     targets = [round(n * ratios[0]), round(n * ratios[1])]
     targets.append(n - targets[0] - targets[1])
     if min(targets) < 0:
         raise CorpusError(f"ratios {ratios} produce negative split sizes for N={n}")
+    random.Random(seed).shuffle(shuffled)
 
-    rng = random.Random(seed)
-    shuffled = list(doc_ids)
-    rng.shuffle(shuffled)
-
-    assigned: dict[str, int] = {}
-    sizes = [0, 0, 0]
-
-    if stratify:
-        totals: Counter = Counter()
-        carriers: dict[str, list[str]] = {}
-        for doc_id in shuffled:
-            for cat, count in counts_by_doc[doc_id].items():
-                if count > 0:
-                    totals[cat] += count
-                    carriers.setdefault(cat, []).append(doc_id)
-
-        # Rarest categories get seeded first so their few carrier documents
-        # are still unassigned when needed.
-        for cat in sorted(totals, key=lambda c: (len(carriers[c]), c)):
-            if totals[cat] < 3:
-                continue  # the guarantee only applies from 3 entities up
-            if len(carriers[cat]) < 3:
-                raise CorpusError(
-                    f"category {cat} has {totals[cat]} entities in only "
-                    f"{len(carriers[cat])} documents; cannot cover 3 splits"
-                )
-            for split_idx in range(3):
-                if any(
-                    counts_by_doc[d].get(cat, 0) > 0
-                    for d, s in assigned.items()
-                    if s == split_idx
-                ):
-                    continue
-                if sizes[split_idx] >= targets[split_idx]:
-                    raise CorpusError(
-                        f"split {split_idx} is full before category {cat} could be placed"
-                    )
-                picked = next((d for d in carriers[cat] if d not in assigned), None)
-                if picked is None:
-                    raise CorpusError(
-                        f"no unassigned document carries category {cat} for split {split_idx}"
-                    )
-                assigned[picked] = split_idx
-                sizes[split_idx] += 1
-
-    split_order = [0, 1, 2]
+    totals: Counter = Counter()
+    carriers: dict[str, list[str]] = {}
     for doc_id in shuffled:
-        if doc_id in assigned:
-            continue
-        for split_idx in split_order:
-            if sizes[split_idx] < targets[split_idx]:
-                assigned[doc_id] = split_idx
-                sizes[split_idx] += 1
-                break
+        for cat, count in entity_counts[doc_id].items():
+            if count > 0:
+                totals[cat] += count
+                carriers.setdefault(cat, []).append(doc_id)
 
-    groups: list[set[str]] = [set(), set(), set()]
-    for doc_id, split_idx in assigned.items():
-        groups[split_idx].add(doc_id)
-    return CorpusSplit(base_train=groups[0], verifier_train=groups[1], test=groups[2])
+    splits: list[set[str]] = [set(), set(), set()]
+    held: list[set[str]] = [set(), set(), set()]  # the categories each split carries
+    # Rarest categories get seeded first so their few carrier documents
+    # are still unassigned when needed.
+    for cat in sorted(totals, key=lambda c: (len(carriers[c]), c)):
+        if totals[cat] < 3:
+            continue  # the guarantee only applies from 3 entities up
+        if len(carriers[cat]) < 3:
+            raise CorpusError(
+                f"category {cat} has {totals[cat]} entities in only "
+                f"{len(carriers[cat])} documents; cannot cover 3 splits"
+            )
+        for split_idx, split in enumerate(splits):
+            if cat in held[split_idx]:
+                continue
+            if len(split) >= targets[split_idx]:
+                raise CorpusError(
+                    f"split {split_idx} is full before category {cat} could be placed"
+                )
+            picked = next((d for d in carriers[cat] if not any(d in s for s in splits)), None)
+            if picked is None:
+                raise CorpusError(
+                    f"no unassigned document carries category {cat} for split {split_idx}"
+                )
+            split.add(picked)
+            held[split_idx].update(c for c, count in entity_counts[picked].items() if count > 0)
+
+    # The other documents, in shuffled order, fill base-train, then verifier-train, then test.
+    rest = iter([d for d in shuffled if not any(d in s for s in splits)])
+    for split, target in zip(splits, targets):
+        split.update(islice(rest, target - len(split)))
+    return CorpusSplit(*splits)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +356,15 @@ def write_json(path: str | Path, payload: Any) -> None:
     )
 
 
+def _text_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
+    """Yield the lines of a UTF-8 text file; bytes that do not decode name the file."""
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: {exc}") from exc
+
+
 def read_jsonl(
     path: str | Path, parse: Callable[[Any], T], document_id: Callable[[T], str]
 ) -> Iterator[T]:
@@ -386,24 +373,23 @@ def read_jsonl(
     Each line is one document, so a ``document_id`` seen on an earlier line is a fault.
     """
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                item = parse(_JSON.decode(line))
-                if document_id(item) in seen:
-                    raise CorpusError(f"document {document_id(item)!r} is listed twice")
-                seen.add(document_id(item))
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-            except ValueError as exc:  # not JSON, or NaN or Infinity
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            except KeyError as exc:
-                raise CorpusError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (TypeError, AttributeError) as exc:  # a field, or the line, of the wrong type
-                raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            yield item
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            item = parse(_JSON.decode(line))
+            if document_id(item) in seen:
+                raise CorpusError(f"document {document_id(item)!r} is listed twice")
+            seen.add(document_id(item))
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        except ValueError as exc:  # not JSON, or NaN or Infinity
+            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        except KeyError as exc:
+            raise CorpusError(f"{path}:{lineno}: missing key {exc}") from exc
+        except (TypeError, AttributeError) as exc:  # a field, or the line, of the wrong type
+            raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        yield item
 
 
 def write_jsonl(path: str | Path, objects: Iterable[Any]) -> int:
@@ -417,12 +403,11 @@ def write_jsonl(path: str | Path, objects: Iterable[Any]) -> int:
 
 def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
     """Yield the rows of a CSV file whose header names every one of ``columns``."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, restval="")
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise CorpusError(f"{path}: missing column(s) {missing}")
-        yield from reader
+    reader = csv.DictReader(_text_lines(path, newline=""), restval="")
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise CorpusError(f"{path}: missing column(s) {missing}")
+    yield from reader
 
 
 def _list_of(obj: Mapping, key: str, kind: type) -> list:
@@ -489,7 +474,7 @@ def write_standoff(path: str | Path, spans_by_doc: Mapping[str, Sequence[Span]])
 
 
 def read_spans(path: str | Path) -> dict[str, list[Span]]:
-    """Read a span file whose entries are all category spans or all placeholder spans."""
+    """Read a span file of all category or all placeholder spans, sorted by offset per document."""
     payload = read_json(path)
     if not isinstance(payload, list):
         raise CorpusError(f"{path}: expected a list of document span entries")
@@ -498,6 +483,7 @@ def read_spans(path: str | Path) -> dict[str, list[Span]]:
         doc_id = obj.get("document") if isinstance(obj, Mapping) else None
         try:
             doc_id, spans = str(obj["document"]), [_entry_to_span(e) for e in obj["spans"]]
+            spans.sort(key=lambda span: (span.start, span.end))  # Placeholder has no order
         except KeyError as exc:
             raise CorpusError(f"{path}: document {doc_id!r}: span entry lacks key {exc}") from exc
         except (TypeError, ValueError) as exc:

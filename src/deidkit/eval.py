@@ -291,7 +291,7 @@ def cost_summary(ledger: object) -> dict:
     """Check a parsed cost ledger and return it with its totals.
 
     ``items`` maps a stage to a non-negative USD number, ``tokens_per_stage`` a
-    stage to an integer count; either may be left out, and a bool is neither.
+    stage to a non-negative integer count; either may be left out, and a bool is neither.
     """
     if not isinstance(ledger, dict):
         raise ValueError("a cost ledger must be a JSON object")
@@ -302,8 +302,10 @@ def cost_summary(ledger: object) -> dict:
         if isinstance(usd, bool) or not isinstance(usd, (int, float)) or usd < 0:
             raise ValueError(f"stage {stage!r}: cost must be a non-negative number, not {usd!r}")
     for stage, tokens in tokens_per_stage.items():
-        if isinstance(tokens, bool) or not isinstance(tokens, int):
-            raise ValueError(f"stage {stage!r}: token count must be an integer, not {tokens!r}")
+        if isinstance(tokens, bool) or not isinstance(tokens, int) or tokens < 0:
+            raise ValueError(
+                f"stage {stage!r}: token count must be a non-negative integer, not {tokens!r}"
+            )
     total_usd, total_tokens = sum(items.values()), sum(tokens_per_stage.values())
     return {
         "items": dict(items),

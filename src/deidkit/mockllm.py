@@ -126,17 +126,11 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", "0"))
         try:
             body = json.loads(self.rfile.read(length) or b"{}")
-            content = self.mock.respond(body)
+            status, reply = 200, _completion_payload(self.mock.respond(body))
         except Exception as exc:  # a broken request must not kill the server
-            payload = json.dumps({"error": str(exc)}).encode("utf-8")
-            self.send_response(400)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-            return
-        payload = json.dumps(_completion_payload(content)).encode("utf-8")
-        self.send_response(200)
+            status, reply = 400, {"error": str(exc)}
+        payload = json.dumps(reply).encode("utf-8")
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import ast
 import hashlib
+import http.client
 import importlib
 import inspect
 import json
@@ -199,6 +200,25 @@ class TestIngestAndSplit:
         assert out_a.read_bytes() == out_b.read_bytes()
         split = json.loads(out_a.read_text(encoding="utf-8"))
         assert set(split) == {"base_train", "verifier_train", "test"}
+
+    def test_spans_in_any_order_give_the_same_split_and_training_file(self, fixture_paths, tmp_path):
+        entries = json.loads(fixture_paths["gold"].read_text(encoding="utf-8"))
+        for entry in entries:
+            entry["spans"].reverse()
+        assert any(len(entry["spans"]) > 1 for entry in entries)
+        reversed_gold = tmp_path / "reversed.json"
+        reversed_gold.write_text(json.dumps(entries), encoding="utf-8")
+        outputs = []
+        for gold in (fixture_paths["gold"], reversed_gold):
+            split, train = tmp_path / f"{gold.stem}.split.json", tmp_path / f"{gold.stem}.train.jsonl"
+            assert run_cli("split", "--in", str(fixture_paths["corpus"]), "--gold", str(gold),
+                           "--seed", "7", "--out", str(split)) == 0
+            # The test set holds "mixed", whose three spans the reversal reorders.
+            assert run_cli("make-finetune", "--in", str(fixture_paths["corpus"]), "--gold", str(gold),
+                           "--split-file", str(split), "--split-name", "test",
+                           "--out", str(train)) == 0
+            outputs.append((split.read_bytes(), train.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_inputs_not_mutated(self, fixture_paths, tmp_path):
         before = fixture_paths["corpus"].read_bytes()
@@ -943,6 +963,23 @@ _MALFORMED_INPUTS = {
     "documents-line-with-infinity": (
         '{"id": "a", "text": "x", "source": -Infinity}\n',
         ["detect", "--detector", "rules", "--in", "{bad}"]),
+    # A repeated id once wrote the same training record twice.
+    "split-file-repeats-a-document": (
+        '{"base_train": ["379", "379"]}',
+        ["make-finetune", "--in", "{corpus}", "--gold", "{gold}", "--split-file", "{bad}"]),
+    "ledger-token-count-negative": (
+        '{"items": {"a": 1}, "tokens_per_stage": {"a": -5, "b": 10}}', ["cost", "--ledger", "{bad}"]),
+    "tscc-line-not-role-text": (
+        "teacher: Hi 〈STUDENT〉\nno role here\n",
+        ["ingest", "--tscc", "{bad}", "--out-docs", "{bad}.docs.jsonl",
+         "--out-gold", "{bad}.gold.json"]),
+    "config-not-an-object": (
+        "[]", ["--config", "{bad}", "detect", "--detector", "rules", "--in", "{corpus}"]),
+    "config-pools-missing": (
+        '{"pools": "no-such-pools.csv"}',
+        ["--config", "{bad}", "detect", "--detector", "rules", "--in", "{corpus}"]),
+    "config-unknown-detector": (
+        '{"detector": "llm-psychic"}', ["--config", "{bad}", "detect", "--in", "{corpus}"]),
 }
 
 
@@ -964,6 +1001,80 @@ def test_malformed_input_is_one_line_error(fixture_paths, tmp_path, capsys, case
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert str(bad) in lines[0], lines[0]
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
+# Bytes that are not UTF-8, in each file that is read line by line.
+_NOT_UTF8_INPUTS = {
+    "documents": (b'{"id": "a", "text": "\xff"}\n', ["detect", "--detector", "rules", "--in", "{bad}"]),
+    "pools": (
+        b"gender,culture,kind,name\nFemale,Africa,first,\xff\n",
+        ["detect", "--detector", "rules", "--in", "{corpus}", "--pools", "{bad}"]),
+    "transcript": (
+        b"teacher: hi \xff\n",
+        ["ingest", "--tscc", "{bad}", "--out-docs", "{bad}.docs.jsonl",
+         "--out-gold", "{bad}.gold.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_UTF8_INPUTS))
+def test_non_utf8_input_names_the_file(fixture_paths, tmp_path, capsys, case):
+    content, template = _NOT_UTF8_INPUTS[case]
+    bad = tmp_path / "not-utf8.input"
+    bad.write_bytes(content)
+    names = {k: str(v) for k, v in fixture_paths.items()} | {"bad": str(bad)}
+    argv = [arg.format(**names) for arg in template]
+    if "ingest" not in argv:
+        argv += ["--out", str(tmp_path / "out.json")]
+    assert run_cli(*argv) == 1
+    line = _one_error_line(capsys)
+    assert str(bad) in line and "can't decode" in line, line
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
+# Each bad setting exits 1 with a line naming it, before anything is written.
+_BAD_SETTINGS = {
+    "llm-detector-without-base-url": (
+        ["detect", "--detector", "llm-finetuned", "--in", "{corpus}", "--out", "{tmp}/out.json"],
+        "--base-url"),
+    "replace-group-without-culture": (
+        ["replace", "--in", "{corpus}", "--spans", "{gold}", "--pools", "{pools}",
+         "--group", "Female", "--out-docs", "{tmp}/anon.jsonl", "--out-audit", "{tmp}/a.jsonl"],
+        "--group"),
+    "ratios-two-numbers": (
+        ["split", "--in", "{corpus}", "--ratios", "0.5,0.5", "--out", "{tmp}/out.json"],
+        "--ratios needs three comma-separated numbers"),
+    "ratios-not-numbers": (
+        ["split", "--in", "{corpus}", "--ratios", "a,b,c", "--out", "{tmp}/out.json"],
+        "--ratios needs three comma-separated numbers"),
+    # NaN and infinity once passed the sum check: a traceback, or a line without --ratios.
+    "ratios-nan": (
+        ["split", "--in", "{corpus}", "--ratios", "nan,0.5,0.5", "--out", "{tmp}/out.json"],
+        "do not sum to 1"),
+    "ratios-infinite": (
+        ["split", "--in", "{corpus}", "--ratios", "inf,-inf,1", "--out", "{tmp}/out.json"],
+        "do not sum to 1"),
+    "ratios-negative-size": (
+        ["split", "--in", "{corpus}", "--ratios", "0.9,0.9,-0.8", "--out", "{tmp}/out.json"],
+        "produce negative split sizes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SETTINGS))
+def test_bad_setting_is_one_line_error(fixture_paths, tmp_path, capsys, case):
+    template, expected = _BAD_SETTINGS[case]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    names = {k: str(v) for k, v in fixture_paths.items()} | {"tmp": str(out_dir)}
+    assert run_cli(*[arg.format(**names) for arg in template]) == 1
+    assert expected in _one_error_line(capsys)
+    assert not any(out_dir.iterdir())
 
 
 def test_replace_span_out_of_bounds_names_the_span_file(fixture_paths, tmp_path, capsys):
@@ -1050,6 +1161,14 @@ def test_replace_has_no_inconsistent_flag(fixture_paths, tmp_path, capsys):
     assert "--inconsistent" in capsys.readouterr().err
 
 
+def test_split_has_no_no_stratify_flag(fixture_paths, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("split", "--in", str(fixture_paths["corpus"]), "--no-stratify",
+                "--out", str(tmp_path / "split.json"))
+    assert exit_info.value.code == 2
+    assert "--no-stratify" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("port", ["99999", "-1"])
 def test_mock_llm_port_out_of_range_is_one_line_error(capsys, port):
     code = run_cli("mock-llm", "--mode", "echo-gold", "--port", port)
@@ -1069,6 +1188,23 @@ def test_mock_llm_gold_without_corpus_is_one_line_error(fixture_paths, capsys):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert "--gold" in lines[0] and "--corpus" in lines[0], lines[0]
+
+
+def test_mock_llm_answers_a_body_that_is_not_json_with_400():
+    server = mockllm.make_server(mockllm.MockLlm("echo-gold", {}))
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+    try:
+        conn.request("POST", "/v1/chat/completions", body=b"not json",
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        status, reply = response.status, json.loads(response.read())
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+    assert status == 400
+    assert set(reply) == {"error"} and reply["error"]
 
 
 def test_bias_without_tables_names_the_missing_flag(fixture_paths, tmp_path, capsys):

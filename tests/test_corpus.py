@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
+from typing import Mapping
 
 import pytest
 
@@ -9,6 +11,7 @@ import minicorpus
 from deidkit.corpus import (
     Category,
     CorpusError,
+    CorpusSplit,
     Span,
     TokenRecord,
     bio_to_spans,
@@ -183,6 +186,99 @@ def test_fixture_tokenizer_roundtrips_mini_corpus(fixture_paths):
         assert reconstruct_text(rebuilt) == text
 
 
+# The previous split_corpus, kept verbatim (stratify defaults to True) so the
+# current one can be checked against it on random corpora.
+def _reference_split_corpus(
+    entity_counts: Mapping[str, Mapping[str, int]],
+    ratios: tuple[float, float, float] = (0.25, 0.15, 0.60),
+    seed: int = 0,
+    stratify: bool = True,
+) -> CorpusSplit:
+    """Partition document ids into base-train / verifier-train / test sets.
+
+    ``entity_counts`` maps each document id to its gold entity count per
+    category (documents without entities map to an empty mapping). Split
+    sizes are round(N * ratio) for the first two sets with the remainder
+    going to test. When ``stratify`` is set, every category whose corpus
+    total is at least 3 is guaranteed at least one gold entity in every
+    split; a category concentrated in fewer than 3 documents makes that
+    impossible and raises CorpusError.
+    """
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise CorpusError(f"ratios {ratios} do not sum to 1")
+
+    counts_by_doc: dict[str, dict[str, int]] = {
+        str(doc_id): {str(k): int(v) for k, v in counts.items()}
+        for doc_id, counts in entity_counts.items()
+    }
+    doc_ids = sorted(counts_by_doc)
+    n = len(doc_ids)
+    targets = [round(n * ratios[0]), round(n * ratios[1])]
+    targets.append(n - targets[0] - targets[1])
+    if min(targets) < 0:
+        raise CorpusError(f"ratios {ratios} produce negative split sizes for N={n}")
+
+    rng = random.Random(seed)
+    shuffled = list(doc_ids)
+    rng.shuffle(shuffled)
+
+    assigned: dict[str, int] = {}
+    sizes = [0, 0, 0]
+
+    if stratify:
+        totals: Counter = Counter()
+        carriers: dict[str, list[str]] = {}
+        for doc_id in shuffled:
+            for cat, count in counts_by_doc[doc_id].items():
+                if count > 0:
+                    totals[cat] += count
+                    carriers.setdefault(cat, []).append(doc_id)
+
+        # Rarest categories get seeded first so their few carrier documents
+        # are still unassigned when needed.
+        for cat in sorted(totals, key=lambda c: (len(carriers[c]), c)):
+            if totals[cat] < 3:
+                continue  # the guarantee only applies from 3 entities up
+            if len(carriers[cat]) < 3:
+                raise CorpusError(
+                    f"category {cat} has {totals[cat]} entities in only "
+                    f"{len(carriers[cat])} documents; cannot cover 3 splits"
+                )
+            for split_idx in range(3):
+                if any(
+                    counts_by_doc[d].get(cat, 0) > 0
+                    for d, s in assigned.items()
+                    if s == split_idx
+                ):
+                    continue
+                if sizes[split_idx] >= targets[split_idx]:
+                    raise CorpusError(
+                        f"split {split_idx} is full before category {cat} could be placed"
+                    )
+                picked = next((d for d in carriers[cat] if d not in assigned), None)
+                if picked is None:
+                    raise CorpusError(
+                        f"no unassigned document carries category {cat} for split {split_idx}"
+                    )
+                assigned[picked] = split_idx
+                sizes[split_idx] += 1
+
+    split_order = [0, 1, 2]
+    for doc_id in shuffled:
+        if doc_id in assigned:
+            continue
+        for split_idx in split_order:
+            if sizes[split_idx] < targets[split_idx]:
+                assigned[doc_id] = split_idx
+                sizes[split_idx] += 1
+                break
+
+    groups: list[set[str]] = [set(), set(), set()]
+    for doc_id, split_idx in assigned.items():
+        groups[split_idx].add(doc_id)
+    return CorpusSplit(base_train=groups[0], verifier_train=groups[1], test=groups[2])
+
+
 class TestSplitCorpus:
     @staticmethod
     def random_corpus(rng: random.Random, n_docs: int) -> dict[str, dict[str, int]]:
@@ -197,21 +293,27 @@ class TestSplitCorpus:
 
     def test_paper_scale_sizes(self):
         counts = {f"d{i}": {} for i in range(22_688)}
-        split = split_corpus(counts, seed=11, stratify=False)
+        split = split_corpus(counts, seed=11)
         assert len(split.base_train) == 5_672
         assert len(split.verifier_train) == 3_403
         assert len(split.test) == 13_613
 
     def test_partition_invariants_random(self):
         rng = random.Random(3)
+        ran = 0
         for trial in range(1000):
             counts = self.random_corpus(rng, rng.randrange(1, 40))
-            split = split_corpus(counts, seed=trial, stratify=False)
+            try:
+                split = split_corpus(counts, seed=trial)
+            except CorpusError:
+                continue  # no stratified split exists for this corpus
+            ran += 1
             ids = set(counts)
             assert split.base_train | split.verifier_train | split.test == ids
             assert not split.base_train & split.verifier_train
             assert not split.base_train & split.test
             assert not split.verifier_train & split.test
+        assert ran >= 100
 
     def test_same_seed_is_byte_identical(self):
         rng = random.Random(5)
@@ -243,6 +345,39 @@ class TestSplitCorpus:
         counts["d1"] = {"EMAIL": 2}
         with pytest.raises(CorpusError, match="in only 2 documents"):
             split_corpus(counts, seed=0)
+
+    def test_matches_the_reference_split(self):
+        """Same split, or the same error, as the previous implementation."""
+        ratio_choices = [
+            (0.25, 0.15, 0.60), (1 / 3, 1 / 3, 1 / 3), (0.1, 0.1, 0.8), (0.6, 0.3, 0.1),
+            (0.05, 0.05, 0.9), (0.9, 0.9, -0.8), (0.5, 0.4, 0.2),
+        ]
+        messages = (
+            "do not sum to 1", "negative split sizes", "cannot cover 3 splits",
+            "is full before", "no unassigned document",
+        )
+        outcomes: Counter = Counter()
+        for trial in range(3000):
+            rng = random.Random(trial)
+            # A few categories on a few shared carriers make every infeasible case likely.
+            counts: dict[str, dict[str, int]] = {f"d{i}": {} for i in range(rng.randrange(0, 80))}
+            carriers = rng.sample(sorted(counts), min(len(counts), rng.randrange(2, 8)))
+            for k in range(rng.randrange(0, 6)):
+                for doc_id in rng.sample(carriers, min(len(carriers), rng.choice([2, 3, 3, 4]))):
+                    counts[doc_id][f"c{k}"] = rng.randrange(1, 3)
+            ratios = rng.choice(ratio_choices)
+
+            def outcome(split) -> object:
+                try:
+                    return split(counts, ratios=ratios, seed=trial).as_dict()
+                except CorpusError as exc:
+                    return str(exc)
+
+            expected = outcome(_reference_split_corpus)
+            assert outcome(split_corpus) == expected, trial
+            if isinstance(expected, str):
+                outcomes[next(m for m in messages if m in expected)] += 1
+        assert set(outcomes) == set(messages), outcomes
 
     def test_bad_ratios_rejected(self):
         with pytest.raises(CorpusError):
