@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import __version__, corpus, detect, mockllm
-from .corpus import Category, CorpusError, Document, Span
+from .corpus import Category, Document, Span
 from .eval import (
     bias_report,
     cost_summary,
@@ -158,10 +158,6 @@ def _write_manifest(out_path: str | Path, settings: Mapping, args: argparse.Name
     corpus.write_json(str(out_path) + ".manifest.json", manifest)
 
 
-def _load_docs(path: str) -> dict[str, Document]:
-    return {d.id: d for d in corpus.read_documents(path)}
-
-
 def _build_client(args: argparse.Namespace) -> ChatClient:
     if not args.base_url:
         raise CliError("an LLM detector needs --base-url (or llm.base_url in the config)")
@@ -242,51 +238,21 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    docs = _load_docs(args.infile)
-    gold = corpus.read_standoff(args.gold) if args.gold else {}
-    _check_span_documents(args.gold, gold, docs)
+    docs = corpus.read_documents(args.infile)
+    gold = corpus.read_standoff(args.gold, docs) if args.gold else {}
     entity_counts = {d: Counter(s.category.value for s in gold.get(d, ())) for d in docs}
     try:  # too few or too many parts, or one that is not a number
         base, verifier, test = map(float, args.ratios.split(","))
     except ValueError:
         raise CliError("--ratios needs three comma-separated numbers") from None
-    split = corpus.split_corpus(entity_counts, ratios=(base, verifier, test), seed=args.seed)
+    split = corpus.split_corpus(entity_counts, (base, verifier, test), args.seed, gold=args.gold)
     corpus.write_json(args.out, split.as_dict())
     return 0
 
 
-def _select_ids(docs: dict[str, Document], args: argparse.Namespace) -> list[str]:
-    if getattr(args, "split_file", None):
-        split = corpus.read_json(args.split_file)
-        requested = split.get(args.split_name) if isinstance(split, dict) else None
-        if not isinstance(requested, list) or not all(isinstance(i, str) for i in requested):
-            raise CliError(f"{args.split_file}: no list of document ids named {args.split_name!r}")
-        missing = [i for i in requested if i not in docs]
-        if missing:
-            raise CliError(f"{args.split_file}: split references unknown documents: {missing[:5]}")
-        repeated = [i for i, n in Counter(requested).items() if n > 1]
-        if repeated:
-            raise CliError(
-                f"{args.split_file}: document {repeated[0]!r} is listed twice in {args.split_name!r}"
-            )
-        return requested
-    return sorted(docs)
-
-
-def _check_span_documents(path: str, spans_by_doc: Mapping, docs: Mapping[str, Document]) -> None:
-    """Every span names a known document and fits its text, before any of it is used."""
-    for doc_id, spans in spans_by_doc.items():
-        if doc_id not in docs:
-            raise CliError(f"{path}: spans reference unknown document {doc_id!r}")
-        try:
-            corpus.validate_spans(docs[doc_id].text, spans)
-        except CorpusError as exc:
-            raise CliError(f"{path}: document {doc_id!r}: {exc}") from exc
-
-
 def _cmd_detect(args: argparse.Namespace) -> int:
-    docs = _load_docs(args.infile)
-    ids = _select_ids(docs, args)
+    docs = corpus.read_documents(args.infile)
+    ids = corpus.read_split(args.split_file, args.split_name, docs)
 
     detector_name = args.detector or "rules"
     if detector_name == "rules":
@@ -303,22 +269,19 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    docs = _load_docs(args.infile)
-    detections = corpus.read_standoff(args.spans)
+    docs = corpus.read_documents(args.infile)
+    detections = corpus.read_standoff(args.spans, docs)
     client = _build_client(args)
     variant = VerifierVariant(args.variant)
-    _check_span_documents(args.spans, detections, docs)
     _write_spans(args, sorted(detections),
                  lambda i: verify_spans(docs[i], detections[i], client, variant), client)
     return 0
 
 
 def _cmd_replace(args: argparse.Namespace) -> int:
-    docs = _load_docs(args.infile)
+    docs = corpus.read_documents(args.infile)
     pools = load_name_pools(args.pools) if args.pools else None
-
-    spans_by_doc = corpus.read_spans(args.spans) if args.spans else {}
-    _check_span_documents(args.spans, spans_by_doc, docs)
+    spans_by_doc = corpus.read_spans(args.spans, docs) if args.spans else {}
 
     if args.group:
         gender, _, culture = args.group.partition(":")
@@ -435,10 +398,9 @@ def _cmd_simulate_leakage(args: argparse.Namespace) -> int:
 
 
 def _cmd_make_finetune(args: argparse.Namespace) -> int:
-    docs = _load_docs(args.infile)
-    gold = corpus.read_standoff(args.gold)
-    ids = _select_ids(docs, args)
-    _check_span_documents(args.gold, gold, docs)
+    docs = corpus.read_documents(args.infile)
+    gold = corpus.read_standoff(args.gold, docs)
+    ids = corpus.read_split(args.split_file, args.split_name, docs)
     # A document with no text has nothing to label, and an empty target teaches nothing.
     count = detect.write_finetune_file(
         args.out, ((docs[i], gold.get(i, [])) for i in ids if docs[i].text.strip())
@@ -448,11 +410,9 @@ def _cmd_make_finetune(args: argparse.Namespace) -> int:
 
 
 def _cmd_make_verifier_data(args: argparse.Namespace) -> int:
-    docs = _load_docs(args.infile)
-    gold = corpus.read_standoff(args.gold)
-    detections = corpus.read_standoff(args.detections)
-    _check_span_documents(args.detections, detections, docs)
-    _check_span_documents(args.gold, gold, docs)
+    docs = corpus.read_documents(args.infile)
+    gold = corpus.read_standoff(args.gold, docs)
+    detections = corpus.read_standoff(args.detections, docs)
     variant = VerifierVariant(args.variant)
     with (_build_client(args) if variant is VerifierVariant.WITH_COT else nullcontext()) as client:
         examples = build_verifier_dataset(detections, gold, docs, variant, client=client)
@@ -467,13 +427,9 @@ def _cmd_mock_llm(args: argparse.Namespace) -> int:
         raise CliError(f"--port must be between 0 and 65535, not {args.port}")
     if args.gold and not args.corpus:
         raise CliError(f"--gold {args.gold} needs --corpus, the documents its spans belong to")
-    gold_by_text: dict[str, list[Span]] = {}
-    if args.corpus:
-        docs = _load_docs(args.corpus)
-        gold = corpus.read_standoff(args.gold) if args.gold else {}
-        _check_span_documents(args.gold, gold, docs)
-        for doc_id, doc in docs.items():
-            gold_by_text[doc.text] = gold.get(doc_id, [])
+    docs = corpus.read_documents(args.corpus) if args.corpus else {}
+    gold = corpus.read_standoff(args.gold, docs) if args.gold else {}
+    gold_by_text = {doc.text: gold.get(doc_id, []) for doc_id, doc in docs.items()}
     mock = mockllm.MockLlm(args.mode, gold_by_text, seed=args.seed)
     server = mockllm.make_server(mock, port=args.port)
     host, port = server.server_address[:2]

@@ -79,6 +79,9 @@ class Document:
     source: str = "raw"  # crapii | tscc | raw
 
 
+Documents = Mapping[str, Document]  # by id, as read_documents returns them
+
+
 @dataclass
 class TokenRecord:
     """One BIO-labeled record: parallel token/label/whitespace arrays."""
@@ -266,6 +269,7 @@ def split_corpus(
     entity_counts: Mapping[str, Mapping[str, int]],
     ratios: tuple[float, float, float] = (0.25, 0.15, 0.60),
     seed: int = 0,
+    gold: str | Path | None = None,
 ) -> CorpusSplit:
     """Partition document ids into base-train / verifier-train / test sets.
 
@@ -275,7 +279,7 @@ def split_corpus(
     going to test. Every category whose corpus total is at least 3 is
     guaranteed at least one gold entity in every split; a category
     concentrated in fewer than 3 documents makes that impossible and raises
-    CorpusError.
+    CorpusError that names ``gold``, the file the counts came from, if given.
     """
     if not abs(sum(ratios) - 1.0) <= 1e-9:  # a NaN sum (NaN, or inf and -inf) fails too
         raise CorpusError(f"ratios {ratios} do not sum to 1")
@@ -296,6 +300,7 @@ def split_corpus(
                 totals[cat] += count
                 carriers.setdefault(cat, []).append(doc_id)
 
+    where = f"{gold}: " if gold else ""  # a category that cannot be placed is the gold's fault
     splits: list[set[str]] = [set(), set(), set()]
     held: list[set[str]] = [set(), set(), set()]  # the categories each split carries
     # Rarest categories get seeded first so their few carrier documents
@@ -305,7 +310,7 @@ def split_corpus(
             continue  # the guarantee only applies from 3 entities up
         if len(carriers[cat]) < 3:
             raise CorpusError(
-                f"category {cat} has {totals[cat]} entities in only "
+                f"{where}category {cat} has {totals[cat]} entities in only "
                 f"{len(carriers[cat])} documents; cannot cover 3 splits"
             )
         for split_idx, split in enumerate(splits):
@@ -313,12 +318,12 @@ def split_corpus(
                 continue
             if len(split) >= targets[split_idx]:
                 raise CorpusError(
-                    f"split {split_idx} is full before category {cat} could be placed"
+                    f"{where}split {split_idx} is full before category {cat} could be placed"
                 )
             picked = next((d for d in carriers[cat] if not any(d in s for s in splits)), None)
             if picked is None:
                 raise CorpusError(
-                    f"no unassigned document carries category {cat} for split {split_idx}"
+                    f"{where}no unassigned document carries category {cat} for split {split_idx}"
                 )
             split.add(picked)
             held[split_idx].update(c for c, count in entity_counts[picked].items() if count > 0)
@@ -331,8 +336,10 @@ def split_corpus(
 
 
 # ---------------------------------------------------------------------------
-# File formats: every file is read and written through the five functions
-# below, so a malformed input is one CorpusError naming its path (and line).
+# File formats: every file is read and written through the functions below, so
+# a malformed input is one CorpusError naming its path (and line). Given the id
+# map read_documents returns, read_spans and read_standoff check that each span
+# lies in its document (validate_spans), and read_split that each id is in it.
 
 
 def _not_a_number(constant: str) -> None:
@@ -417,12 +424,19 @@ def _list_of(obj: Mapping, key: str, kind: type) -> list:
     return value
 
 
+def _document_id(value: Any) -> str:
+    """A document id is a string, or an integer as the public corpus writes it."""
+    if type(value) not in (str, int):  # a bool is an int, but no id
+        raise CorpusError(f"document id must be a string or an integer, not {type(value).__name__}")
+    return str(value)
+
+
 def _token_record(obj: Mapping) -> TokenRecord:
     full_text = obj.get("full_text")
     if full_text is not None and not isinstance(full_text, str):
         raise CorpusError(f"full_text must be a string or null, not {type(full_text).__name__}")
     return TokenRecord(
-        document_id=str(obj["document"]),
+        document_id=_document_id(obj["document"]),
         tokens=_list_of(obj, "tokens", str),
         labels=_list_of(obj, "labels", str),
         trailing_whitespace=_list_of(obj, "trailing_whitespace", bool),
@@ -473,7 +487,7 @@ def write_standoff(path: str | Path, spans_by_doc: Mapping[str, Sequence[Span]])
     ])
 
 
-def read_spans(path: str | Path) -> dict[str, list[Span]]:
+def read_spans(path: str | Path, docs: Documents | None = None) -> dict[str, list[Span]]:
     """Read a span file of all category or all placeholder spans, sorted by offset per document."""
     payload = read_json(path)
     if not isinstance(payload, list):
@@ -482,7 +496,7 @@ def read_spans(path: str | Path) -> dict[str, list[Span]]:
     for obj in payload:
         doc_id = obj.get("document") if isinstance(obj, Mapping) else None
         try:
-            doc_id, spans = str(obj["document"]), [_entry_to_span(e) for e in obj["spans"]]
+            doc_id, spans = _document_id(obj["document"]), [_entry_to_span(e) for e in obj["spans"]]
             spans.sort(key=lambda span: (span.start, span.end))  # Placeholder has no order
         except KeyError as exc:
             raise CorpusError(f"{path}: document {doc_id!r}: span entry lacks key {exc}") from exc
@@ -493,11 +507,20 @@ def read_spans(path: str | Path) -> dict[str, list[Span]]:
         out[doc_id] = spans
     if len({type(s.category) for spans in out.values() for s in spans}) > 1:
         raise CorpusError(f"{path}: mixes category and placeholder span entries")
+    if docs is None:
+        return out
+    for doc_id, spans in out.items():
+        if doc_id not in docs:
+            raise CorpusError(f"{path}: spans reference unknown document {doc_id!r}")
+        try:
+            validate_spans(docs[doc_id].text, spans)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: document {doc_id!r}: {exc}") from exc
     return out
 
 
-def read_standoff(path: str | Path) -> dict[str, list[Span]]:
-    out = read_spans(path)
+def read_standoff(path: str | Path, docs: Documents | None = None) -> dict[str, list[Span]]:
+    out = read_spans(path, docs)
     if any(isinstance(s.category, Placeholder) for spans in out.values() for s in spans):
         raise CorpusError(f"{path}: holds placeholder spans where category spans are expected")
     return out
@@ -511,12 +534,31 @@ def _document(obj: Mapping) -> Document:
     if "tokens" in obj:
         rec = _token_record(obj)
         return Document(rec.document_id, reconstruct_text(rec), "crapii")
-    text = obj["text"]
+    text, source = obj["text"], obj.get("source", "raw")
     if not isinstance(text, str):
         raise CorpusError(f"document text must be a string, not {type(text).__name__}")
-    return Document(str(obj["id"]), text, obj.get("source", "raw"))
+    if not isinstance(source, str):
+        raise CorpusError(f"document source must be a string, not {type(source).__name__}")
+    return Document(_document_id(obj["id"]), text, source)
 
 
-def read_documents(path: str | Path) -> list[Document]:
-    """Read documents from JSONL; accepts both ingested docs and raw token records."""
-    return list(read_jsonl(path, _document, lambda doc: doc.id))
+def read_documents(path: str | Path) -> dict[str, Document]:
+    """Read documents from JSONL by id; accepts both ingested docs and raw token records."""
+    return {doc.id: doc for doc in read_jsonl(path, _document, lambda doc: doc.id)}
+
+
+def read_split(path: str | Path | None, name: str, docs: Documents) -> list[str]:
+    """Read the set ``name`` of a split file: distinct ids of ``docs``; all of them if no file."""
+    if not path:
+        return sorted(docs)
+    split = read_json(path)
+    ids = split.get(name) if isinstance(split, dict) else None
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise CorpusError(f"{path}: no list of document ids named {name!r}")
+    missing = [i for i in ids if i not in docs]
+    if missing:
+        raise CorpusError(f"{path}: split references unknown documents: {missing[:5]}")
+    repeated = [i for i, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise CorpusError(f"{path}: document {repeated[0]!r} is listed twice in {name!r}")
+    return ids

@@ -20,7 +20,7 @@ def fixture_paths(tmp_path_factory) -> dict[str, Path]:
 
 @pytest.fixture(scope="session")
 def mini_docs(fixture_paths) -> dict[str, corpus.Document]:
-    return {d.id: d for d in corpus.read_documents(fixture_paths["corpus"])}
+    return corpus.read_documents(fixture_paths["corpus"])
 
 
 @pytest.fixture(scope="session")

@@ -123,7 +123,7 @@ class TestIngestAndSplit:
             "--out-gold", str(tmp_path / "gold.json"),
         )
         assert code == 0
-        assert sorted(calls) == sorted(doc.id for doc in corpus.read_documents(out_docs))
+        assert sorted(calls) == sorted(corpus.read_documents(out_docs))
 
     @pytest.mark.parametrize(
         "sources", [[], ["--in", "corpus", "--tscc", "tscc"]], ids=["neither", "both"]
@@ -363,7 +363,7 @@ class TestReplaceCommand:
             "--out-gold", str(out_gold),
         )
         assert code == 0
-        docs = {d.id: d for d in corpus.read_documents(out_docs)}
+        docs = corpus.read_documents(out_docs)
         assert "John Doe" not in docs["379"].text
         shifted = corpus.read_standoff(out_gold)
         for doc_id, spans in shifted.items():
@@ -414,7 +414,7 @@ class TestReplaceCommand:
             "--out-gold", str(out_gold),
         )
         assert code == 0
-        text = corpus.read_documents(out_docs)[0].text
+        text = corpus.read_documents(out_docs)["t1"].text
         assert "〈" not in text
         gold = corpus.read_standoff(out_gold)
         assert len(gold["t1"]) == 2  # STUDENT and TEACHER become name spans
@@ -715,7 +715,7 @@ class TestSpanFiles:
     def test_placeholder_file_whose_first_document_has_no_spans(self, fixture_paths, tmp_path):
         docs, spans = self._write_two_transcripts(tmp_path, [], [self.STUDENT])
         assert self._replace(fixture_paths, tmp_path, docs, spans) == 0
-        out = {d.id: d.text for d in corpus.read_documents(tmp_path / "anon.jsonl")}
+        out = {i: d.text for i, d in corpus.read_documents(tmp_path / "anon.jsonl").items()}
         assert out["a"] == "teacher: nothing to hide here"
         assert "〈STUDENT〉" not in out["b"]
         assert out["b"].startswith("teacher: well done ")
@@ -807,6 +807,10 @@ _SURFACE_DIFFERS_SPANS = (
 _JOHN_DOE_SPANS = (
     '[{"document": "379", "spans": [{"start": 3, "end": 11, "category": "NAME_STUDENT", '
     '"text": "John Doe"}]}]'
+)
+# "Doe" at 8-11 lies inside "John Doe" at 3-11.
+_OVERLAPPING_SPANS = (
+    _JOHN_DOE_SPANS[:-3] + ', {"start": 8, "end": 11, "category": "NAME_STUDENT", "text": "Doe"}]}]'
 )
 _INGEST = [
     "ingest", "--in", "{bad}", "--out-docs", "{bad}.docs.jsonl", "--out-gold", "{bad}.gold.json",
@@ -980,6 +984,43 @@ _MALFORMED_INPUTS = {
         ["--config", "{bad}", "detect", "--detector", "rules", "--in", "{corpus}"]),
     "config-unknown-detector": (
         '{"detector": "llm-psychic"}', ["--config", "{bad}", "detect", "--in", "{corpus}"]),
+    # Each span file read next to --in rejects a span that does not lie in its document.
+    "split-gold-overlapping-spans": (
+        _OVERLAPPING_SPANS, ["split", "--in", "{corpus}", "--gold", "{bad}"]),
+    "verify-spans-overlapping-spans": (
+        _OVERLAPPING_SPANS,
+        ["verify", "--in", "{corpus}", "--spans", "{bad}", "--base-url", "http://127.0.0.1:1/v1"]),
+    "replace-spans-overlapping-spans": (
+        _OVERLAPPING_SPANS,
+        ["replace", "--in", "{corpus}", "--spans", "{bad}", "--pools", "{pools}",
+         "--out-docs", "{bad}.docs.jsonl", "--out-audit", "{bad}.audit.jsonl"]),
+    "make-finetune-gold-span-surface-differs": (
+        _SURFACE_DIFFERS_SPANS, ["make-finetune", "--in", "{corpus}", "--gold", "{bad}"]),
+    "make-finetune-gold-overlapping-spans": (
+        _OVERLAPPING_SPANS, ["make-finetune", "--in", "{corpus}", "--gold", "{bad}"]),
+    "make-verifier-data-overlapping-spans": (
+        _OVERLAPPING_SPANS,
+        ["make-verifier-data", "--in", "{corpus}", "--gold", "{gold}", "--detections", "{bad}"]),
+    "make-verifier-data-gold-overlapping-spans": (
+        _OVERLAPPING_SPANS,
+        ["make-verifier-data", "--in", "{corpus}", "--gold", "{bad}", "--detections", "{gold}"]),
+    "mock-llm-gold-unknown-document": (
+        _UNKNOWN_DOCUMENT_SPANS,
+        ["mock-llm", "--mode", "echo-gold", "--corpus", "{corpus}", "--gold", "{bad}"]),
+    "mock-llm-gold-overlapping-spans": (
+        _OVERLAPPING_SPANS,
+        ["mock-llm", "--mode", "echo-gold", "--corpus", "{corpus}", "--gold", "{bad}"]),
+    # A document id is a string or an integer; each of these once became a made-up id.
+    "documents-id-null": (
+        '{"id": null, "text": "hello Ann"}\n', ["detect", "--detector", "rules", "--in", "{bad}"]),
+    "documents-source-a-number": (
+        '{"id": "a", "text": "x", "source": 5}\n',
+        ["detect", "--detector", "rules", "--in", "{bad}"]),
+    "token-record-document-null": (
+        '{"document": null, "tokens": ["hi"], "labels": ["O"], "trailing_whitespace": [false]}\n',
+        _INGEST),
+    "span-file-document-a-bool": (
+        '[{"document": true, "spans": []}]', ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
 }
 
 
@@ -1167,6 +1208,24 @@ def test_split_has_no_no_stratify_flag(fixture_paths, tmp_path, capsys):
                 "--out", str(tmp_path / "split.json"))
     assert exit_info.value.code == 2
     assert "--no-stratify" in capsys.readouterr().err
+
+
+def test_split_gold_that_cannot_be_stratified_names_the_file(tmp_path, capsys):
+    # Three EMAIL entities in two documents cannot reach three splits.
+    docs, gold = tmp_path / "docs.jsonl", tmp_path / "gold.json"
+    corpus.write_documents(docs, [corpus.Document(f"d{i}", "mail a@b.co") for i in range(10)])
+    email = corpus.Span(5, 11, corpus.Category.EMAIL, "a@b.co")
+    corpus.write_standoff(gold, {"d0": [email], "d1": [email, corpus.Span(0, 4, email.category, "mail")]})
+    out = tmp_path / "split.json"
+    assert run_cli("split", "--in", str(docs), "--gold", str(gold), "--out", str(out)) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {gold}: category EMAIL has 3 entities in only 2 documents; cannot cover 3 splits"
+    )
+    assert not out.exists()
+    # A fault of the ratios is the flag's, not the gold file's.
+    assert run_cli("split", "--in", str(docs), "--gold", str(gold), "--ratios", "0.5,0.5,0.5",
+                   "--out", str(out)) == 1
+    assert _one_error_line(capsys) == "error: ratios (0.5, 0.5, 0.5) do not sum to 1"
 
 
 @pytest.mark.parametrize("port", ["99999", "-1"])
@@ -1370,7 +1429,7 @@ gold = corpus.read_standoff(paths["gold"])
 tracer = tracing.Tracer()
 tracing.install(tracer)  # after the reads above, so only the CLI's calls are traced
 server = mockllm.make_server(
-    mockllm.MockLlm("perturb", {d.text: gold.get(d.id, []) for d in docs})
+    mockllm.MockLlm("perturb", {d.text: gold.get(d.id, []) for d in docs.values()})
 )
 threading.Thread(target=server.serve_forever, daemon=True).start()
 url = "http://%s:%d/v1" % server.server_address[:2]
@@ -1454,6 +1513,17 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+def test_package_parses_at_the_python_floor():
+    # Every module parses with the grammar of the oldest Python that pyproject.toml allows.
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    assert floor, "pyproject.toml names no requires-python floor"
+    for path in sorted((root / "src" / "deidkit").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=tuple(map(int, floor.groups())))
 
 
 def test_transport_lives_in_one_module():

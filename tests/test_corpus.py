@@ -453,7 +453,20 @@ def test_read_documents_names_the_line_and_keeps_the_error_class(tmp_path):
 
 def test_read_documents_accepts_both_schemas(fixture_paths, tmp_path):
     docs = read_documents(fixture_paths["corpus"])
-    assert any(d.id == "379" for d in docs)
+    assert "379" in docs
     plain = tmp_path / "docs.jsonl"
     plain.write_text('{"id": "a", "text": "hello", "source": "raw"}\n', encoding="utf-8")
-    assert read_documents(plain)[0].text == "hello"
+    assert read_documents(plain)["a"].text == "hello"
+
+
+def test_integer_document_ids_read_as_strings(tmp_path):
+    # The public corpus writes its ids as integers.
+    docs, records, spans = tmp_path / "docs.jsonl", tmp_path / "records.jsonl", tmp_path / "spans.json"
+    docs.write_text('{"id": 7, "text": "hi"}\n', encoding="utf-8")
+    records.write_text(json.dumps({
+        "document": 8, "tokens": ["hi"], "labels": ["O"], "trailing_whitespace": [False],
+    }) + "\n", encoding="utf-8")
+    spans.write_text('[{"document": 7, "spans": []}]', encoding="utf-8")
+    assert list(read_documents(docs)) == ["7"]
+    assert [rec.document_id for rec, _ in read_crapii_jsonl(records)] == ["8"]
+    assert read_spans(spans, read_documents(docs)) == {"7": []}
