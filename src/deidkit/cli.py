@@ -202,7 +202,7 @@ def _write_spans(
 # Subcommand handlers
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> None:
     if args.tscc and args.strict:
         raise CliError("--strict applies to --in input, not --tscc")
     if args.infile and args.id is not None:
@@ -215,7 +215,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             raise CliError(f"{args.tscc}: {exc}") from exc
         corpus.write_documents(args.out_docs, [doc])
         corpus.write_standoff(args.out_gold, {doc.id: placeholders})
-        return 0
+        return
 
     docs: list[Document] = []
     gold: dict[str, list[Span]] = {}
@@ -234,10 +234,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             f"{json.dumps(dropped, sort_keys=True)}",
             file=sys.stderr,
         )
-    return 0
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
+def _cmd_split(args: argparse.Namespace) -> None:
     docs = corpus.read_documents(args.infile)
     gold = corpus.read_standoff(args.gold, docs) if args.gold else {}
     entity_counts = {d: Counter(s.category.value for s in gold.get(d, ())) for d in docs}
@@ -247,10 +246,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
         raise CliError("--ratios needs three comma-separated numbers") from None
     split = corpus.split_corpus(entity_counts, (base, verifier, test), args.seed, gold=args.gold)
     corpus.write_json(args.out, split.as_dict())
-    return 0
 
 
-def _cmd_detect(args: argparse.Namespace) -> int:
+def _cmd_detect(args: argparse.Namespace) -> None:
     docs = corpus.read_documents(args.infile)
     ids = corpus.read_split(args.split_file, args.split_name, docs)
 
@@ -258,27 +256,25 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if detector_name == "rules":
         pools = load_name_pools(args.pools) if args.pools else None
         _write_spans(args, ids, lambda i: detect.rule_detect(docs[i], pools=pools))
-        return 0
+        return
     client, mode = _build_client(args), detector_name.removeprefix("llm-")
     _write_spans(args, ids, lambda i: detect.llm_detect(docs[i], client, mode).spans, client)
     if args.pricing is not None:
         corpus.write_json(str(args.out) + ".cost.json", stage_ledger(
             "evaluation", client.estimated_input_tokens, client.estimated_output_tokens, args.pricing
         ))
-    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> None:
     docs = corpus.read_documents(args.infile)
     detections = corpus.read_standoff(args.spans, docs)
     client = _build_client(args)
     variant = VerifierVariant(args.variant)
     _write_spans(args, sorted(detections),
                  lambda i: verify_spans(docs[i], detections[i], client, variant), client)
-    return 0
 
 
-def _cmd_replace(args: argparse.Namespace) -> int:
+def _cmd_replace(args: argparse.Namespace) -> None:
     docs = corpus.read_documents(args.infile)
     pools = load_name_pools(args.pools) if args.pools else None
     spans_by_doc = corpus.read_spans(args.spans, docs) if args.spans else {}
@@ -319,20 +315,18 @@ def _cmd_replace(args: argparse.Namespace) -> int:
     corpus.write_documents(args.out_docs, out_docs)
     if args.out_gold:
         corpus.write_standoff(args.out_gold, shifted_gold)
-    return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> None:
     pred = corpus.read_standoff(args.pred)
     gold = corpus.read_standoff(args.gold)
     report = evaluate_documents(pred, gold)
     print(render_metrics_table(report))
     if args.out:
         corpus.write_json(args.out, report.as_dict())
-    return 0
 
 
-def _cmd_bias(args: argparse.Namespace) -> int:
+def _cmd_bias(args: argparse.Namespace) -> None:
     pred = corpus.read_standoff(args.pred)
     gold = corpus.read_standoff(args.gold)
     for dest in ("gender_table", "surname_table", "region_table"):
@@ -354,10 +348,9 @@ def _cmd_bias(args: argparse.Namespace) -> int:
             entries.append((demographic, (span.start, span.end, span.category) in pred_keys))
     report = bias_report(entries)
     corpus.write_json(args.out, report.as_dict())
-    return 0
 
 
-def _cmd_cost(args: argparse.Namespace) -> int:
+def _cmd_cost(args: argparse.Namespace) -> None:
     ledger = corpus.read_json(args.ledger)
     try:
         summary = cost_summary(ledger)
@@ -365,10 +358,9 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         raise CliError(f"{args.ledger}: {exc}") from exc
     corpus.write_json(args.out, summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
 
 
-def _cmd_simulate_leakage(args: argparse.Namespace) -> int:
+def _cmd_simulate_leakage(args: argparse.Namespace) -> None:
     estimate = simulate_leakage(
         fn_rate=args.fn,
         attacker_detect_rate=args.attacker_rate,
@@ -394,10 +386,9 @@ def _cmd_simulate_leakage(args: argparse.Namespace) -> int:
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         corpus.write_json(args.out, payload)
-    return 0
 
 
-def _cmd_make_finetune(args: argparse.Namespace) -> int:
+def _cmd_make_finetune(args: argparse.Namespace) -> None:
     docs = corpus.read_documents(args.infile)
     gold = corpus.read_standoff(args.gold, docs)
     ids = corpus.read_split(args.split_file, args.split_name, docs)
@@ -406,10 +397,9 @@ def _cmd_make_finetune(args: argparse.Namespace) -> int:
         args.out, ((docs[i], gold.get(i, [])) for i in ids if docs[i].text.strip())
     )
     print(f"wrote {count} training record(s) to {args.out}")
-    return 0
 
 
-def _cmd_make_verifier_data(args: argparse.Namespace) -> int:
+def _cmd_make_verifier_data(args: argparse.Namespace) -> None:
     docs = corpus.read_documents(args.infile)
     gold = corpus.read_standoff(args.gold, docs)
     detections = corpus.read_standoff(args.detections, docs)
@@ -419,10 +409,9 @@ def _cmd_make_verifier_data(args: argparse.Namespace) -> int:
     count = write_verifier_training_file(args.out, examples, variant)
     forced = sum(1 for e in examples if e.forced_default)
     print(f"wrote {count} verifier example(s) to {args.out} ({forced} defaulted to T)")
-    return 0
 
 
-def _cmd_mock_llm(args: argparse.Namespace) -> int:
+def _cmd_mock_llm(args: argparse.Namespace) -> None:
     if not 0 <= args.port <= 65535:
         raise CliError(f"--port must be between 0 and 65535, not {args.port}")
     if args.gold and not args.corpus:
@@ -440,7 +429,6 @@ def _cmd_mock_llm(args: argparse.Namespace) -> int:
         pass
     finally:
         server.server_close()
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +566,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     settings = dict(vars(args))
     try:
         _apply_config(args, load_run_config(args.config) if args.config else {})
-        code = args.func(args)
+        args.func(args)
         out = getattr(args, "out", None) or getattr(args, "out_docs", None)
         if out:
             _write_manifest(out, settings, args)
-        return code
+        return 0
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
 import re
 from collections import Counter
@@ -136,10 +137,7 @@ def reconstruct_text(rec: TokenRecord) -> str:
             parts.append(" ")
     text = "".join(parts)
     if rec.full_text is not None and text != rec.full_text:
-        offset = next(
-            (i for i, (a, b) in enumerate(zip(text, rec.full_text)) if a != b),
-            min(len(text), len(rec.full_text)),
-        )
+        offset = len(os.path.commonprefix([text, rec.full_text]))
         raise CorpusError(
             f"document {rec.document_id!r}: reconstructed text diverges from "
             f"full_text at offset {offset}"

@@ -8,7 +8,7 @@ denominators) are reported as missing, not as zero.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -168,10 +168,7 @@ def load_surname_table(path: str | Path) -> dict[str, str]:
 
 def load_region_table(path: str | Path) -> dict[str, str]:
     """Load the country,region CSV that maps countries onto the five regions."""
-    return {
-        row["country"].strip().lower(): row["region"].strip()
-        for row in read_csv(path, ("country", "region"))
-    }
+    return _load_argmax_table(path, "country", "region")
 
 
 def map_country_to_culture(country: str, region_table: Mapping[str, str]) -> str:
@@ -213,22 +210,15 @@ def parse_and_map_name(
 
 @dataclass
 class BiasReport:
-    by_gender: dict[str, float | None]
-    by_culture: dict[str, float | None]
+    by_gender: dict[str, float]
+    by_culture: dict[str, float]
     gender_totals: dict[str, int]
     culture_totals: dict[str, int]
     overall_recall: float | None
     coverage: float  # fraction of gold names with a known gender AND culture
 
     def as_dict(self) -> dict:
-        return {
-            "by_gender": self.by_gender,
-            "by_culture": self.by_culture,
-            "gender_totals": self.gender_totals,
-            "culture_totals": self.culture_totals,
-            "overall_recall": self.overall_recall,
-            "coverage": self.coverage,
-        }
+        return asdict(self)
 
 
 def bias_report(entries: Iterable[tuple[Demographic, bool]]) -> BiasReport:
@@ -236,7 +226,8 @@ def bias_report(entries: Iterable[tuple[Demographic, bool]]) -> BiasReport:
 
     Each entry pairs a gold name's demographic with whether the model matched
     it exactly. Unknown-bucket entries are excluded from group recalls but
-    counted in coverage; groups with zero gold report None, never 0.
+    counted in coverage. A group with no gold names is absent from the
+    recalls and totals, never reported as 0.
     """
     gender_matched: Counter = Counter()
     gender_total: Counter = Counter()
@@ -258,11 +249,8 @@ def bias_report(entries: Iterable[tuple[Demographic, bool]]) -> BiasReport:
             culture_total[demographic.culture] += 1
             culture_matched[demographic.culture] += int(matched)
 
-    def recalls(matched: Counter, totals: Counter, keys: Sequence[str]) -> dict[str, float | None]:
-        out: dict[str, float | None] = {}
-        for key in keys:
-            out[key] = matched[key] / totals[key] if totals[key] else None
-        return out
+    def recalls(matched: Counter, totals: Counter, keys: Sequence[str]) -> dict[str, float]:
+        return {key: matched[key] / totals[key] for key in keys}
 
     genders = sorted(gender_total)
     cultures = [c for c in CULTURES if culture_total[c]]

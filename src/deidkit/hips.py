@@ -50,17 +50,12 @@ class NamePool:
     groups: dict[tuple[str, str], tuple[list[str], list[str]]] = field(default_factory=dict)
     dropped_non_ascii: int = 0
 
-    def first_names(self, group: tuple[str, str]) -> list[str]:
-        names = self.groups.get(group, ([], []))[0]
-        if not names:
+    def names(self, group: tuple[str, str]) -> tuple[list[str], list[str]]:
+        """The group's first and last names; ``EmptyGroup`` if either list is empty."""
+        firsts, lasts = self.groups.get(group, ([], []))
+        if not firsts or not lasts:
             raise EmptyGroup(*group)
-        return names
-
-    def last_names(self, group: tuple[str, str]) -> list[str]:
-        names = self.groups.get(group, ([], []))[1]
-        if not names:
-            raise EmptyGroup(*group)
-        return names
+        return firsts, lasts
 
     @cached_property
     def lowercase_names(self) -> tuple[frozenset[str], frozenset[str]]:
@@ -199,7 +194,7 @@ def surrogate_for(
     if category is Category.NAME_STUDENT or (placeholder and category.name_kind):
         if pools is None:
             raise HipsError("name pools are required for name surrogates: pass --pools")
-        firsts, lasts = pools.first_names(group), pools.last_names(group)
+        firsts, lasts = pools.names(group)
         if category is Category.NAME_STUDENT and len(surface.split()) == 1:
             return _pick_unused(lambda r: r.choice(firsts), surface, used, rng, firsts)
         # Two tokens keep their shape; longer names simplify to First Last (the

@@ -208,4 +208,6 @@ class ChatClient:
             raise EmptyCompletion("completion cut at max_tokens")
         if not content:
             raise EmptyCompletion("completion content is empty")
+        if not isinstance(content, str):
+            raise EmptyCompletion(f"completion content must be a string, not {type(content).__name__}")
         return content

@@ -1025,8 +1025,13 @@ _MALFORMED_INPUTS = {
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
-def test_malformed_input_is_one_line_error(fixture_paths, tmp_path, capsys, case):
+def test_malformed_input_is_one_line_error(fixture_paths, tmp_path, capsys, monkeypatch, case):
     content, template = _MALFORMED_INPUTS[case]
+
+    def serve_nothing(*args, **kwargs):  # a mock-llm that passes its checks fails, not serves
+        raise AssertionError("mock-llm accepted its inputs and would start serving")
+
+    monkeypatch.setattr(mockllm, "make_server", serve_nothing)
     bad = tmp_path / "malformed.input"
     bad.write_text(content, encoding="utf-8")
     names = {k: str(v) for k, v in fixture_paths.items()} | {"bad": str(bad)}
@@ -1266,6 +1271,24 @@ def test_mock_llm_answers_a_body_that_is_not_json_with_400():
     assert set(reply) == {"error"} and reply["error"]
 
 
+def test_bias_and_evaluate_agree_on_name_recall(fixture_paths, tmp_path):
+    gold = corpus.read_standoff(fixture_paths["gold"])
+    doc_id, missed = next((d, x) for d, spans in sorted(gold.items()) for x in spans
+                          if x.category is corpus.Category.NAME_STUDENT)
+    pred = tmp_path / "pred.json"
+    corpus.write_standoff(pred, gold | {doc_id: [x for x in gold[doc_id] if x != missed]})
+    scored = ["--pred", str(pred), "--gold", str(fixture_paths["gold"])]
+    assert run_cli("evaluate", *scored, "--out", str(tmp_path / "metrics.json")) == 0
+    assert run_cli("bias", *scored, "--gender-table", str(fixture_paths["gender"]),
+                   "--surname-table", str(fixture_paths["surname"]),
+                   "--region-table", str(fixture_paths["region"]),
+                   "--out", str(tmp_path / "bias.json")) == 0
+    metrics = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
+    bias = json.loads((tmp_path / "bias.json").read_text(encoding="utf-8"))
+    name_recall = metrics["per_category"]["NAME_STUDENT"]["recall"]
+    assert bias["overall_recall"] == name_recall < 1
+
+
 def test_bias_without_tables_names_the_missing_flag(fixture_paths, tmp_path, capsys):
     gold = str(fixture_paths["gold"])
     code = run_cli("bias", "--pred", gold, "--gold", gold, "--out", str(tmp_path / "b.json"))
@@ -1327,6 +1350,29 @@ def test_non_json_reply_is_a_transport_error(fixture_paths, tmp_path, capsys):
     assert models
     assert code == 2
     assert capsys.readouterr().err.startswith("transport error:")
+
+
+@pytest.mark.parametrize("stage", ["detect", "verify"])
+@pytest.mark.parametrize("content", [5, True, ["a"], {"x": 1}], ids=["int", "bool", "list", "object"])
+def test_reply_content_that_is_not_a_string_is_a_transport_error(
+    fixture_paths, tmp_path, capsys, stage, content
+):
+    reply = json.dumps({"choices": [{"message": {"content": content}, "finish_reason": "stop"}]})
+    stage_argv = {
+        "detect": ["detect", "--detector", "llm-finetuned"],
+        "verify": ["verify", "--spans", str(fixture_paths["gold"])],
+    }[stage]
+    out = tmp_path / "out.json"
+    with capture_server(reply.encode("utf-8")) as (base_url, models):
+        code = run_cli(*stage_argv, "--in", str(fixture_paths["corpus"]), "--base-url", base_url,
+                       "--max-retries", "0", "--out", str(out))
+    err = capsys.readouterr().err
+    assert models
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("transport error:"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value,message", [

@@ -17,6 +17,7 @@ from deidkit.eval import (
     load_gender_table,
     load_region_table,
     load_surname_table,
+    map_country_to_culture,
     match_spans,
     metrics_from_counts,
     parse_and_map_name,
@@ -250,6 +251,22 @@ def tables(fixture_paths):
         load_surname_table(fixture_paths["surname"]),
         load_region_table(fixture_paths["region"]),
     )
+
+
+class TestRegionTable:
+    """The region table follows the gender and surname tables' argmax rule."""
+
+    def test_country_under_two_regions_is_unknown(self, tmp_path):
+        csv_path = tmp_path / "regions.csv"
+        csv_path.write_text("country,region\nFrance,Europe\nFrance,Africa\n", encoding="utf-8")
+        assert map_country_to_culture("France", load_region_table(csv_path)) == "Unknown"
+
+    def test_count_decides_between_regions(self, tmp_path):
+        csv_path = tmp_path / "regions.csv"
+        csv_path.write_text(
+            "country,region,count\nFrance,Europe,3\nFrance,Africa,1\n", encoding="utf-8"
+        )
+        assert map_country_to_culture("France", load_region_table(csv_path)) == "Europe"
 
 
 class TestParseAndMapName:
