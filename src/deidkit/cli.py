@@ -27,13 +27,13 @@ from typing import Callable, Mapping, Sequence
 from . import __version__, corpus, detect, mockllm
 from .corpus import Category, Document, Span
 from .eval import (
+    bias_entries,
     bias_report,
     cost_summary,
     evaluate_documents,
     load_gender_table,
     load_region_table,
     load_surname_table,
-    parse_and_map_name,
     render_metrics_table,
     stage_ledger,
 )
@@ -332,21 +332,9 @@ def _cmd_bias(args: argparse.Namespace) -> None:
     for dest in ("gender_table", "surname_table", "region_table"):
         if not getattr(args, dest):
             raise CliError(f"bias needs --{dest.replace('_', '-')} (or {dest} in the config)")
-    gender_table = load_gender_table(args.gender_table)
-    surname_table = load_surname_table(args.surname_table)
-    region_table = load_region_table(args.region_table)
-
-    entries = []
-    for doc_id, spans in sorted(gold.items()):
-        pred_keys = {(s.start, s.end, s.category) for s in pred.get(doc_id, ())}
-        for span in spans:
-            if span.category is not Category.NAME_STUDENT:
-                continue
-            demographic = parse_and_map_name(
-                span.surface, gender_table, surname_table, region_table
-            )
-            entries.append((demographic, (span.start, span.end, span.category) in pred_keys))
-    report = bias_report(entries)
+    tables = (load_gender_table(args.gender_table), load_surname_table(args.surname_table),
+              load_region_table(args.region_table))
+    report = bias_report(bias_entries(pred, gold, *tables))
     corpus.write_json(args.out, report.as_dict())
 
 

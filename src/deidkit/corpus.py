@@ -15,7 +15,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import accumulate, islice
+from operator import add
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -145,10 +146,6 @@ def reconstruct_text(rec: TokenRecord) -> str:
     return text
 
 
-def _canonical_category(tag: str) -> str:
-    return LABEL_ALIASES.get(tag, tag)
-
-
 def _malformed_bio(index: int, label: str) -> CorpusError:
     return CorpusError(f"label {label!r} at token index {index} continues no open entity")
 
@@ -162,58 +159,32 @@ def bio_to_spans(rec: TokenRecord, strict: bool = False) -> BioConversion:
     error in strict mode and is promoted to B (and counted) otherwise.
     """
     text = reconstruct_text(rec)  # validates lengths and full_text agreement
-    result = BioConversion(text)
-
-    offset = 0
-    open_cat: str | None = None
-    open_start = 0
-    open_end = 0  # end of last token in the open run, whitespace excluded
-    for i, (token, label, ws) in enumerate(
-        zip(rec.tokens, rec.labels, rec.trailing_whitespace)
-    ):
-        tok_start = offset
-        tok_end = offset + len(token)
-        offset = tok_end + (1 if ws else 0)
-
+    starts = list(accumulate(map(add, map(len, rec.tokens), rec.trailing_whitespace), initial=0))
+    runs: list[list] = []  # [category, first token, last token] per B/I run
+    repaired = 0
+    for i, label in enumerate(rec.labels):
         if label == "O" or label == "":
-            if open_cat is not None:
-                _emit(result, text, open_cat, open_start, open_end)
-                open_cat = None
             continue
-
         if len(label) < 3 or label[1] != "-" or label[0] not in "BI":
             raise _malformed_bio(i, label)
-        prefix, raw_cat = label[0], label[2:]
-        cat = _canonical_category(raw_cat)
-
-        if prefix == "I" and open_cat == cat:
-            open_end = tok_end
-            continue
-
-        if prefix == "I":
-            # I after O or after a different category.
-            if strict:
+        cat = LABEL_ALIASES.get(label[2:], label[2:])
+        if label[0] == "I":
+            if runs and runs[-1][2] == i - 1 and runs[-1][0] == cat:
+                runs[-1][2] = i
+                continue
+            if strict:  # I after O or after a different category
                 raise _malformed_bio(i, label)
-            result.repaired_continuations += 1
-            prefix = "B"
+            repaired += 1
+        runs.append([cat, i, i])
 
-        if open_cat is not None:
-            _emit(result, text, open_cat, open_start, open_end)
-        open_cat = cat
-        open_start = tok_start
-        open_end = tok_end
-
-    if open_cat is not None:
-        _emit(result, text, open_cat, open_start, open_end)
-
+    result = BioConversion(text, repaired_continuations=repaired)
+    for cat, first, last in runs:
+        if cat in Category.__members__:
+            start, end = starts[first], starts[last] + len(rec.tokens[last])
+            result.spans.append(Span(start, end, Category(cat), text[start:end]))
+        else:
+            result.dropped_categories[cat] += 1
     return result
-
-
-def _emit(result: BioConversion, text: str, cat: str, start: int, end: int) -> None:
-    if cat in Category.__members__:
-        result.spans.append(Span(start, end, Category(cat), text[start:end]))
-    else:
-        result.dropped_categories[cat] += 1
 
 
 def validate_spans(text: str, spans: Sequence[Span]) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Category, CorpusError, Span, read_csv
 from .hips import CULTURES
@@ -26,14 +26,19 @@ class ConfusionCounts:
         return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
 
+def span_key(span: Span) -> tuple:
+    """What an exact match compares: offsets and category, never the surface."""
+    return span.start, span.end, span.category
+
+
 def match_spans(pred: Sequence[Span], gold: Sequence[Span]) -> ConfusionCounts:
-    """Exact (start, end, category) matching for one document.
+    """Exact ``span_key`` matching for one document.
 
     Predictions are deduplicated first: a detector emitting the same span
     twice has made one prediction.
     """
-    pred_keys = {(s.start, s.end, s.category) for s in pred}
-    gold_keys = {(s.start, s.end, s.category) for s in gold}
+    pred_keys = set(map(span_key, pred))
+    gold_keys = set(map(span_key, gold))
     tp = len(pred_keys & gold_keys)
     return ConfusionCounts(tp=tp, fp=len(pred_keys) - tp, fn=len(gold_keys) - tp)
 
@@ -144,10 +149,13 @@ def _load_argmax_table(path: str | Path, key_col: str, value_col: str) -> dict[s
     """CSV -> name->value table; weighted rows argmax, ties drop to Unknown."""
     weights: dict[str, Counter] = defaultdict(Counter)
     for row in read_csv(path, (key_col, value_col)):
+        count = row.get("count") or "1"
         try:
-            weight = int(row.get("count", 1) or 1)
+            weight = int(count)
         except ValueError:
-            raise CorpusError(f"{path}: non-integer count {row['count']!r}") from None
+            raise CorpusError(f"{path}: non-integer count {count!r}") from None
+        if weight < 1:
+            raise CorpusError(f"{path}: count must be a positive integer, not {count!r}")
         weights[row[key_col].strip().lower()][row[value_col].strip()] += weight
     table: dict[str, str] = {}
     for key, counter in weights.items():
@@ -190,18 +198,10 @@ def parse_and_map_name(
     tokens = full_name.split()
     if not tokens:
         return Demographic(UNKNOWN, UNKNOWN, full_name)
-    first = tokens[0]
-    last = " ".join(tokens[1:]) if len(tokens) > 1 else ""
-
-    gender = gender_table.get(first.lower(), UNKNOWN)
-
-    country = None
-    if last:
-        country = surname_table.get(last.lower())
-        if country is None:
-            country = surname_table.get(tokens[-1].lower())
-    if country is None:
-        country = surname_table.get(first.lower()) if not last else None
+    gender = gender_table.get(tokens[0].lower(), UNKNOWN)
+    # The whole last name, then its final token; a single token is its own surname.
+    keys = [" ".join(tokens[1:]), tokens[-1]] if len(tokens) > 1 else tokens
+    country = next((surname_table[k] for k in map(str.lower, keys) if k in surname_table), "")
     culture = map_country_to_culture(country, region_table) if country else UNKNOWN
     if culture not in CULTURES:
         culture = UNKNOWN
@@ -221,6 +221,22 @@ class BiasReport:
         return asdict(self)
 
 
+def bias_entries(
+    pred_by_doc: Mapping[str, Sequence[Span]],
+    gold_by_doc: Mapping[str, Sequence[Span]],
+    gender: Mapping[str, str],
+    surname: Mapping[str, str],
+    region: Mapping[str, str],
+) -> Iterator[tuple[Demographic, bool]]:
+    """Each gold NAME_STUDENT name's demographic and whether a prediction matched it exactly."""
+    for doc_id, gold in sorted(gold_by_doc.items()):
+        pred_keys = set(map(span_key, pred_by_doc.get(doc_id, ())))
+        for span in gold:
+            if span.category is Category.NAME_STUDENT:
+                demographic = parse_and_map_name(span.surface, gender, surname, region)
+                yield demographic, span_key(span) in pred_keys
+
+
 def bias_report(entries: Iterable[tuple[Demographic, bool]]) -> BiasReport:
     """Recall per gender and per culture over gold name entities.
 
@@ -229,37 +245,21 @@ def bias_report(entries: Iterable[tuple[Demographic, bool]]) -> BiasReport:
     counted in coverage. A group with no gold names is absent from the
     recalls and totals, never reported as 0.
     """
-    gender_matched: Counter = Counter()
-    gender_total: Counter = Counter()
-    culture_matched: Counter = Counter()
-    culture_total: Counter = Counter()
-    total = 0
-    matched_total = 0
-    known = 0
+    entries = list(entries)
+    total = len(entries)
 
-    for demographic, matched in entries:
-        total += 1
-        matched_total += int(matched)
-        if demographic.gender != UNKNOWN and demographic.culture != UNKNOWN:
-            known += 1
-        if demographic.gender != UNKNOWN:
-            gender_total[demographic.gender] += 1
-            gender_matched[demographic.gender] += int(matched)
-        if demographic.culture != UNKNOWN:
-            culture_total[demographic.culture] += 1
-            culture_matched[demographic.culture] += int(matched)
+    def axis(name: str, order: Callable) -> tuple[dict, dict]:
+        totals = Counter(getattr(d, name) for d, _ in entries)
+        matched = Counter(getattr(d, name) for d, hit in entries if hit)
+        groups = [g for g in order(totals) if g != UNKNOWN]
+        return {g: matched[g] / totals[g] for g in groups}, {g: totals[g] for g in groups}
 
-    def recalls(matched: Counter, totals: Counter, keys: Sequence[str]) -> dict[str, float]:
-        return {key: matched[key] / totals[key] for key in keys}
-
-    genders = sorted(gender_total)
-    cultures = [c for c in CULTURES if culture_total[c]]
+    by_gender, gender_totals = axis("gender", sorted)
+    by_culture, culture_totals = axis("culture", lambda totals: [c for c in CULTURES if totals[c]])
+    known = sum(d.gender != UNKNOWN and d.culture != UNKNOWN for d, _ in entries)
     return BiasReport(
-        by_gender=recalls(gender_matched, gender_total, genders),
-        by_culture=recalls(culture_matched, culture_total, cultures),
-        gender_totals={g: gender_total[g] for g in genders},
-        culture_totals={c: culture_total[c] for c in cultures},
-        overall_recall=matched_total / total if total else None,
+        by_gender, by_culture, gender_totals, culture_totals,
+        overall_recall=sum(hit for _, hit in entries) / total if total else None,
         coverage=known / total if total else 0.0,
     )
 

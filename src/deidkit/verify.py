@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Document, Span, write_jsonl
 from .detect import FINETUNE_SYSTEM_PROMPT
+from .eval import span_key
 from .llm import SupportsComplete
 
 VERIFIER_SYSTEM_PROMPT = FINETUNE_SYSTEM_PROMPT
@@ -138,10 +139,10 @@ def build_verifier_dataset(
     examples: list[VerifierExample] = []
     for doc_id in sorted(detections_by_doc):
         doc = docs[doc_id]
-        gold = {(s.start, s.end, s.category) for s in gold_by_doc.get(doc_id, ())}
+        gold = set(map(span_key, gold_by_doc.get(doc_id, ())))
         for span in detections_by_doc[doc_id]:
             context = extract_context(doc, span)
-            label = "T" if (span.start, span.end, span.category) in gold else "F"
+            label = "T" if span_key(span) in gold else "F"
             if variant is VerifierVariant.WITHOUT_COT:
                 examples.append(VerifierExample(span.surface, context, label))
                 continue

@@ -854,6 +854,19 @@ _MALFORMED_INPUTS = {
         "first_name,gender,count\nAmina,Female,x\n",
         ["bias", "--pred", "{gold}", "--gold", "{gold}", "--gender-table", "{bad}",
          "--surname-table", "{surname}", "--region-table", "{region}"]),
+    # A count is a positive integer: a negative or zero weight would invert or void the argmax.
+    "gender-table-count-negative": (
+        "first_name,gender,count\nAlex,Female,-5\nAlex,Male,-1\n",
+        ["bias", "--pred", "{gold}", "--gold", "{gold}", "--gender-table", "{bad}",
+         "--surname-table", "{surname}", "--region-table", "{region}"]),
+    "gender-table-count-zero": (
+        "first_name,gender,count\nKim,Female,0\nKim,Male,2\n",
+        ["bias", "--pred", "{gold}", "--gold", "{gold}", "--gender-table", "{bad}",
+         "--surname-table", "{surname}", "--region-table", "{region}"]),
+    "region-table-count-negative": (
+        "country,region,count\nFrance,Europe,-1\n",
+        ["bias", "--pred", "{gold}", "--gold", "{gold}", "--gender-table", "{gender}",
+         "--surname-table", "{surname}", "--region-table", "{bad}"]),
     # Token-record types are checked where the record is read, so ingest names the line.
     "token-record-token-not-a-string": (
         '{"document": "d", "tokens": [5], "labels": ["O"], "trailing_whitespace": [false]}\n',

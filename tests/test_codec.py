@@ -17,7 +17,7 @@ from deidkit.codec import (
     encode,
     strip_markers,
 )
-from deidkit.corpus import Category, CorpusError, Document, Span
+from deidkit.corpus import Category, CorpusError, Document, Span, validate_spans
 
 TABLE_DOC = Document("379", "Hi John Doe. Tel: (555)555-5555", "crapii")
 TABLE_SPANS = [
@@ -355,6 +355,24 @@ def test_roundtrip_property(seed):
     report = decode(encode(doc, spans), doc)
     assert report.spans == spans
     assert report.dropped == []
+
+
+# Replies built from the eight markers, lone marker characters, names, marked names,
+# spaces, newlines and dots.
+_MARKER_SOUP = st.lists(
+    st.sampled_from([
+        *ALL_MARKER_STRINGS, "@", "#", "Ann", "Lee", "Bo Ray", " ", "\n", ".",
+        "@@@Ann###", "@@@Bo Ray###", "QQQLee^^^",
+    ]),
+    max_size=40,
+).map("".join)
+
+
+@given(_MARKER_SOUP, st.one_of(st.none(), _MARKER_SOUP))
+def test_any_marker_soup_decodes_to_spans_that_fit_the_text(marked, text):
+    """Whatever the reply and the document, every decoded span passes validate_spans."""
+    text = strip_markers(marked) if text is None else text
+    validate_spans(text, decode(marked, Document("x", text)).spans)
 
 
 def test_markers_are_pairwise_distinct_and_not_substrings():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import Counter
 from typing import Mapping
 
@@ -9,11 +10,14 @@ import pytest
 
 import minicorpus
 from deidkit.corpus import (
+    LABEL_ALIASES,
+    BioConversion,
     Category,
     CorpusError,
     CorpusSplit,
     Span,
     TokenRecord,
+    _malformed_bio,
     bio_to_spans,
     ingest_tscc,
     read_crapii_jsonl,
@@ -102,6 +106,75 @@ class TestReconstructText:
             reconstruct_text(rec)
 
 
+# The previous bio_to_spans, kept verbatim (with its two helpers) so the current
+# one can be checked against it on random records.
+def _reference_bio_to_spans(rec: TokenRecord, strict: bool = False) -> BioConversion:
+    """Convert a BIO-labeled record into character-offset spans.
+
+    One span per maximal B/I run of an in-scope category; the span surface
+    excludes the trailing whitespace of its final token. Out-of-scope
+    categories are dropped with a counter. An I tag continuing nothing is an
+    error in strict mode and is promoted to B (and counted) otherwise.
+    """
+    text = reconstruct_text(rec)  # validates lengths and full_text agreement
+    result = BioConversion(text)
+
+    offset = 0
+    open_cat: str | None = None
+    open_start = 0
+    open_end = 0  # end of last token in the open run, whitespace excluded
+    for i, (token, label, ws) in enumerate(
+        zip(rec.tokens, rec.labels, rec.trailing_whitespace)
+    ):
+        tok_start = offset
+        tok_end = offset + len(token)
+        offset = tok_end + (1 if ws else 0)
+
+        if label == "O" or label == "":
+            if open_cat is not None:
+                _reference_emit(result, text, open_cat, open_start, open_end)
+                open_cat = None
+            continue
+
+        if len(label) < 3 or label[1] != "-" or label[0] not in "BI":
+            raise _malformed_bio(i, label)
+        prefix, raw_cat = label[0], label[2:]
+        cat = _reference_canonical_category(raw_cat)
+
+        if prefix == "I" and open_cat == cat:
+            open_end = tok_end
+            continue
+
+        if prefix == "I":
+            # I after O or after a different category.
+            if strict:
+                raise _malformed_bio(i, label)
+            result.repaired_continuations += 1
+            prefix = "B"
+
+        if open_cat is not None:
+            _reference_emit(result, text, open_cat, open_start, open_end)
+        open_cat = cat
+        open_start = tok_start
+        open_end = tok_end
+
+    if open_cat is not None:
+        _reference_emit(result, text, open_cat, open_start, open_end)
+
+    return result
+
+
+def _reference_canonical_category(tag: str) -> str:
+    return LABEL_ALIASES.get(tag, tag)
+
+
+def _reference_emit(result: BioConversion, text: str, cat: str, start: int, end: int) -> None:
+    if cat in Category.__members__:
+        result.spans.append(Span(start, end, Category(cat), text[start:end]))
+    else:
+        result.dropped_categories[cat] += 1
+
+
 class TestBioToSpans:
     def test_table_record_offsets(self):
         expected = oracle_spans(TABLE_RECORD)
@@ -175,6 +248,48 @@ class TestBioToSpans:
             conversion = bio_to_spans(rec)
             validate_spans(text, conversion.spans)
             assert conversion.spans == mini_gold[rec.document_id]
+
+    def test_matches_the_reference_conversion(self):
+        """Same conversion, or the same error, as the previous implementation."""
+        in_scope = ["NAME", "NAME_STUDENT", "EMAIL", "URL", "URL_PERSONAL", "PHONE", "PHONE_NUM"]
+        tags = in_scope + ["ID_NUM", "USERNAME", "-"]  # the last three are out of scope
+        malformed = ["B", "I-", "B-", "X-NAME", "b-NAME", "BNAME", "O-EMAIL"]
+        kinds: Counter = Counter()
+        for trial in range(5000):
+            rng = random.Random(trial)
+            n = rng.randrange(0, 30)
+            tokens = ["".join(rng.choices("ab é.", k=rng.randrange(0, 4))) for _ in range(n)]
+            labels = [
+                rng.choice(malformed) if rng.random() < 0.01
+                else rng.choice(["O", ""]) if rng.random() < 0.4
+                else rng.choice("BI") + "-" + rng.choice(tags)
+                for _ in range(n)
+            ]
+            trailing = [rng.random() < 0.6 for _ in range(n)]
+            full_text = rng.choice([None, naive_join(tokens, trailing)])
+            rec = TokenRecord("x", tokens, labels, trailing, full_text)
+            strict = rng.random() < 0.5
+
+            def outcome(convert) -> object:
+                try:
+                    result = convert(rec, strict)
+                except CorpusError as exc:
+                    return str(exc)
+                return result, list(result.dropped_categories.items())
+
+            expected = outcome(_reference_bio_to_spans)
+            assert outcome(bio_to_spans) == expected, trial
+            if isinstance(expected, str):
+                bad = labels[int(re.search(r"at token index (\d+)", expected).group(1))]
+                kinds["malformed label" if bad in malformed else "strict continuation"] += 1
+            else:
+                kinds["repaired continuation"] += expected[0].repaired_continuations > 0
+                kinds["dropped category"] += bool(expected[0].dropped_categories)
+                kinds["kept span"] += bool(expected[0].spans)
+        assert all(kinds[k] for k in (
+            "malformed label", "strict continuation", "repaired continuation",
+            "dropped category", "kept span",
+        )), kinds
 
 
 def test_fixture_tokenizer_roundtrips_mini_corpus(fixture_paths):

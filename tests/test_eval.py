@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import metric_fixtures
-from deidkit.corpus import Category, Span
+from deidkit.corpus import Category, CorpusError, Span
 from deidkit.eval import (
     ConfusionCounts,
     Demographic,
+    bias_entries,
     bias_report,
     cost_summary,
     evaluate_documents,
@@ -243,6 +244,17 @@ class TestBias:
         assert report.gender_totals == {"Male": 2}
         assert report.coverage == pytest.approx(2 / 3)
 
+    def test_entries_pair_gold_names_with_exact_matches(self, tables):
+        gold = {"a": [
+            Span(0, 8, NAME, "John Doe"), Span(9, 12, NAME, "Ann"), Span(13, 20, EMAIL, "a@b.com"),
+        ]}
+        # The surface is never compared; offsets and category are.
+        pred = {"a": [Span(0, 8, NAME, "Jane Roe"), Span(9, 11, NAME, "An"), gold["a"][2]]}
+        entries = list(bias_entries(pred, gold, *tables))
+        assert [(d.source_name, hit) for d, hit in entries] == [("John Doe", True), ("Ann", False)]
+        assert entries[0][0] == parse_and_map_name("John Doe", *tables)
+        assert list(bias_entries({}, gold, *tables))[0][1] is False
+
 
 @pytest.fixture(scope="module")
 def tables(fixture_paths):
@@ -267,6 +279,28 @@ class TestRegionTable:
             "country,region,count\nFrance,Europe,3\nFrance,Africa,1\n", encoding="utf-8"
         )
         assert map_country_to_culture("France", load_region_table(csv_path)) == "Europe"
+
+
+class TestCountColumn:
+    """All three demographic tables weigh rows by a positive integer ``count``."""
+
+    @pytest.mark.parametrize("count", ["-5", "0", "-0"])
+    def test_count_must_be_a_positive_integer(self, tmp_path, count):
+        csv_path = tmp_path / "genders.csv"
+        csv_path.write_text(
+            f"first_name,gender,count\nAlex,Female,{count}\nAlex,Male,1\n", encoding="utf-8"
+        )
+        with pytest.raises(CorpusError) as excinfo:
+            load_gender_table(csv_path)
+        assert str(excinfo.value) == f"{csv_path}: count must be a positive integer, not {count!r}"
+
+    def test_missing_or_empty_count_counts_as_one(self, tmp_path):
+        csv_path = tmp_path / "genders.csv"
+        csv_path.write_text(
+            "first_name,gender,count\nAlex,Female,\nAlex,Male\nKim,Female,2\nKim,Male\n",
+            encoding="utf-8",
+        )
+        assert load_gender_table(csv_path) == {"kim": "Female"}  # Alex ties 1:1
 
 
 class TestParseAndMapName:
@@ -294,6 +328,21 @@ class TestParseAndMapName:
 
     def test_total_on_empty(self, tables):
         assert parse_and_map_name("", *tables).gender == "Unknown"
+
+    def test_surname_lookup_order(self):
+        genders: dict[str, str] = {}
+        regions = {"netherlands": "Europe", "nigeria": "Africa", "senegal": "Africa"}
+
+        def culture(name: str, surnames: dict[str, str]) -> str:
+            return parse_and_map_name(name, genders, surnames, regions).culture
+
+        surnames = {"van dyke": "Netherlands", "dyke": "Nigeria", "diallo": "Senegal"}
+        assert culture("Jo van Dyke", surnames) == "Europe"  # the whole last name first
+        assert culture("Jo Smith Dyke", surnames) == "Africa"  # then its final token
+        assert culture("Diallo", surnames) == "Africa"  # a single token is its own surname
+        assert culture("Diallo Zed", surnames) == "Unknown"  # a first name is not a surname
+        # A surname listed with an empty country stops the lookup.
+        assert culture("Jo van Dyke", {"van dyke": "", "dyke": "Nigeria"}) == "Unknown"
 
 
 class TestCostSummary:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import json
-import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from deidkit.corpus import Category, Document, Span
 from deidkit.detect import rule_detect
@@ -25,6 +27,13 @@ from deidkit.verify import (
 
 NEWTON_DOC = Document("newton", "The Newton method is used for optimization")
 NEWTON_SPAN = Span(4, 10, Category.NAME_STUDENT, "Newton")
+
+
+# Verifier replies: clean and noisy verdicts, no verdict at all, and reasoning that ends in one.
+_VERIFIER_REPLIES = st.sampled_from([
+    "T", "F", "T.", "f", "maybe", "", "Newton is a method name, not a person. F",
+    "The context names a student, so this is PII. T.", "I cannot tell.",
+])
 
 
 def const_client(scripted_client, answer: str):
@@ -109,13 +118,17 @@ class TestVerifySpans:
         assert kept_cot == [NEWTON_SPAN]  # reasoning variant retains
         assert kept_bare == []  # bare variant drops
 
-    def test_output_is_ordered_subset(self, mini_docs, mini_gold, scripted_client):
-        rng = random.Random(5)
-        client = scripted_client(lambda messages: rng.choice(["T", "F", "huh"]))
-        for doc_id, doc in mini_docs.items():
-            spans = mini_gold[doc_id]
-            kept = verify_spans(doc, spans, client, VerifierVariant.WITHOUT_COT)
-            assert [s for s in spans if s in kept] == kept
+    @given(st.lists(_VERIFIER_REPLIES, min_size=1, max_size=12))
+    def test_output_is_ordered_subset(self, mini_docs, mini_gold, replies):
+        """For any reply stream, both variants keep an ordered sub-list of their input."""
+        for variant in VerifierVariant:
+            stream = itertools.cycle(replies)
+            client = SimpleNamespace(complete=lambda messages, max_tokens=None: next(stream))
+            for doc_id, doc in mini_docs.items():
+                spans = mini_gold[doc_id]
+                kept = verify_spans(doc, spans, client, variant)
+                remaining = iter(spans)  # each kept span is found after the one before it
+                assert all(any(k == s for s in remaining) for k in kept), (variant, kept)
 
     def test_gold_keyed_oracle_removes_fps_keeps_tps(
         self, fixture_paths, mini_docs, mini_gold, scripted_client
