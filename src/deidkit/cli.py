@@ -160,7 +160,7 @@ def _write_manifest(out_path: str | Path, settings: Mapping, args: argparse.Name
 
 def _build_client(args: argparse.Namespace) -> ChatClient:
     if not args.base_url:
-        raise CliError("an LLM detector needs --base-url (or llm.base_url in the config)")
+        raise CliError(f"{args.subcommand} needs --base-url (or llm.base_url in the config)")
     # The llm section's keys are ChatClient's parameter names.
     fields = {
         key.removeprefix("llm."): getattr(args, dest)
@@ -280,10 +280,10 @@ def _cmd_replace(args: argparse.Namespace) -> None:
     spans_by_doc = corpus.read_spans(args.spans, docs) if args.spans else {}
 
     if args.group:
-        gender, _, culture = args.group.partition(":")
-        if not culture:
+        group = tuple(args.group.split(":"))
+        if len(group) != 2 or not all(group):
             raise CliError("--group must look like Gender:Culture, e.g. Female:Africa")
-        group_of = {doc_id: (gender, culture) for doc_id in docs}
+        group_of = dict.fromkeys(docs, group)
     else:
         group_of = assign_groups(sorted(docs), args.seed)
 
@@ -358,9 +358,7 @@ def _cmd_simulate_leakage(args: argparse.Namespace) -> None:
     )
     closed_redaction = 1.0 - (1.0 - args.fn) ** args.entities
     closed_hips = 1.0 - (1.0 - args.fn * args.attacker_rate) ** args.entities
-    payload = {
-        "redaction_leak_fraction": estimate.redaction_leak_fraction,
-        "hips_observed_leak_fraction": estimate.hips_observed_leak_fraction,
+    payload = estimate._asdict() | {
         "closed_form_redaction": closed_redaction,
         "closed_form_hips": closed_hips,
         "parameters": {

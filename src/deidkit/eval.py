@@ -22,25 +22,10 @@ class ConfusionCounts:
     fp: int = 0
     fn: int = 0
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
-
 
 def span_key(span: Span) -> tuple:
     """What an exact match compares: offsets and category, never the surface."""
     return span.start, span.end, span.category
-
-
-def match_spans(pred: Sequence[Span], gold: Sequence[Span]) -> ConfusionCounts:
-    """Exact ``span_key`` matching for one document.
-
-    Predictions are deduplicated first: a detector emitting the same span
-    twice has made one prediction.
-    """
-    pred_keys = set(map(span_key, pred))
-    gold_keys = set(map(span_key, gold))
-    tp = len(pred_keys & gold_keys)
-    return ConfusionCounts(tp=tp, fp=len(pred_keys) - tp, fn=len(gold_keys) - tp)
 
 
 def f_beta(precision: float, recall: float, beta: float) -> float:
@@ -75,15 +60,8 @@ class MetricsReport:
 
     def as_dict(self) -> dict:
         def one(m: CategoryMetrics) -> dict:
-            return {
-                "tp": m.counts.tp,
-                "fp": m.counts.fp,
-                "fn": m.counts.fn,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "f5": m.f5,
-            }
+            row = asdict(m)
+            return row.pop("counts") | row
 
         return {
             "per_category": {c.value: one(m) for c, m in self.per_category.items()},
@@ -95,20 +73,19 @@ def evaluate_documents(
     pred_by_doc: Mapping[str, Sequence[Span]],
     gold_by_doc: Mapping[str, Sequence[Span]],
 ) -> MetricsReport:
-    """Per-category and overall confusion over the union of documents."""
-    per_cat: dict[Category, ConfusionCounts] = {c: ConfusionCounts() for c in Category}
-    for doc_id in sorted(set(pred_by_doc) | set(gold_by_doc)):
-        pred = pred_by_doc.get(doc_id, ())
-        gold = gold_by_doc.get(doc_id, ())
-        for cat in Category:
-            counts = match_spans(
-                [s for s in pred if s.category is cat],
-                [s for s in gold if s.category is cat],
-            )
-            per_cat[cat] = per_cat[cat] + counts
-    overall = ConfusionCounts()
-    for counts in per_cat.values():
-        overall = overall + counts
+    """Per-category and overall confusion over the union of documents.
+
+    Each document's spans become ``span_key`` sets, so a detector emitting the
+    same span twice has made one prediction. Placeholder keys are never reported.
+    """
+    tp, fp, fn = Counter(), Counter(), Counter()
+    for doc_id in set(pred_by_doc) | set(gold_by_doc):
+        pred = set(map(span_key, pred_by_doc.get(doc_id, ())))
+        gold = set(map(span_key, gold_by_doc.get(doc_id, ())))
+        for tally, keys in ((tp, pred & gold), (fp, pred - gold), (fn, gold - pred)):
+            tally.update(category for _, _, category in keys)
+    per_cat = {c: ConfusionCounts(tp[c], fp[c], fn[c]) for c in Category}
+    overall = ConfusionCounts(*(sum(t[c] for c in Category) for t in (tp, fp, fn)))
     return MetricsReport(
         per_category={c: metrics_from_counts(n) for c, n in per_cat.items()},
         overall=metrics_from_counts(overall),

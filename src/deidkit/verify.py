@@ -43,6 +43,16 @@ class VerifierVariant(Enum):
     WITH_COT = "with-cot"
 
 
+#: Per variant: the user template, and the verdict for a reply that ends in
+#: none. The defaults mirror the two prompts: the bare-verdict prompt demands a
+#: clean T/F (anything else reads as a refusal to confirm), the reasoning
+#: prompt's failures retain the span to stay privacy-safe.
+_VARIANTS = {
+    VerifierVariant.WITHOUT_COT: (USER_TEMPLATE_WITHOUT_COT, "F"),
+    VerifierVariant.WITH_COT: (USER_TEMPLATE_WITH_COT, "T"),
+}
+
+
 @dataclass
 class VerifierExample:
     entity: str
@@ -69,11 +79,7 @@ def extract_context(doc: Document, span: Span) -> str:
 def build_verifier_messages(
     entity: str, context: str, variant: VerifierVariant
 ) -> list[dict[str, str]]:
-    template = (
-        USER_TEMPLATE_WITH_COT
-        if variant is VerifierVariant.WITH_COT
-        else USER_TEMPLATE_WITHOUT_COT
-    )
+    template = _VARIANTS[variant][0]
     return [
         {"role": "system", "content": VERIFIER_SYSTEM_PROMPT},
         {"role": "user", "content": template.format(entity=entity, context=context)},
@@ -95,13 +101,7 @@ def parse_verdict(completion: str) -> str | None:
 
 
 def _effective_verdict(completion: str, variant: VerifierVariant) -> str:
-    verdict = parse_verdict(completion)
-    if verdict is not None:
-        return verdict
-    # Asymmetric defaults mirror the two prompts: the bare-verdict prompt
-    # demands a clean T/F (anything else reads as a refusal to confirm), the
-    # reasoning prompt's failures retain the span to stay privacy-safe.
-    return "T" if variant is VerifierVariant.WITH_COT else "F"
+    return parse_verdict(completion) or _VARIANTS[variant][1]
 
 
 def verify_spans(

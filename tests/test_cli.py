@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -294,6 +295,30 @@ class TestDetectAndEvaluate:
                 # Substitution keeps offsets; only insertions and deletions move a region.
                 shifted += drifted.index(region) != faithful.index(region)
         assert shifted > 0
+
+    def test_perturb_edits_a_third_each_outside_marked_regions(self):
+        # One-letter lines outside the regions make every edit readable: "X" kept,
+        # one lowercase letter substituted, "X" plus an inserted letter, or "" deleted.
+        regions = [open_m + "Ann Lee x" + close_m for open_m, close_m in codec.MARKERS.values()]
+        lines = ["X"] * 3000
+        for k in range(40):
+            lines.insert(75 * k, regions[k % len(regions)])
+        drifted = mockllm.perturb_outside_regions("\n".join(lines), seed=5).split("\n")
+        assert len(drifted) == len(lines)
+        edits = Counter()
+        for before, after in zip(lines, drifted):
+            if before != "X":
+                assert after == before
+            elif after == "X":
+                edits["kept"] += 1
+            elif after == "":
+                edits["deleted"] += 1
+            elif re.fullmatch("[a-z]", after):
+                edits["substituted"] += 1
+            else:
+                assert re.fullmatch("X[a-z]", after), after
+                edits["inserted"] += 1
+        assert edits == {"kept": 2850, "substituted": 50, "inserted": 50, "deleted": 50}
 
     def test_transport_failure_exit_code(self, fixture_paths, tmp_path):
         code = run_cli(
@@ -1102,10 +1127,36 @@ _BAD_SETTINGS = {
     "llm-detector-without-base-url": (
         ["detect", "--detector", "llm-finetuned", "--in", "{corpus}", "--out", "{tmp}/out.json"],
         "--base-url"),
+    "verify-without-base-url": (
+        ["verify", "--in", "{corpus}", "--spans", "{gold}", "--out", "{tmp}/out.json"],
+        "error: verify needs --base-url"),
+    "cot-verifier-data-without-base-url": (
+        ["make-verifier-data", "--in", "{corpus}", "--gold", "{gold}", "--detections", "{gold}",
+         "--variant", "with-cot", "--out", "{tmp}/out.jsonl"],
+        "error: make-verifier-data needs --base-url"),
+    "base-url-port-out-of-range": (
+        ["detect", "--detector", "llm-finetuned", "--in", "{corpus}", "--out", "{tmp}/out.json",
+         "--base-url", "http://h:99999/v1"],
+        "http://h:99999/v1"),
     "replace-group-without-culture": (
         ["replace", "--in", "{corpus}", "--spans", "{gold}", "--pools", "{pools}",
          "--group", "Female", "--out-docs", "{tmp}/anon.jsonl", "--out-audit", "{tmp}/a.jsonl"],
         "--group"),
+    # An empty or extra part once ran with group ["", "Africa"], or blamed the pools file.
+    "replace-group-without-gender": (
+        ["replace", "--in", "{corpus}", "--group", ":Africa",
+         "--out-docs", "{tmp}/anon.jsonl", "--out-audit", "{tmp}/a.jsonl"],
+        "--group"),
+    "replace-group-with-extra-part": (
+        ["replace", "--in", "{corpus}", "--spans", "{gold}", "--pools", "{pools}",
+         "--group", "Female:Africa:x", "--out-docs", "{tmp}/anon.jsonl", "--out-audit", "{tmp}/a.jsonl"],
+        "--group"),
+    "leakage-negative-entities": (
+        ["simulate-leakage", "--fn", "0.1", "--entities", "-1", "--out", "{tmp}/out.json"],
+        "entities_per_doc must be >= 0"),
+    "leakage-no-documents": (
+        ["simulate-leakage", "--fn", "0.1", "--docs", "0", "--out", "{tmp}/out.json"],
+        "n_docs positive"),
     "ratios-two-numbers": (
         ["split", "--in", "{corpus}", "--ratios", "0.5,0.5", "--out", "{tmp}/out.json"],
         "--ratios needs three comma-separated numbers"),

@@ -521,6 +521,11 @@ class TestIngestTscc:
         assert len(spans) == 1
         assert not spans[0].category.name_kind
 
+    def test_blank_lines_are_skipped(self):
+        doc, spans = ingest_tscc("teacher: hi 〈STUDENT〉\n\n   \nstudent: hello\n", "t5")
+        assert doc.text == "teacher: hi 〈STUDENT〉\nstudent: hello"
+        assert [s.surface for s in spans] == ["〈STUDENT〉"]
+
     def test_malformed_line(self):
         with pytest.raises(CorpusError, match="^line 2 "):
             ingest_tscc("teacher: hello\njust text without a role", "t4")
@@ -564,6 +569,15 @@ def test_read_documents_names_the_line_and_keeps_the_error_class(tmp_path):
         read_documents(path)
     assert str(excinfo.value).startswith(f"{path}:2: document 'd'")
     assert str(excinfo.value).endswith("at offset 1")
+
+
+def test_read_documents_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    path.write_text('\n{"id": "a", "text": "x"}\n  \n{"id": "a", "text": "y"}\n', encoding="utf-8")
+    with pytest.raises(CorpusError, match=r":4: document 'a' is listed twice"):
+        read_documents(path)
+    path.write_text('\n{"id": "a", "text": "x"}\n  \n{"id": "b", "text": "y"}\n', encoding="utf-8")
+    assert [d.text for d in read_documents(path).values()] == ["x", "y"]
 
 
 def test_read_documents_accepts_both_schemas(fixture_paths, tmp_path):

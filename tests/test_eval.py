@@ -19,7 +19,6 @@ from deidkit.eval import (
     load_region_table,
     load_surname_table,
     map_country_to_culture,
-    match_spans,
     metrics_from_counts,
     parse_and_map_name,
     render_metrics_table,
@@ -49,6 +48,11 @@ def brute_force_counts(pred: list[Span], gold: list[Span]) -> ConfusionCounts:
                 tp += 1
                 break
     return ConfusionCounts(tp=tp, fp=len(pred_unique) - tp, fn=len(gold) - tp)
+
+
+def match_spans(pred: list[Span], gold: list[Span]) -> ConfusionCounts:
+    """One document's overall counts, as ``evaluate`` tallies them."""
+    return evaluate_documents({"doc": pred}, {"doc": gold}).overall.counts
 
 
 class TestMatchSpans:

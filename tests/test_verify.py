@@ -214,6 +214,15 @@ class TestBuildVerifierDataset:
         assert all(e.attempts == MAX_COT_ATTEMPTS for e in examples)
         assert len(client.calls) == MAX_COT_ATTEMPTS * len(examples)
 
+    def test_cot_reasoning_without_a_verdict_is_kept_whole(self, mini_docs, mini_gold, scripted_client):
+        reasoning = "The context names someone, but I cannot decide."
+        client = scripted_client(lambda m: reasoning)
+        examples = build_verifier_dataset(
+            {"379": mini_gold["379"]}, {}, mini_docs, VerifierVariant.WITH_COT, client=client
+        )
+        assert examples and all(e.label == "T" and e.forced_default for e in examples)
+        assert all(e.reasoning == reasoning for e in examples)
+
     def test_cot_variant_requires_client(self, mini_docs, mini_gold):
         with pytest.raises(ValueError):
             build_verifier_dataset({}, mini_gold, mini_docs, VerifierVariant.WITH_COT)
