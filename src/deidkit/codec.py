@@ -97,7 +97,6 @@ def _scan_regions(marked: str) -> tuple[str, list[tuple[Category, str, int]], li
     pairing is linear overall.
     """
     occurrences = list(_MARKER_RE.finditer(marked))
-    literal = [True] * len(occurrences)
     pairs: list[tuple[int, int, Category]] = []  # (open idx, close idx, category)
     noise: list[tuple[int, int, Category]] = []  # (trapped open idx, close idx, category)
     pending: list[tuple[int, Category]] = []
@@ -114,20 +113,19 @@ def _scan_regions(marked: str) -> tuple[str, list[tuple[Category, str, int]], li
         k = next(k for k in reversed(range(len(pending))) if pending[k][1] == cat)
         pairs.append((pending[k][0], idx, cat))
         noise.extend((open_idx, idx, open_cat) for open_idx, open_cat in pending[k + 1 :])
-        for open_idx, open_cat in pending[k:]:
-            literal[open_idx] = False
+        for _, open_cat in pending[k:]:
             open_count[open_cat] -= 1
-        literal[idx] = False
         del pending[k:]
 
     # Drop the paired and trapped markers, recording where each marker sits
     # in the marker-free text.
+    deleted = {idx for o, c, _ in pairs + noise for idx in (o, c)}
     parts: list[str] = []
     offsets: list[int] = []
     cursor = removed = 0
-    for match, keep in zip(occurrences, literal):
+    for idx, match in enumerate(occurrences):
         offsets.append(match.start() - removed)
-        if not keep:
+        if idx in deleted:
             parts.append(marked[cursor : match.start()])
             cursor = match.end()
             removed += len(match[0])
@@ -185,7 +183,7 @@ def decode(marked: str, original: Document) -> DecodeReport:
     punctuation tokens are aligned). The candidate offsets are the mapped
     one if the original has the inner text there (an exact anchor), else
     every exact occurrence of the inner text (a fuzzy anchor). The candidate
-    nearest the mapped offset that overlaps no accepted span wins, earliest
+    nearest the mapped offset that overlaps no span already kept wins, earliest
     on ties. A region with no such candidate is dropped: as an overlap if
     any candidate existed, else as not in the original. A span is only ever
     emitted when the original text matches the inner text exactly.
@@ -194,8 +192,7 @@ def decode(marked: str, original: Document) -> DecodeReport:
     stripped, regions, report.dropped = _scan_regions(marked)
     text = original.text
     anchors = _align(stripped, text)
-    accepted: list[Span] = []
-    taken = bytearray(len(text))  # 1 wherever an accepted span lies
+    taken = bytearray(len(text))  # 1 wherever a kept span lies
     for cat, inner, strip_start in regions:
         if not inner:
             report.dropped.append(DroppedRegion("", cat, DROP_EMPTY))
@@ -216,11 +213,11 @@ def decode(marked: str, original: Document) -> DecodeReport:
             report.dropped.append(DroppedRegion(inner, cat, reason))
             continue
         best = min(usable, key=lambda c: (abs(c - mapped), c))
-        accepted.append(Span(best, best + len(inner), cat, inner))
+        report.spans.append(Span(best, best + len(inner), cat, inner))
         taken[best : best + len(inner)] = b"\x01" * len(inner)
         if exact:
             report.anchored_exact += 1
         else:
             report.anchored_fuzzy += 1
-    report.spans = sorted(accepted)
+    report.spans.sort()
     return report

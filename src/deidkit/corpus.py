@@ -268,7 +268,6 @@ def split_corpus(
 
     where = f"{gold}: " if gold else ""  # a category that cannot be placed is the gold's fault
     splits: list[set[str]] = [set(), set(), set()]
-    held: list[set[str]] = [set(), set(), set()]  # the categories each split carries
     # Rarest categories get seeded first so their few carrier documents
     # are still unassigned when needed.
     for cat in sorted(totals, key=lambda c: (len(carriers[c]), c)):
@@ -280,7 +279,7 @@ def split_corpus(
                 f"{len(carriers[cat])} documents; cannot cover 3 splits"
             )
         for split_idx, split in enumerate(splits):
-            if cat in held[split_idx]:
+            if not split.isdisjoint(carriers[cat]):
                 continue
             if len(split) >= targets[split_idx]:
                 raise CorpusError(
@@ -292,7 +291,6 @@ def split_corpus(
                     f"{where}no unassigned document carries category {cat} for split {split_idx}"
                 )
             split.add(picked)
-            held[split_idx].update(c for c, count in entity_counts[picked].items() if count > 0)
 
     # The other documents, in shuffled order, fill base-train, then verifier-train, then test.
     rest = iter([d for d in shuffled if not any(d in s for s in splits)])
@@ -323,10 +321,9 @@ def read_json(path: str | Path) -> Any:
 
 
 def write_json(path: str | Path, payload: Any) -> None:
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, ensure_ascii=False, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _text_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:

@@ -15,7 +15,7 @@ import string
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .corpus import (
     Category,
@@ -107,46 +107,49 @@ def _stable_rng(doc_id: str, seed: int) -> random.Random:
 
 def _pick_unused(
     make: Callable[[random.Random], str],
-    original: str,
-    used: set[str],
+    originals: set[str],
+    used: Collection[str],
     rng: random.Random,
     fallback: Iterable[str],
 ) -> str:
-    """Draw a surrogate that is never ``original`` and, while capacity lasts, not used.
+    """Draw a surrogate whose casefold is not in ``originals`` and, while capacity lasts, not used.
 
-    After nine draws a used candidate is accepted; if every draw was the
-    original, the first ``fallback`` value other than it is.
+    After nine draws a used candidate is accepted; if every draw was an
+    original, the first ``fallback`` value that is not is.
     """
     spare = None
     for _ in range(9):
         candidate = make(rng)
-        if candidate == original:
+        if candidate.casefold() in originals:
             continue
         if candidate not in used:
             return candidate
         spare = candidate
     if spare is None:
-        spare = next((c for c in fallback if c != original), None)
+        spare = next((c for c in fallback if c.casefold() not in originals), None)
     if spare is None:
-        raise HipsError(f"no surrogate other than {original!r} can be drawn")
+        raise HipsError("no surrogate can be drawn that is not an original of the document")
     return spare
 
 
 def _letters_surrogate(
-    original: str, template: str, n: int, used: set[str], rng: random.Random
+    template: str, n: int, originals: set[str], used: Collection[str], rng: random.Random
 ) -> str:
     """An email or URL surrogate: ``template`` filled with ``n`` random lowercase letters."""
     def make(r: random.Random) -> str:
         return template.format("".join(r.choice(string.ascii_lowercase) for _ in range(n)))
 
-    return _pick_unused(make, original, used, rng, (template.format(c * n) for c in "ab"))
+    return _pick_unused(make, originals, used, rng, (template.format(c * n) for c in "ab"))
 
 
-def _phone_surrogate(original: str, used: set[str], rng: random.Random) -> str:
+def _phone_surrogate(
+    original: str, originals: set[str], used: Collection[str], rng: random.Random
+) -> str:
     digit_positions = [i for i, ch in enumerate(original) if ch.isdigit()]
     if not digit_positions:
         # Only LLM output yields a digitless phone span; fill it from the templates.
-        return rng.choice(_PLACEHOLDER_TEMPLATES["PHONE NUMBER"])
+        templates = _PLACEHOLDER_TEMPLATES["PHONE NUMBER"]
+        return _pick_unused(lambda r: r.choice(templates), originals, used, rng, templates)
 
     def resample(r: random.Random) -> str:
         chars = list(original)
@@ -157,7 +160,7 @@ def _phone_surrogate(original: str, used: set[str], rng: random.Random) -> str:
     # Deterministic fallback: a different final digit.
     last = digit_positions[-1]
     changed = original[:last] + ("1" if original[last] == "0" else "0") + original[last + 1 :]
-    return _pick_unused(resample, original, used, rng, [changed])
+    return _pick_unused(resample, originals, used, rng, [changed])
 
 
 #: Deterministic fillers for non-name transcript placeholders, kept small on
@@ -181,36 +184,39 @@ def surrogate_for(
     category: Category | Placeholder,
     group: tuple[str, str],
     pools: NamePool | None,
-    used: set[str],
+    used: Collection[str],
+    originals: set[str],
     rng: random.Random,
 ) -> str:
-    """Draw a synthetic stand-in for one entity; never the entity itself.
+    """Draw a synthetic stand-in for one entity; never an original, ignoring case.
 
-    ``used`` holds the surrogates already given in this category, which a
-    draw avoids while the pool has room. Remembering repeat mentions is the
-    caller's job (``apply_hips`` does it per document).
+    ``originals`` holds the document's casefolded span surfaces (this one's
+    is added); only a non-name placeholder's filler may match one. A draw
+    avoids ``used``, the surrogates already given in this category, while
+    the pool has room. Repeat mentions are the caller's to remember.
     """
+    originals.add(surface.casefold())
     placeholder = isinstance(category, Placeholder)
     if category is Category.NAME_STUDENT or (placeholder and category.name_kind):
         if pools is None:
             raise HipsError("name pools are required for name surrogates: pass --pools")
         firsts, lasts = pools.names(group)
         if category is Category.NAME_STUDENT and len(surface.split()) == 1:
-            return _pick_unused(lambda r: r.choice(firsts), surface, used, rng, firsts)
+            return _pick_unused(lambda r: r.choice(firsts), originals, used, rng, firsts)
         # Two tokens keep their shape; longer names simplify to First Last (the
         # replacement map records the shape change), as name placeholders do.
         every_pair = (f"{first} {last}" for first in firsts for last in lasts)  # lazy fallback
         return _pick_unused(
-            lambda r: f"{r.choice(firsts)} {r.choice(lasts)}", surface, used, rng, every_pair
+            lambda r: f"{r.choice(firsts)} {r.choice(lasts)}", originals, used, rng, every_pair
         )
     if placeholder:
         return rng.choice(_PLACEHOLDER_TEMPLATES.get(category.name.upper()) or _GENERIC_FILLERS)
     if category is Category.EMAIL:
-        return _letters_surrogate(surface, "{}@example.com", 8, used, rng)
+        return _letters_surrogate("{}@example.com", 8, originals, used, rng)
     if category is Category.URL_PERSONAL:
-        return _letters_surrogate(surface, "https://www.example.org/{}", 10, used, rng)
+        return _letters_surrogate("https://www.example.org/{}", 10, originals, used, rng)
     if category is Category.PHONE_NUM:
-        return _phone_surrogate(surface, used, rng)
+        return _phone_surrogate(surface, originals, used, rng)
     raise HipsError(f"no surrogate strategy for category {category!r}")
 
 
@@ -261,32 +267,28 @@ def apply_hips(
     ordered = sorted(spans, key=lambda s: (s.start, s.end))
     validate_spans(doc.text, ordered)
     rng = _stable_rng(doc.id, seed)
-    memo: dict[tuple[str, str], str] = {}
-    used: dict[str, set[str]] = {}
+    given: dict[str, dict[str, str]] = {}  # category label -> {surface: surrogate}
+    originals = {span.surface.casefold() for span in ordered}
 
     parts: list[str] = []
     replacements: list[Replacement] = []
     shifted: list[Span] = []
-    cursor = 0
-    out_len = 0
+    cursor = shift = 0  # shift: output offset minus input offset
     for span in ordered:
-        gap = doc.text[cursor : span.start]
-        parts.append(gap)
-        out_len += len(gap)
-        key = (span.surface, span.category.value)
-        if key not in memo:
-            taken = used.setdefault(span.category.value, set())
-            memo[key] = surrogate_for(span.surface, span.category, group, pools, taken, rng)
-            taken.add(memo[key])
-        surrogate = memo[key]
-        parts.append(surrogate)
-        out_start = out_len
-        out_len += len(surrogate)
+        surrogates = given.setdefault(span.category.value, {})
+        if span.surface not in surrogates:
+            surrogates[span.surface] = surrogate_for(
+                span.surface, span.category, group, pools, surrogates.values(), originals, rng
+            )
+        surrogate = surrogates[span.surface]
+        parts += (doc.text[cursor : span.start], surrogate)
         cursor = span.end
+        out_start = span.start + shift
+        shift += len(surrogate) - len(span.surface)
 
         name_kind = isinstance(span.category, Placeholder) and span.category.name_kind
         category = Category.NAME_STUDENT if name_kind else span.category
-        shifted.append(Span(out_start, out_len, category, surrogate))
+        shifted.append(Span(out_start, span.end + shift, category, surrogate))
         shape_changed = (
             span.category is Category.NAME_STUDENT and len(span.surface.split()) > 2
         )
@@ -298,7 +300,7 @@ def apply_hips(
                 input_start=span.start,
                 input_end=span.end,
                 output_start=out_start,
-                output_end=out_len,
+                output_end=span.end + shift,
                 shape_changed=shape_changed,
             )
         )

@@ -36,25 +36,23 @@ def estimate_tokens(text: str) -> int:
 
 
 class _TokenBucket:
-    """Request-rate limiter: capacity of one minute's worth of requests."""
+    """Request-rate limiter: a minute's worth of requests at once, then ``per_minute`` a minute.
+
+    Each request takes the next ``60 / per_minute`` s slot, none earlier than
+    now, and starts once its slot ends no more than a minute ahead.
+    """
 
     def __init__(self, per_minute: int):
-        self._capacity = float(per_minute)
-        self._tokens = float(per_minute)
-        self._rate = per_minute / 60.0
-        self._updated = time.monotonic()
+        self._interval = 60.0 / per_minute
+        self._next = time.monotonic()  # where the next free slot starts
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                self._tokens = min(self._capacity, self._tokens + (now - self._updated) * self._rate)
-                self._updated = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self._rate
+        with self._lock:
+            now = time.monotonic()
+            self._next = max(self._next, now) + self._interval
+            wait = self._next - now - 60.0
+        if wait > 0:
             time.sleep(wait)
 
 

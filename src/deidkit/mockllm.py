@@ -120,6 +120,7 @@ def _completion_payload(content: str) -> dict:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"  # keep-alive; every response sends Content-Length
+    disable_nagle_algorithm = True  # else the body, a second write, waits for a delayed ACK
     mock: MockLlm  # injected by make_server
 
     def do_POST(self):  # noqa: N802 (http.server API)

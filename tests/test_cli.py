@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import deidkit
-from deidkit import cli, codec, corpus, mockllm
+from deidkit import cli, codec, corpus, llm, mockllm
 from deidkit.cli import main
 
 
@@ -501,6 +502,14 @@ class TestUtilityCommands:
         assert (
             payload["hips_observed_leak_fraction"] <= payload["redaction_leak_fraction"]
         )
+
+    def test_simulate_leakage_out_writes_what_it_prints(self, tmp_path, capsys):
+        out = tmp_path / "leakage.json"
+        assert run_cli("simulate-leakage", "--fn", "0.1", "--entities", "4", "--docs", "500",
+                       "--seed", "3", "--out", str(out)) == 0
+        assert json.loads(out.read_text(encoding="utf-8")) == json.loads(capsys.readouterr().out)
+        manifest = json.loads((tmp_path / "leakage.json.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["command"] == "simulate-leakage" and manifest["seed"] == 3
 
     def test_cost_command(self, tmp_path, capsys):
         ledger = tmp_path / "ledger.json"
@@ -1333,6 +1342,24 @@ def test_mock_llm_answers_a_body_that_is_not_json_with_400():
         server.server_close()
     assert status == 400
     assert set(reply) == {"error"} and reply["error"]
+
+
+def test_mock_llm_answers_keep_alive_requests_without_waiting_for_an_ack():
+    # The body of a reply is a second write; with Nagle's algorithm on it waits
+    # for the client's delayed ACK, about 40 ms per request on loopback.
+    server = mockllm.make_server(mockllm.MockLlm("echo-gold", {}))
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    host, port = server.server_address[:2]
+    try:
+        with llm.ChatClient(f"http://{host}:{port}/v1", max_retries=0) as client:
+            started = time.perf_counter()
+            replies = [client.complete([{"role": "user", "content": f"text {i}"}]) for i in range(20)]
+            elapsed = time.perf_counter() - started
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert replies == [f"text {i}" for i in range(20)]
+    assert elapsed < 0.3, elapsed
 
 
 def test_bias_and_evaluate_agree_on_name_recall(fixture_paths, tmp_path):

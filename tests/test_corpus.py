@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 from typing import Mapping
 
@@ -27,6 +28,7 @@ from deidkit.corpus import (
     reconstruct_text,
     split_corpus,
     validate_spans,
+    write_json,
     write_standoff,
 )
 
@@ -599,3 +601,25 @@ def test_integer_document_ids_read_as_strings(tmp_path):
     assert list(read_documents(docs)) == ["7"]
     assert [rec.document_id for rec, _ in read_crapii_jsonl(records)] == ["8"]
     assert read_spans(spans, read_documents(docs)) == {"7": []}
+
+
+def test_write_json_writes_the_bytes_of_one_dumps(tmp_path):
+    payload = {"z": [1, 2.5, None, True], "é": {"b": "naïve — 名前", "a": []}, "m": {"k": [{"x": "y"}]}}
+    write_json(tmp_path / "out.json", payload)
+    expected = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "out.json").read_bytes() == expected.encode("utf-8")
+
+
+def test_write_json_streams_instead_of_building_the_text(tmp_path):
+    # A span file's shape: a list of per-document entries.
+    entry = {"start": 3, "end": 12, "text": "Ana María", "category": "NAME_STUDENT"}
+    payload = [{"document": f"doc{i}", "spans": [entry] * 4} for i in range(5_000)]
+    tracemalloc.start()
+    try:
+        write_json(tmp_path / "big.json", payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "big.json").stat().st_size
+    assert size > 2_000_000
+    assert peak < size / 10, (peak, size)

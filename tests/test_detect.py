@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import random
 import re
 import sys
@@ -601,6 +602,76 @@ def test_token_bucket_waits_once_its_minute_is_spent(monkeypatch):
     assert sleeps == []
     bucket.acquire()  # the 61st request in the same instant waits one token's time
     assert sleeps == [1.0]
+
+
+def polling_token_bucket(time):
+    """The limiter as it was before it kept one timestamp, verbatim, on the given clock."""
+
+    class _TokenBucket:
+        """Request-rate limiter: capacity of one minute's worth of requests."""
+
+        def __init__(self, per_minute: int):
+            self._capacity = float(per_minute)
+            self._tokens = float(per_minute)
+            self._rate = per_minute / 60.0
+            self._updated = time.monotonic()
+            self._lock = threading.Lock()
+
+        def acquire(self) -> None:
+            while True:
+                with self._lock:
+                    now = time.monotonic()
+                    self._tokens = min(self._capacity, self._tokens + (now - self._updated) * self._rate)
+                    self._updated = now
+                    if self._tokens >= 1.0:
+                        self._tokens -= 1.0
+                        return
+                    wait = (1.0 - self._tokens) / self._rate
+                time.sleep(wait)
+
+    return _TokenBucket
+
+
+class FakeClock:
+    def __init__(self, now: float):
+        self.now, self.sleeps = now, 0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        # A real clock moves on during any sleep, even one too short to change
+        # a float this large; the polling limiter would spin forever otherwise.
+        self.sleeps += 1
+        self.now = max(self.now + seconds, math.nextafter(self.now, math.inf))
+
+
+@pytest.mark.parametrize("per_minute", [1, 7, 60, 1000, 10_000_000])
+def test_token_bucket_starts_requests_when_the_polling_limiter_did(monkeypatch, per_minute):
+    interval = 60.0 / per_minute
+    for schedule in range(200):
+        rng = random.Random(f"{per_minute}:{schedule}")
+        # Bursts, arrivals faster and slower than the limit, and idle spells.
+        mean_gap = interval * rng.choice([0.0, 0.3, 0.9, 1.5])
+        idle = rng.choice([0.0, 0.02])  # the share of requests that follow an idle spell
+        gaps = [
+            (rng.expovariate(1 / mean_gap) if mean_gap else 0.0)
+            + (rng.uniform(0, 120) if rng.random() < idle else 0.0)
+            for _ in range(rng.randint(1, min(3 * per_minute + 5, 2500)))
+        ]
+        start = rng.uniform(0, 1e4)
+        reference_clock, clock = FakeClock(start), FakeClock(start)
+        reference = polling_token_bucket(reference_clock)(per_minute)
+        monkeypatch.setattr(llm, "time", clock)
+        bucket = _TokenBucket(per_minute)
+        for gap in gaps:
+            reference_clock.now += gap
+            clock.now += gap
+            reference.acquire()
+            sleeps = clock.sleeps
+            bucket.acquire()
+            assert clock.sleeps - sleeps <= 1
+            assert abs(clock.now - reference_clock.now) <= 1e-6, (schedule, clock.now, reference_clock.now)
 
 
 def test_completion_budget_guard():

@@ -108,19 +108,19 @@ class TestAssignGroups:
 class TestSurrogateFor:
     def test_two_token_name_shape(self, pools):
         out = surrogate_for("John Smith", Category.NAME_STUDENT, ("Female", "Africa"), pools,
-                            set(), _stable_rng("doc", 0))
+                            set(), set(), _stable_rng("doc", 0))
         assert len(out.split()) == 2
         assert out != "John Smith"
 
     def test_single_token_name_shape(self, pools):
         out = surrogate_for("Newton", Category.NAME_STUDENT, ("Male", "Asia"), pools,
-                            set(), _stable_rng("doc", 0))
+                            set(), set(), _stable_rng("doc", 0))
         assert len(out.split()) == 1
 
     def test_phone_mask_preserved_and_differs(self):
         original = "(555)555-5555"
         out = surrogate_for(original, Category.PHONE_NUM, ("Male", "Asia"), None,
-                            set(), _stable_rng("doc", 0))
+                            set(), set(), _stable_rng("doc", 0))
         assert punctuation_mask(out) == punctuation_mask(original)
         assert out != original
 
@@ -128,18 +128,18 @@ class TestSurrogateFor:
         original = "(123)456-7890"
         for seed in range(200):
             out = surrogate_for(original, Category.PHONE_NUM, ("Male", "Asia"), None,
-                                set(), _stable_rng("doc", seed))
+                                set(), set(), _stable_rng("doc", seed))
             assert out != original
 
     def test_email_parses(self):
         out = surrogate_for("a@b.co", Category.EMAIL, ("Male", "Asia"), None,
-                            set(), _stable_rng("doc", 3))
+                            set(), set(), _stable_rng("doc", 3))
         assert EMAIL_RE.match(out)
         assert out != "a@b.co"
 
     def test_url_parses(self):
         out = surrogate_for("www.me.example", Category.URL_PERSONAL, ("Male", "Asia"), None,
-                            set(), _stable_rng("doc", 3))
+                            set(), set(), _stable_rng("doc", 3))
         parsed = urlparse(out)
         assert parsed.scheme == "https"
         assert parsed.netloc
@@ -161,7 +161,7 @@ class TestSurrogateFor:
     def test_name_requires_pool(self):
         with pytest.raises(Exception):
             surrogate_for("John", Category.NAME_STUDENT, ("Male", "Asia"), None,
-                          set(), _stable_rng("doc", 0))
+                          set(), set(), _stable_rng("doc", 0))
 
     def test_no_surrogate_equals_its_original(self):
         # A 10-first x 5-last pool makes a draw hit the original often, and
@@ -171,6 +171,7 @@ class TestSurrogateFor:
         pool = NamePool({group: (firsts, lasts) for group in ALL_GROUPS})
         student = Placeholder("STUDENT", True)
         rng = random.Random(8)
+        exhausted = 0
         for doc in range(300):
             cases = [(rng.choice(firsts), Category.NAME_STUDENT) for _ in range(15)]
             cases += [(f"{rng.choice(firsts)} {rng.choice(lasts)}", Category.NAME_STUDENT)]
@@ -183,15 +184,47 @@ class TestSurrogateFor:
                 ("STUDENT", student),
             ]
             document, spans = text_with_spans(cases, f"doc{doc}")
+            originals = {surface.casefold() for surface, _ in cases}
+            if originals >= {name.casefold() for name in firsts}:
+                # Every first name of the pool is an original: no single name can be drawn.
+                with pytest.raises(HipsError):
+                    apply_hips(document, spans, ("Female", "Asia"), seed=doc, pools=pool)
+                exhausted += 1
+                continue
             result = apply_hips(document, spans, ("Female", "Asia"), seed=doc, pools=pool)
             for rep in result.replacements:
-                assert rep.surrogate != rep.original, (rep.original, rep.category)
+                assert rep.surrogate.casefold() not in originals, (rep.original, rep.category)
+        assert exhausted == 17
+
+    def test_no_surrogate_is_another_original_of_its_document(self):
+        pool = NamePool({group: (["Ann", "Bob", "Cid", "Dee"], ["Lane"]) for group in ALL_GROUPS})
+        doc = Document("d", "Ann met Bob and Cid.")
+        spans = [Span(s, s + 3, Category.NAME_STUDENT, doc.text[s : s + 3]) for s in (0, 8, 16)]
+        for seed in range(200):
+            result = apply_hips(doc, spans, ("Male", "Asia"), seed=seed, pools=pool)
+            assert [r.surrogate for r in result.replacements] == ["Dee"] * 3
+
+    def test_no_surrogate_is_its_original_in_another_case(self):
+        pool = NamePool({group: (["Ann", "Bob"], ["Lane"]) for group in ALL_GROUPS})
+        doc = Document("d", "ANN wrote this.")
+        for seed in range(100):
+            result = apply_hips(doc, [Span(0, 3, Category.NAME_STUDENT, "ANN")], ("Male", "Asia"),
+                                seed=seed, pools=pool)
+            assert result.replacements[0].surrogate == "Bob"
+
+    def test_a_token_of_an_original_may_be_drawn(self):
+        # Only whole surfaces are compared: "Lee" is not the original "Ray Lee".
+        pool = NamePool({group: (["Kim", "Lee"], ["Lee"]) for group in ALL_GROUPS})
+        doc = Document("d", "Ray Lee and Kim")
+        spans = [Span(0, 7, Category.NAME_STUDENT, "Ray Lee"), Span(12, 15, Category.NAME_STUDENT, "Kim")]
+        result = apply_hips(doc, spans, ("Male", "Asia"), seed=0, pools=pool)
+        assert result.replacements[1].surrogate == "Lee"
 
     def test_group_that_only_holds_the_original_raises(self):
         for surface in ("John", "John Doe"):
             with pytest.raises(HipsError):
                 surrogate_for(surface, Category.NAME_STUDENT, ("Male", "Asia"), stub_pool(),
-                              set(), _stable_rng("doc", 0))
+                              set(), set(), _stable_rng("doc", 0))
 
 
 class TestApplyHips:
