@@ -12,6 +12,7 @@ import json
 import os
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -371,13 +372,31 @@ def write_jsonl(path: str | Path, objects: Iterable[Any]) -> int:
     return count
 
 
-def read_csv(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
-    """Yield the rows of a CSV file whose header names every one of ``columns``."""
-    reader = csv.DictReader(_text_lines(path, newline=""), restval="")
-    missing = [c for c in columns if c not in (reader.fieldnames or ())]
-    if missing:
-        raise CorpusError(f"{path}: missing column(s) {missing}")
-    yield from reader
+def read_csv(
+    path: str | Path, columns: Sequence[str], optional: Sequence[str] = ()
+) -> Iterator[list[str]]:
+    """Yield each row of a CSV file as its ``columns`` fields, then its ``optional`` ones.
+
+    The header must name every one of ``columns``; an ``optional`` column it does
+    not name reads "". As with ``csv.DictReader``, a blank line is skipped, a short
+    row reads "" for its missing fields, fields past the header are ignored, and a
+    name the header repeats reads its last field. A line the csv module rejects
+    (a field over its size limit, say) is a CorpusError naming the file and line.
+    """
+    reader = csv.reader(_text_lines(path, newline=""))
+    try:
+        index = {name: i for i, name in enumerate(next(reader, ()))}
+        missing = [c for c in columns if c not in index]
+        if missing:
+            raise CorpusError(f"{path}: missing column(s) {missing}")
+        # An absent optional column points past every row, so it reads "" as a short row does.
+        picks = [index.get(c, sys.maxsize) for c in (*columns, *optional)]
+        for row in reader:
+            if row:
+                width = len(row)
+                yield [row[i] if i < width else "" for i in picks]
+    except csv.Error as exc:
+        raise CorpusError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _list_of(obj: Mapping, key: str, kind: type) -> list:

@@ -6,6 +6,7 @@ Also builds the few-shot prompt and the fine-tuning training records.
 from __future__ import annotations
 
 import re
+import string
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -76,56 +77,76 @@ DEFAULT_FEWSHOT_EXEMPLARS: tuple[Exemplar, ...] = (
 # ---------------------------------------------------------------------------
 # Rule-based detection
 
-_EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
-# Recall-biased on purpose: downstream verification exists to clean up.
-_PHONE_RES = (
-    re.compile(r"\(\d{3}\)\s?\d{3}[-.\s]?\d{4}"),
-    re.compile(r"\+\d{1,3}(?:[-.\s]?\d{2,4}){2,4}"),
-    re.compile(r"\b\d{3}[-.]\d{3}[-.]\d{4}\b"),
+# (category, pattern, a literal that every match of the pattern holds): a text
+# without the literal is not scanned; "" is in every text.
+_PATTERNS = (
+    (Category.EMAIL, re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"), "@"),
+    # Recall-biased on purpose: downstream verification exists to clean up.
+    (Category.PHONE_NUM, re.compile(r"\(\d{3}\)\s?\d{3}[-.\s]?\d{4}"), "("),
+    (Category.PHONE_NUM, re.compile(r"\+\d{1,3}(?:[-.\s]?\d{2,4}){2,4}"), "+"),
+    # \b\d{3}[-.]\d{3}[-.]\d{4}\b, written to start on a digit: a leading \b or
+    # lookbehind turns off the regex engine's scan for the first character, so
+    # the "not after a word character" test comes after the first digit.
+    (Category.PHONE_NUM, re.compile(r"\d(?<!\w\d)\d\d[-.]\d{3}[-.]\d{4}\b"), ""),
+    (Category.URL_PERSONAL, re.compile(r"https?://[^\s<>\"']+"), "://"),
+    (
+        Category.URL_PERSONAL,
+        re.compile(r"\bwww\.[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+(?:/[^\s<>\"']*)?"),
+        "www.",
+    ),
 )
-_URL_RES = (
-    re.compile(r"https?://[^\s<>\"']+"),
-    re.compile(r"\bwww\.[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+(?:/[^\s<>\"']*)?"),
-)
-_TRAILING_PUNCT = ".,;:!?)]}\"'"
-# A word is a run of [A-Za-z'-] from its first letter on; group 1 is a word
-# whose first letter is a capital (lowercase mentions are not name evidence).
-# The lookbehind puts the match at the start of the run, so only ' and - may
-# precede that letter: "a-Bob" holds no capitalised word, "-Bob" holds "Bob".
-_CAPITALISED_WORD_RE = re.compile(r"(?<![A-Za-z'\-])[\-']*([A-Z][A-Za-z'\-]*)")
+_URL_TRAILING_PUNCT = ".,;:!?)]}\"'"
+# A word is a run of [A-Za-z'-] from its first letter on; a capitalised word is
+# one whose first letter is a capital (lowercase mentions are not name evidence).
+# The scan starts on a capital that no ASCII letter precedes; the lookbehind
+# sits after the capital so the engine can scan for the first character.
+_CAPITAL_START_RE = re.compile(r"[A-Z](?<![A-Za-z].)[A-Za-z'\-]*")
 
 
 def _pattern_candidates(text: str) -> list[Span]:
     found: list[Span] = []
-    for m in _EMAIL_RE.finditer(text):
-        found.append(Span(m.start(), m.end(), Category.EMAIL, m.group(0)))
-    for pattern in _PHONE_RES:
+    for category, pattern, literal in _PATTERNS:
+        if literal not in text:
+            continue
         for m in pattern.finditer(text):
-            found.append(Span(m.start(), m.end(), Category.PHONE_NUM, m.group(0)))
-    for pattern in _URL_RES:
-        for m in pattern.finditer(text):
-            end = m.end()
-            while end > m.start() and text[end - 1] in _TRAILING_PUNCT:
-                end -= 1
-            if end > m.start():
-                found.append(Span(m.start(), end, Category.URL_PERSONAL, text[m.start() : end]))
+            start, end = m.span()
+            if category is Category.URL_PERSONAL:
+                end = start + len(m.group().rstrip(_URL_TRAILING_PUNCT))
+            if end > start:
+                found.append(Span(start, end, category, text[start:end]))
     return found
+
+
+def _capitalised_words(text: str) -> list[re.Match[str]]:
+    """The match of every capitalised word of ``text``, in order.
+
+    Only ' and - may precede the first letter of a word: "a-Bob" holds no
+    capitalised word, "-Bob" holds "Bob".
+    """
+    words = []
+    for m in _CAPITAL_START_RE.finditer(text):
+        start = m.start()
+        if start and text[start - 1] in "'-":
+            before = start - 1
+            while before and text[before - 1] in "'-":
+                before -= 1
+            if before and text[before - 1] in string.ascii_letters:
+                continue
+        words.append(m)
+    return words
 
 
 def _gazetteer_candidates(text: str, pools: NamePool) -> list[Span]:
     first, last = pools.lowercase_names
-    words = [(m.start(1), m.end(1), m.group(1)) for m in _CAPITALISED_WORD_RE.finditer(text)]
+    words = [(m.start(), m.end(), m.group().lower()) for m in _capitalised_words(text)]
     found: list[Span] = []
     for i, (start, end, word) in enumerate(words):
         if i + 1 < len(words):
             n_start, n_end, n_word = words[i + 1]
-            adjacent = text[end:n_start] == " "
-            if adjacent and word.lower() in first and n_word.lower() in last:
-                found.append(
-                    Span(start, n_end, Category.NAME_STUDENT, text[start:n_end])
-                )
-        if word.lower() in first or word.lower() in last:
-            found.append(Span(start, end, Category.NAME_STUDENT, word))
+            if text[end:n_start] == " " and word in first and n_word in last:
+                found.append(Span(start, n_end, Category.NAME_STUDENT, text[start:n_end]))
+        if word in first or word in last:
+            found.append(Span(start, end, Category.NAME_STUDENT, text[start:end]))
     return found
 
 

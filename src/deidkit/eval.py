@@ -125,15 +125,15 @@ class Demographic:
 def _load_argmax_table(path: str | Path, key_col: str, value_col: str) -> dict[str, str]:
     """CSV -> name->value table; weighted rows argmax, ties drop to Unknown."""
     weights: dict[str, Counter] = defaultdict(Counter)
-    for row in read_csv(path, (key_col, value_col)):
-        count = row.get("count") or "1"
+    for key, value, count in read_csv(path, (key_col, value_col), optional=("count",)):
+        count = count or "1"
         try:
             weight = int(count)
         except ValueError:
             raise CorpusError(f"{path}: non-integer count {count!r}") from None
         if weight < 1:
             raise CorpusError(f"{path}: count must be a positive integer, not {count!r}")
-        weights[row[key_col].strip().lower()][row[value_col].strip()] += weight
+        weights[key.strip().lower()][value.strip()] += weight
     table: dict[str, str] = {}
     for key, counter in weights.items():
         ranked = counter.most_common()

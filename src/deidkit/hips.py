@@ -74,19 +74,18 @@ class NamePool:
 def load_name_pools(path: str | Path) -> NamePool:
     """Load a gender,culture,kind,name CSV, dropping non-ASCII names."""
     pool = NamePool()
-    for row in read_csv(path, ("gender", "culture", "kind", "name")):
-        name = row["name"].strip()
+    for gender, culture, kind, name in read_csv(path, ("gender", "culture", "kind", "name")):
+        name = name.strip()
         if not name:
             continue
         if not name.isascii():
             pool.dropped_non_ascii += 1
             continue
-        kind = row["kind"].strip().lower()
-        if kind not in ("first", "last"):
-            raise HipsError(f"{path}: unknown name kind {row['kind']!r}")
-        group = (row["gender"].strip(), row["culture"].strip())
-        firsts, lasts = pool.groups.setdefault(group, ([], []))
-        (firsts if kind == "first" else lasts).append(name)
+        kind_name = kind.strip().lower()
+        if kind_name not in ("first", "last"):
+            raise HipsError(f"{path}: unknown name kind {kind!r}")
+        firsts, lasts = pool.groups.setdefault((gender.strip(), culture.strip()), ([], []))
+        (firsts if kind_name == "first" else lasts).append(name)
     return pool
 
 

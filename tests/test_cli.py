@@ -1068,6 +1068,14 @@ _MALFORMED_INPUTS = {
         _INGEST),
     "span-file-document-a-bool": (
         '[{"document": true, "spans": []}]', ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
+    # The csv module rejects a field over 131,072 characters with a csv.Error, not a ValueError.
+    "pools-field-over-the-csv-limit": (
+        "gender,culture,kind,name\nFemale,Africa,first," + "A" * 140_000 + "\n",
+        ["detect", "--detector", "rules", "--in", "{corpus}", "--pools", "{bad}"]),
+    "gender-table-field-over-the-csv-limit": (
+        "first_name,gender\n" + "A" * 140_000 + ",Female\n",
+        ["bias", "--pred", "{gold}", "--gold", "{gold}", "--gender-table", "{bad}",
+         "--surname-table", "{surname}", "--region-table", "{region}"]),
 }
 
 

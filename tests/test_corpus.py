@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import random
 import re
@@ -22,6 +23,7 @@ from deidkit.corpus import (
     bio_to_spans,
     ingest_tscc,
     read_crapii_jsonl,
+    read_csv,
     read_documents,
     read_spans,
     read_standoff,
@@ -623,3 +625,57 @@ def test_write_json_streams_instead_of_building_the_text(tmp_path):
     size = (tmp_path / "big.json").stat().st_size
     assert size > 2_000_000
     assert peak < size / 10, (peak, size)
+
+
+def _dict_reader_rows(path, columns, optional=()):
+    """The rows ``csv.DictReader`` gives, as lists: the reference for ``read_csv``."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        return [
+            [row[c] for c in columns] + [row.get(c) or "" for c in optional]
+            for row in csv.DictReader(handle, restval="")
+        ]
+
+
+@pytest.mark.parametrize("content, columns, optional", [
+    pytest.param("name,extra,kind,gender,culture\nAnn,x,first,Female,Africa\n"
+                 "Bob,y,last,Male,Asia,surplus,fields\n",
+                 ("gender", "culture", "kind", "name"), (), id="reordered-header-extra-columns"),
+    pytest.param("gender,culture,kind,name\n\nFemale,Africa\n\n\nMale,Asia,last,Lee\nMale\n",
+                 ("gender", "culture", "kind", "name"), (), id="short-rows-and-blank-lines"),
+    pytest.param("name,kind,name\nAnn,first,Bob\nCid,last\n", ("kind", "name"), (),
+                 id="repeated-header-name-reads-its-last-field"),
+    pytest.param("first_name,gender\nAlex,Female,3\nKim,Male\n", ("first_name", "gender"),
+                 ("count",), id="optional-count-absent"),
+    pytest.param("first_name,gender,count\nAlex,Female,\nAlex,Male\nKim,Female,2\n",
+                 ("first_name", "gender"), ("count",), id="optional-count-cell-empty-or-short"),
+    pytest.param('gender,kind\n"Fe\nmale","first, ""x"""\n', ("gender", "kind"), (),
+                 id="quoted-fields"),
+])
+def test_read_csv_reads_what_dict_reader_reads(tmp_path, content, columns, optional):
+    path = tmp_path / "table.csv"
+    path.write_text(content, encoding="utf-8")
+    expected = _dict_reader_rows(path, columns, optional)
+    assert expected  # each case has rows to read
+    assert list(read_csv(path, columns, optional)) == expected
+
+
+@pytest.mark.parametrize("content", ["first_name,count\nAmina,3\n", "", "\nfirst_name,gender\n"])
+def test_read_csv_names_the_missing_columns(tmp_path, content):
+    path = tmp_path / "table.csv"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(CorpusError) as excinfo:
+        list(read_csv(path, ("first_name", "gender"), ("count",)))
+    missing = [c for c in ("first_name", "gender") if c not in content.split("\n")[0].split(",")]
+    assert str(excinfo.value) == f"{path}: missing column(s) {missing}"
+
+
+def test_read_csv_names_the_file_and_line_the_csv_module_rejects(tmp_path):
+    path = tmp_path / "pools.csv"
+    big = "A" * (csv.field_size_limit() + 1)
+    path.write_text(f"gender,culture,kind,name\nFemale,Africa,first,Ann\nFemale,Africa,first,{big}\n",
+                    encoding="utf-8")
+    with pytest.raises(CorpusError) as excinfo:
+        list(read_csv(path, ("gender", "culture", "kind", "name")))
+    assert str(excinfo.value) == (
+        f"{path}:3: field larger than field limit ({csv.field_size_limit()})"
+    )

@@ -22,7 +22,8 @@ from deidkit.detect import (
     FEWSHOT_TARGET_LEAD,
     FINETUNE_USER_INSTRUCTION,
     MARKER_LEGEND,
-    _CAPITALISED_WORD_RE,
+    _capitalised_words,
+    _pattern_candidates,
     _resolve_overlaps,
     build_fewshot_messages,
     build_finetune_record,
@@ -155,7 +156,85 @@ def test_capitalised_words_are_the_words_that_start_upper(text):
     expected = [
         m.span() for m in _REFERENCE_WORD_RE.finditer(text) if m.group(0)[0].isupper()
     ]
-    assert [m.span(1) for m in _CAPITALISED_WORD_RE.finditer(text)] == expected
+    assert [m.span() for m in _capitalised_words(text)] == expected
+
+
+@pytest.mark.parametrize("text, words", [
+    ("d'Arcy", []),
+    ("a'-Bob", []),
+    ("'Bob'", ["Bob'"]),
+    ("-'Ann", ["Ann"]),
+    ("O'Brien-Smith", ["O'Brien-Smith"]),
+    ("McDonald", ["McDonald"]),
+    ("ÉBob", ["Bob"]),
+    ("É Bob", ["Bob"]),
+])
+def test_capitalised_words_at_apostrophes_hyphens_and_non_ascii(text, words):
+    expected = [
+        m.span() for m in _REFERENCE_WORD_RE.finditer(text) if m.group(0)[0].isupper()
+    ]
+    assert [text[start:end] for start, end in expected] == words
+    assert [m.span() for m in _capitalised_words(text)] == expected
+
+
+# The pattern scan as it was before each pattern was guarded by a literal, verbatim:
+# every pattern runs over every text.
+_REFERENCE_EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
+_REFERENCE_PHONE_RES = (
+    re.compile(r"\(\d{3}\)\s?\d{3}[-.\s]?\d{4}"),
+    re.compile(r"\+\d{1,3}(?:[-.\s]?\d{2,4}){2,4}"),
+    re.compile(r"\b\d{3}[-.]\d{3}[-.]\d{4}\b"),
+)
+_REFERENCE_URL_RES = (
+    re.compile(r"https?://[^\s<>\"']+"),
+    re.compile(r"\bwww\.[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+(?:/[^\s<>\"']*)?"),
+)
+_REFERENCE_TRAILING_PUNCT = ".,;:!?)]}\"'"
+
+
+def _reference_pattern_candidates(text: str) -> list[Span]:
+    found: list[Span] = []
+    for m in _REFERENCE_EMAIL_RE.finditer(text):
+        found.append(Span(m.start(), m.end(), Category.EMAIL, m.group(0)))
+    for pattern in _REFERENCE_PHONE_RES:
+        for m in pattern.finditer(text):
+            found.append(Span(m.start(), m.end(), Category.PHONE_NUM, m.group(0)))
+    for pattern in _REFERENCE_URL_RES:
+        for m in pattern.finditer(text):
+            end = m.end()
+            while end > m.start() and text[end - 1] in _REFERENCE_TRAILING_PUNCT:
+                end -= 1
+            if end > m.start():
+                found.append(Span(m.start(), end, Category.URL_PERSONAL, text[m.start() : end]))
+    return found
+
+
+# Single characters, plus fragments that make a match likely in a short text.
+_PATTERN_PIECES = st.one_of(
+    st.sampled_from("@.w:/()+-_ 0123456789٠١٢٣٤٥٦٧٨٩éaZx\n"),
+    st.sampled_from(["www.", "http://", "https://", ".com", "123", "4567", "(555)", "+44"]),
+)
+
+
+@seed(20251020)
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(_PATTERN_PIECES, max_size=30).map("".join))
+def test_guarded_patterns_find_what_the_unguarded_scan_finds(text):
+    assert _pattern_candidates(text) == _reference_pattern_candidates(text)
+
+
+@pytest.mark.parametrize("text, surfaces", [
+    ("x@y.zz", [(Category.EMAIL, "x@y.zz")]),
+    ("see www.a.bc/d.", [(Category.URL_PERSONAL, "www.a.bc/d")]),
+    ("١٢٣-456-7890", [(Category.PHONE_NUM, "١٢٣-456-7890")]),
+    ("a123-456-7890", []),
+    ("é123-456-7890", []),
+    ("123-456-7890", [(Category.PHONE_NUM, "123-456-7890")]),
+    ("-123.456.78901", []),
+])
+def test_guarded_patterns_on_fixed_cases(text, surfaces):
+    assert _pattern_candidates(text) == _reference_pattern_candidates(text)
+    assert [(s.category, s.surface) for s in _pattern_candidates(text)] == surfaces
 
 
 def all_pairs_overlaps(candidates: list[Span]) -> list[Span]:

@@ -306,6 +306,13 @@ class TestCountColumn:
         )
         assert load_gender_table(csv_path) == {"kim": "Female"}  # Alex ties 1:1
 
+    def test_absent_count_column_counts_one_and_ignores_extra_fields(self, tmp_path):
+        csv_path = tmp_path / "genders.csv"
+        csv_path.write_text(
+            "first_name,gender\nAlex,Female,5\nAlex,Male\nKim,Female\n", encoding="utf-8"
+        )
+        assert load_gender_table(csv_path) == {"kim": "Female"}  # the 5 is no count: Alex ties
+
 
 class TestParseAndMapName:
     def test_two_token_split(self, tables):
