@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import difflib
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import Category, Document, Span, validate_spans
@@ -146,21 +147,48 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 def _align(stripped: str, original: str) -> list[tuple[int, int]]:
     """Anchors ``(stripped pos, original pos)`` where equal text starts, in order.
 
-    Identical texts share one anchor at 0. Otherwise the texts are aligned by
-    whole tokens (words and single punctuation marks; whitespace is ignored)
-    and every matched token is an anchor. Both text ends close the list.
+    Identical texts share one anchor at 0. Otherwise whole tokens (words and
+    single punctuation marks; whitespace is ignored) are aligned as in patience
+    diff: the longest in-order chain of tokens that occur once in each text is
+    matched and grown over equal neighbours, then ``SequenceMatcher`` aligns
+    the gaps. Every matched token is an anchor; both text ends close the list.
     """
     if stripped == original:
         return [(0, 0), (len(stripped), len(original))]
     a = list(_TOKEN_RE.finditer(stripped))
     b = list(_TOKEN_RE.finditer(original))
-    sm = difflib.SequenceMatcher(a=[m[0] for m in a], b=[m[0] for m in b], autojunk=False)
-    anchors = [
-        (a[i + k].start(), b[j + k].start())
-        for i, j, size in sm.get_matching_blocks()
-        for k in range(size)
-    ]
-    return anchors + [(len(stripped), len(original))]
+    # An end sentinel ("", once in each text) closes the chain and the pairs.
+    ta = [m[0] for m in a] + [""]
+    tb = [m[0] for m in b] + [""]
+    count_a, count_b = Counter(ta), Counter(tb)
+    in_b = {t: j for j, t in enumerate(tb) if count_b[t] == 1}
+    unique = [(i, in_b[t]) for i, t in enumerate(ta) if count_a[t] == 1 and t in in_b]
+    # Patience sorting: tops[p] is the (j, i, previous node) that ends the best
+    # chain of p + 1 unique matches seen so far.
+    tops: list[tuple] = []
+    for i, j in unique:
+        p = bisect.bisect_left(tops, j, key=lambda node: node[0])
+        tops[p : p + 1] = [(j, i, tops[p - 1] if p else None)]
+    chain, node = [], tops[-1]
+    while node:
+        chain.append((node[1], node[0]))
+        node = node[2]
+    pairs: list[tuple[int, int]] = []
+    lo_a = lo_b = 0
+    for i, j in reversed(chain):
+        # Grow the unique matches, not the text ends, over equal neighbours.
+        while 0 < lo_a < i and lo_b < j and ta[lo_a] == tb[lo_b]:
+            pairs.append((lo_a, lo_b))
+            lo_a, lo_b = lo_a + 1, lo_b + 1
+        hi_a, hi_b = i, j
+        while len(a) > hi_a > lo_a and hi_b > lo_b and ta[hi_a - 1] == tb[hi_b - 1]:
+            hi_a, hi_b = hi_a - 1, hi_b - 1
+        sm = difflib.SequenceMatcher(a=ta[lo_a:hi_a], b=tb[lo_b:hi_b], autojunk=False)
+        for x, y, size in sm.get_matching_blocks():
+            pairs += [(lo_a + x + k, lo_b + y + k) for k in range(size)]
+        pairs += [(hi_a + k, hi_b + k) for k in range(i - hi_a + 1)]
+        lo_a, lo_b = i + 1, j + 1
+    return [(a[i].start(), b[j].start()) for i, j in pairs[:-1]] + [(len(stripped), len(original))]
 
 
 def _map_position(anchors: list[tuple[int, int]], pos: int) -> int:

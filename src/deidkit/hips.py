@@ -81,6 +81,8 @@ def load_name_pools(path: str | Path) -> NamePool:
         if not name.isascii():
             pool.dropped_non_ascii += 1
             continue
+        if not name.isprintable():
+            raise HipsError(f"{path}: name {name!r} holds a control character")
         kind_name = kind.strip().lower()
         if kind_name not in ("first", "last"):
             raise HipsError(f"{path}: unknown name kind {kind!r}")

@@ -877,6 +877,14 @@ _MALFORMED_INPUTS = {
     "pools-without-kind": (
         "gender,culture,name\nFemale,Africa,Amina\n",
         ["detect", "--detector", "rules", "--in", "{corpus}", "--pools", "{bad}"]),
+    # A control character in a name could be drawn as a surrogate. Python 3.10's csv module
+    # rejects the NUL itself, later versions load it; either way the run exits 1 naming the file.
+    "pools-name-with-a-tab": (
+        "gender,culture,kind,name\nFemale,Africa,first,A\tnn\n",
+        ["detect", "--detector", "rules", "--in", "{corpus}", "--pools", "{bad}"]),
+    "pools-name-with-a-nul": (
+        "gender,culture,kind,name\nFemale,Africa,first,A\x00nn\n",
+        ["detect", "--detector", "rules", "--in", "{corpus}", "--pools", "{bad}"]),
     "ledger-is-a-list": ("[]", ["cost", "--ledger", "{bad}"]),
     "ledger-item-not-a-number": ('{"items": {"a": "x"}}', ["cost", "--ledger", "{bad}"]),
     "ledger-items-a-list": ('{"items": [1]}', ["cost", "--ledger", "{bad}"]),
@@ -1109,6 +1117,21 @@ def _one_error_line(capsys) -> str:
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     return lines[0]
+
+
+def test_control_character_in_a_pools_name_stops_replace(fixture_paths, tmp_path, capsys):
+    pools = tmp_path / "pools.csv"
+    pools.write_text(
+        fixture_paths["pools"].read_text(encoding="utf-8") + "Female,Europe,first,Bo\tb\n",
+        encoding="utf-8",
+    )
+    out_docs = tmp_path / "anon.jsonl"
+    code = run_cli("replace", "--in", str(fixture_paths["corpus"]), "--spans", str(fixture_paths["gold"]),
+                   "--pools", str(pools), "--out-docs", str(out_docs),
+                   "--out-audit", str(tmp_path / "audit.jsonl"))
+    assert code == 1
+    assert _one_error_line(capsys) == f"error: {pools}: name 'Bo\\tb' holds a control character"
+    assert not out_docs.exists()
 
 
 # Bytes that are not UTF-8, in each file that is read line by line.

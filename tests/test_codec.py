@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import difflib
 import random
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from deidkit import codec
 from deidkit.codec import (
+    _TOKEN_RE,
     ALL_MARKER_STRINGS,
     DROP_INTERLEAVED,
     DROP_NOT_IN_ORIGINAL,
@@ -346,6 +349,64 @@ class TestDecode:
         for junk in ("", "###@@@", "@@@", "%%%~~~", "@@@@@@######"):
             report = decode(junk, doc)
             assert isinstance(report.spans, list)
+
+
+# The previous _align, kept verbatim so the unique-token alignment can be checked
+# against it: one SequenceMatcher over the whole token lists.
+def _reference_align(stripped: str, original: str) -> list[tuple[int, int]]:
+    """Anchors ``(stripped pos, original pos)`` where equal text starts, in order.
+
+    Identical texts share one anchor at 0. Otherwise the texts are aligned by
+    whole tokens (words and single punctuation marks; whitespace is ignored)
+    and every matched token is an anchor. Both text ends close the list.
+    """
+    if stripped == original:
+        return [(0, 0), (len(stripped), len(original))]
+    a = list(_TOKEN_RE.finditer(stripped))
+    b = list(_TOKEN_RE.finditer(original))
+    sm = difflib.SequenceMatcher(a=[m[0] for m in a], b=[m[0] for m in b], autojunk=False)
+    anchors = [
+        (a[i + k].start(), b[j + k].start())
+        for i, j, size in sm.get_matching_blocks()
+        for k in range(size)
+    ]
+    return anchors + [(len(stripped), len(original))]
+
+
+def test_decode_matches_the_reference_alignment(monkeypatch):
+    """Same spans, drops and anchoring counters as the whole-text alignment.
+
+    The reference is slow on long drifted documents (about 0.05 s per
+    thousand words on a 2-core host), so the set holds few of them.
+    """
+    kinds = dict.fromkeys(("drifted long", "fuzzy"), 0)
+    for trial in range(1200):
+        rng = random.Random(trial)
+        long = rng.random() < 0.02
+        doc, spans = long_case(rng, rng.randrange(700, 2301)) if long else random_case(rng)
+        marked = encode(doc, spans)
+        drifted = rng.random() < 0.5
+        if drifted:
+            marked = perturb_marked(marked, spans, rng)
+        report = decode(marked, doc)
+        with monkeypatch.context() as m:
+            m.setattr(codec, "_align", _reference_align)
+            assert decode(marked, doc) == report, trial
+        kinds["drifted long"] += long and drifted
+        kinds["fuzzy"] += report.anchored_fuzzy > 0
+    assert all(kinds.values()), kinds
+
+
+def test_drifted_5000_word_document_decodes_within_budget():
+    # The whole-text SequenceMatcher took 0.8-1.7 s of process time on this
+    # document; aligning only the gaps between unique tokens takes under 0.1 s.
+    rng = random.Random(8)
+    doc, spans = long_case(rng, 5000)
+    marked = perturb_marked(encode(doc, spans), spans, rng)
+    started = time.process_time()
+    report = decode(marked, doc)
+    assert time.process_time() - started < 0.5
+    assert set(spans) <= set(report.spans)
 
 
 @given(st.integers(0, 2**32 - 1))

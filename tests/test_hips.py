@@ -71,6 +71,15 @@ class TestLoadNamePools:
         assert pool.dropped_non_ascii == 1
         assert pool.names(("Male", "Americas"))[0] == ["Jose"]
 
+    def test_control_character_in_a_name_is_an_error(self, tmp_path):
+        # str.isascii() accepts control characters, so such a name once loaded
+        # and could be drawn as a surrogate.
+        csv_path = tmp_path / "pools.csv"
+        csv_path.write_text("gender,culture,kind,name\nMale,Europe,first,Bo\tb\n", encoding="utf-8")
+        with pytest.raises(HipsError) as excinfo:
+            load_name_pools(csv_path)
+        assert str(excinfo.value) == f"{csv_path}: name 'Bo\\tb' holds a control character"
+
     def test_empty_group_raises(self, pools):
         with pytest.raises(EmptyGroup):
             NamePool().names(("Female", "Oceania"))
