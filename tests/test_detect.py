@@ -595,24 +595,30 @@ class TestChatClient:
         config = tmp_path / "config.json"
         config.write_text('{"pricing": {"usd_per_1m_input": 0.15, "usd_per_1m_output": 0.6}}')
         out = tmp_path / "kept.json"
-        for stage in (
-            ["verify", "--spans", str(fixture_paths["gold"])],
-            ["--config", str(config), "detect", "--detector", "llm-finetuned"],
+        gold = str(fixture_paths["gold"])
+        for stage, jobs in (
+            (["verify", "--spans", gold, "--jobs", "2"], 2),
+            (["--config", str(config), "detect", "--detector", "llm-finetuned", "--jobs", "2"], 2),
+            (["make-verifier-data", "--variant", "with-cot", "--gold", gold,
+              "--detections", gold], 1),
         ):
             handler.ok_first, handler.fail_first, handler.fail_status = 1, 10**6, 401
             handler.connections = 0
+            handler.captured.clear()
             code = main([
                 *stage, "--in", str(fixture_paths["corpus"]),
-                "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1", "--jobs", "2",
-                "--out", str(out),
+                "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1", "--out", str(out),
             ])
             gc.collect()
             lines = capsys.readouterr().err.strip().splitlines()
             assert code == 2
             assert len(lines) == 1 and lines[0].startswith("transport error:"), lines
             assert "HTTP 401" in lines[0]
-            assert 1 <= handler.connections <= 2
+            # The one reply that succeeds, then one failure from each document in flight.
+            assert 2 <= len(handler.captured) <= 1 + jobs, stage
+            assert 1 <= handler.connections <= jobs
             assert not out.exists() and not (tmp_path / "kept.json.cost.json").exists()
+            assert not (tmp_path / "kept.json.manifest.json").exists()
 
     def test_reply_cut_at_max_tokens_is_transport_error(
         self, capture_server, fixture_paths, tmp_path, capsys

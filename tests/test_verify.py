@@ -17,10 +17,10 @@ from deidkit.verify import (
     USER_TEMPLATE_WITHOUT_COT,
     VerifierExample,
     VerifierVariant,
-    build_verifier_dataset,
     build_verifier_messages,
     extract_context,
     parse_verdict,
+    verifier_examples,
     verify_spans,
     write_verifier_training_file,
 )
@@ -160,12 +160,11 @@ class TestVerifySpans:
 
 class TestBuildVerifierDataset:
     def test_labels_follow_gold_membership(self, mini_docs, mini_gold):
-        detections = {
-            "newton": [NEWTON_SPAN],
-            "379": list(mini_gold["379"]),
-        }
-        examples = build_verifier_dataset(
-            detections, mini_gold, mini_docs, VerifierVariant.WITHOUT_COT
+        examples = verifier_examples(
+            mini_docs["newton"], [NEWTON_SPAN], mini_gold.get("newton", ()),
+            VerifierVariant.WITHOUT_COT,
+        ) + verifier_examples(
+            mini_docs["379"], mini_gold["379"], mini_gold["379"], VerifierVariant.WITHOUT_COT
         )
         by_entity = {e.entity: e.label for e in examples}
         assert by_entity["Newton"] == "F"
@@ -173,9 +172,9 @@ class TestBuildVerifierDataset:
         assert len(examples) == 3
 
     def test_counts_partition_detections(self, mini_docs, mini_gold):
-        detections = {"379": list(mini_gold["379"]) + [Span(0, 2, Category.EMAIL, "Hi")]}
-        examples = build_verifier_dataset(
-            detections, mini_gold, mini_docs, VerifierVariant.WITHOUT_COT
+        detections = list(mini_gold["379"]) + [Span(0, 2, Category.EMAIL, "Hi")]
+        examples = verifier_examples(
+            mini_docs["379"], detections, mini_gold["379"], VerifierVariant.WITHOUT_COT
         )
         t = sum(1 for e in examples if e.label == "T")
         f = sum(1 for e in examples if e.label == "F")
@@ -188,44 +187,42 @@ class TestBuildVerifierDataset:
 
     def test_cot_reasoning_must_end_with_gold_letter(self, mini_docs, mini_gold, scripted_client):
         client = scripted_client(lambda m: "this is clearly a name so T")
-        examples = build_verifier_dataset(
-            {"379": mini_gold["379"]},
-            mini_gold,
-            mini_docs,
+        examples = verifier_examples(
+            mini_docs["379"],
+            mini_gold["379"],
+            mini_gold["379"],
             VerifierVariant.WITH_COT,
             client=client,
         )
         assert all(e.label == "T" and not e.forced_default for e in examples)
-        assert all(e.attempts == 1 for e in examples)
         assert len(client.calls) == len(examples)
 
     def test_always_wrong_cot_defaults_to_t_after_six(self, mini_docs, mini_gold, scripted_client):
         # Gold label for these detections is T; the mock always concludes F.
         client = scripted_client(lambda m: "reasoning that lands on F")
-        examples = build_verifier_dataset(
-            {"379": mini_gold["379"]},
-            mini_gold,
-            mini_docs,
+        examples = verifier_examples(
+            mini_docs["379"],
+            mini_gold["379"],
+            mini_gold["379"],
             VerifierVariant.WITH_COT,
             client=client,
         )
         assert all(e.label == "T" for e in examples)
         assert all(e.forced_default for e in examples)
-        assert all(e.attempts == MAX_COT_ATTEMPTS for e in examples)
         assert len(client.calls) == MAX_COT_ATTEMPTS * len(examples)
 
     def test_cot_reasoning_without_a_verdict_is_kept_whole(self, mini_docs, mini_gold, scripted_client):
         reasoning = "The context names someone, but I cannot decide."
         client = scripted_client(lambda m: reasoning)
-        examples = build_verifier_dataset(
-            {"379": mini_gold["379"]}, {}, mini_docs, VerifierVariant.WITH_COT, client=client
+        examples = verifier_examples(
+            mini_docs["379"], mini_gold["379"], [], VerifierVariant.WITH_COT, client=client
         )
         assert examples and all(e.label == "T" and e.forced_default for e in examples)
         assert all(e.reasoning == reasoning for e in examples)
 
     def test_cot_variant_requires_client(self, mini_docs, mini_gold):
         with pytest.raises(ValueError):
-            build_verifier_dataset({}, mini_gold, mini_docs, VerifierVariant.WITH_COT)
+            verifier_examples(mini_docs["379"], [], mini_gold["379"], VerifierVariant.WITH_COT)
 
 
 class TestTrainingFile:
