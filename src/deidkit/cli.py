@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from . import __version__, corpus, detect, mockllm
-from .corpus import Category, Document, Span
+from .corpus import Document, Span
 from .eval import (
     bias_entries,
     bias_report,
@@ -114,8 +114,8 @@ def load_run_config(path: str | Path) -> dict:
         k: _ENV_RE.sub(lambda m: _env_value(path, m), v) if isinstance(v, str) else v
         for k, v in (config.get("llm") or {}).items()
     }
-    for key in ("pools", "gender_table", "surname_table", "region_table"):
-        if config.get(key) is not None and not Path(config[key]).exists():
+    for key, dest in _CONFIG_FLAGS.items():
+        if dest in _INPUT_FLAGS and config.get(key) is not None and not Path(config[key]).exists():
             raise CliError(f"{path}: {key} {config[key]!r} does not exist")
     return config
 
@@ -292,34 +292,23 @@ def _cmd_replace(args: argparse.Namespace) -> None:
     else:
         group_of = assign_groups(sorted(docs), args.seed)
 
-    out_docs: list[Document] = []
-    shifted_gold: dict[str, list[Span]] = {}
-    audit: list[dict] = []
+    results = {}
     for doc_id in sorted(docs):
-        doc = docs[doc_id]
         try:
-            result = apply_hips(
-                doc,
-                spans_by_doc.get(doc_id, []),
-                group_of[doc_id],
-                seed=args.seed,
-                pools=pools,
-            )
+            results[doc_id] = apply_hips(docs[doc_id], spans_by_doc.get(doc_id, []), group_of[doc_id],
+                                         seed=args.seed, pools=pools)
         except HipsError as exc:  # a span that has no surrogate
             # A group the pools lack is the pools file's fault, not the span file's.
             source = args.pools if isinstance(exc, EmptyGroup) else args.spans
             raise CliError(f"{source}: document {doc_id!r}: {exc}") from exc
-        out_docs.append(Document(doc_id, result.text, doc.source))
-        shifted_gold[doc_id] = [s for s in result.shifted_spans if isinstance(s.category, Category)]
-        audit.append({
-            "document": doc_id,
-            "group": list(group_of[doc_id]),
-            "replacements": [r.as_dict() for r in result.replacements],
-        })
-    corpus.write_jsonl(args.out_audit, audit)
-    corpus.write_documents(args.out_docs, out_docs)
+    corpus.write_jsonl(args.out_audit, ({
+        "document": i, "group": list(group_of[i]),
+        "replacements": [r.as_dict() for r in res.replacements],
+    } for i, res in results.items()))
+    corpus.write_documents(
+        args.out_docs, (Document(i, res.text, docs[i].source) for i, res in results.items()))
     if args.out_gold:
-        corpus.write_standoff(args.out_gold, shifted_gold)
+        corpus.write_standoff(args.out_gold, {i: res.shifted_spans for i, res in results.items()})
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
@@ -383,10 +372,7 @@ def _cmd_make_finetune(args: argparse.Namespace) -> None:
     docs = corpus.read_documents(args.infile)
     gold = corpus.read_standoff(args.gold, docs)
     ids = corpus.read_split(args.split_file, args.split_name, docs)
-    # A document with no text has nothing to label, and an empty target teaches nothing.
-    count = detect.write_finetune_file(
-        args.out, ((docs[i], gold.get(i, [])) for i in ids if docs[i].text.strip())
-    )
+    count = detect.write_finetune_file(args.out, ((docs[i], gold.get(i, [])) for i in ids))
     print(f"wrote {count} training record(s) to {args.out}")
 
 
@@ -546,11 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_llm_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--base-url")
-    p.add_argument("--model")
-    p.add_argument("--api-key-env")
-    p.add_argument("--rpm", type=int)
-    p.add_argument("--max-retries", type=int)
+    for key, dest in _CONFIG_FLAGS.items():
+        if key.startswith("llm."):
+            p.add_argument(f"--{dest.replace('_', '-')}", type=_CONFIG_TYPES[key][0])
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -207,12 +207,14 @@ def validate_spans(text: str, spans: Sequence[Span]) -> None:
 def ingest_tscc(transcript: str, document_id: str) -> tuple[Document, list[Span]]:
     """Ingest a role/text transcript, returning the document and its placeholders.
 
-    Each line must match ``role: text``; blank lines are skipped. Every
-    〈PLACEHOLDER〉 token becomes a span whose category is a Placeholder;
-    STUDENT and TEACHER are name-kind, every other placeholder is not.
+    Each line must match ``role: text``, and only LF, CRLF and CR end a line;
+    blank lines are skipped. Every 〈PLACEHOLDER〉 token becomes a span whose
+    category is a Placeholder; STUDENT and TEACHER are name-kind, every other
+    placeholder is not.
     """
     kept: list[str] = []
-    for lineno, line in enumerate(transcript.splitlines(), start=1):
+    # str.splitlines would also end a line at U+2028, a form feed and more.
+    for lineno, line in enumerate(re.split(r"\r\n?|\n", transcript), start=1):
         if not line.strip():
             continue
         if not _TSCC_LINE_RE.match(line):

@@ -206,7 +206,9 @@ def build_finetune_record(doc: Document, gold: Sequence[Span]) -> dict:
 def write_finetune_file(
     path: str | Path, docs_with_gold: Iterable[tuple[Document, Sequence[Span]]]
 ) -> int:
-    return write_jsonl(path, (build_finetune_record(doc, gold) for doc, gold in docs_with_gold))
+    # A document with no text has nothing to label, and an empty target teaches nothing.
+    records = (build_finetune_record(doc, gold) for doc, gold in docs_with_gold if doc.text.strip())
+    return write_jsonl(path, records)
 
 
 # ---------------------------------------------------------------------------

@@ -261,9 +261,9 @@ def apply_hips(
 
     One RNG keyed by document id and seed draws every surrogate, and a repeat
     mention of a surface in a category reuses its surrogate. Shifted spans
-    report where each surrogate landed in the output text; name-kind
-    placeholders come back as NAME_STUDENT spans since their replacements
-    are real-looking names.
+    are the output's gold: a category span keeps its category, a name-kind
+    placeholder becomes NAME_STUDENT since its surrogate is a real-looking
+    name, and another placeholder's filler is no entity and is left out.
     """
     ordered = sorted(spans, key=lambda s: (s.start, s.end))
     validate_spans(doc.text, ordered)
@@ -287,9 +287,10 @@ def apply_hips(
         out_start = span.start + shift
         shift += len(surrogate) - len(span.surface)
 
-        name_kind = isinstance(span.category, Placeholder) and span.category.name_kind
-        category = Category.NAME_STUDENT if name_kind else span.category
-        shifted.append(Span(out_start, span.end + shift, category, surrogate))
+        if isinstance(span.category, Category):
+            shifted.append(Span(out_start, span.end + shift, span.category, surrogate))
+        elif span.category.name_kind:
+            shifted.append(Span(out_start, span.end + shift, Category.NAME_STUDENT, surrogate))
         shape_changed = (
             span.category is Category.NAME_STUDENT and len(span.surface.split()) > 2
         )

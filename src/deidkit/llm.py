@@ -19,11 +19,7 @@ from typing import Protocol, Sequence
 
 
 class TransportError(RuntimeError):
-    """The chat endpoint failed: unreachable after the retries, or it refused the request."""
-
-
-class EmptyCompletion(TransportError):
-    """The endpoint answered, but not with a chat completion."""
+    """The chat endpoint was unreachable after the retries, refused, or sent no completion."""
 
 
 class SupportsComplete(Protocol):
@@ -72,8 +68,8 @@ class ChatClient:
     Wire format: POST ``{base_url}/chat/completions`` with a JSON body of
     ``{model, messages, temperature[, max_tokens]}``, the temperature always
     0; the completion is read from the first choice's message content, and a
-    choice cut at ``max_tokens`` (``finish_reason: "length"``) is an
-    ``EmptyCompletion``. The API key, when the ``api_key_env`` environment
+    choice cut at ``max_tokens`` (``finish_reason: "length"``) is a
+    ``TransportError``. The API key, when the ``api_key_env`` environment
     variable is set, travels as a bearer token.
     """
 
@@ -90,12 +86,18 @@ class ChatClient:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         url = urllib.parse.urlsplit(base_url)
+        # Requests carry only the scheme, host, port and path, so any other part is refused;
+        # credentials first, and without the URL, since the errors below echo it.
+        if "@" in url.netloc:
+            raise ValueError("base URL must not hold credentials: the API key comes from api_key_env")
         try:
             port = url.port
         except ValueError as exc:
             raise ValueError(f"base URL {base_url!r}: {exc}") from exc
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base URL must look like http(s)://host/..., not {base_url!r}")
+        if url.query or url.fragment:
+            raise ValueError(f"base URL {base_url!r}: requests would drop its query or fragment")
         self._model, self._api_key_env, self._max_retries = model, api_key_env, max_retries
         self._host, self._port = url.hostname, port
         self._path = url.path.rstrip("/") + "/chat/completions"
@@ -175,7 +177,7 @@ class ChatClient:
                     try:
                         reply = json.loads(data)
                     except ValueError as exc:  # not JSON, or not UTF-8
-                        raise EmptyCompletion(f"completion body is not JSON: {exc}") from exc
+                        raise TransportError(f"completion body is not JSON: {exc}") from exc
                     content = self._parse(reply)
                     with self._usage_lock:
                         self.estimated_input_tokens += sum(
@@ -201,11 +203,11 @@ class ChatClient:
             choice = payload["choices"][0]
             content = choice["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise EmptyCompletion(f"malformed completion payload: {exc}") from exc
+            raise TransportError(f"malformed completion payload: {exc}") from exc
         if choice.get("finish_reason") == "length":
-            raise EmptyCompletion("completion cut at max_tokens")
+            raise TransportError("completion cut at max_tokens")
         if not content:
-            raise EmptyCompletion("completion content is empty")
+            raise TransportError("completion content is empty")
         if not isinstance(content, str):
-            raise EmptyCompletion(f"completion content must be a string, not {type(content).__name__}")
+            raise TransportError(f"completion content must be a string, not {type(content).__name__}")
         return content

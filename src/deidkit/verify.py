@@ -19,8 +19,6 @@ from .detect import FINETUNE_SYSTEM_PROMPT
 from .eval import span_key
 from .llm import SupportsComplete
 
-VERIFIER_SYSTEM_PROMPT = FINETUNE_SYSTEM_PROMPT
-
 #: Every verification question starts with this; the mock endpoint keys on it.
 VERIFIER_PROMPT_HEAD = "Determine if "
 USER_TEMPLATE_WITHOUT_COT = VERIFIER_PROMPT_HEAD + (
@@ -80,7 +78,7 @@ def build_verifier_messages(
 ) -> list[dict[str, str]]:
     template = _VARIANTS[variant][0]
     return [
-        {"role": "system", "content": VERIFIER_SYSTEM_PROMPT},
+        {"role": "system", "content": FINETUNE_SYSTEM_PROMPT},
         {"role": "user", "content": template.format(entity=entity, context=context)},
     ]
 
@@ -99,10 +97,6 @@ def parse_verdict(completion: str) -> str | None:
     return None
 
 
-def _effective_verdict(completion: str, variant: VerifierVariant) -> str:
-    return parse_verdict(completion) or _VARIANTS[variant][1]
-
-
 def verify_spans(
     doc: Document,
     spans: Sequence[Span],
@@ -114,7 +108,7 @@ def verify_spans(
     for span in spans:
         context = extract_context(doc, span)
         completion = client.complete(build_verifier_messages(span.surface, context, variant))
-        if _effective_verdict(completion, variant) == "T":
+        if (parse_verdict(completion) or _VARIANTS[variant][1]) == "T":
             kept.append(span)
     return kept
 
@@ -150,10 +144,10 @@ def verifier_examples(
             matched = parse_verdict(reasoning) == label
             if matched:
                 break
-        # Reasoning that never agreed with gold retains the entity.
+        # Reasoning that never agreed with gold gets the verdict of a reply that ends in none.
         examples.append(VerifierExample(
-            span.surface, context, label if matched else "T", _strip_final_verdict(reasoning),
-            forced_default=not matched,
+            span.surface, context, label if matched else _VARIANTS[variant][1],
+            _strip_final_verdict(reasoning), forced_default=not matched,
         ))
     return examples
 

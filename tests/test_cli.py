@@ -1749,5 +1749,5 @@ def test_one_error_class_per_module():
                 defined.add(f"{info.name}.{name}")
     assert defined == {
         "corpus.CorpusError", "cli.CliError", "hips.HipsError", "hips.EmptyGroup",
-        "llm.TransportError", "llm.EmptyCompletion",
+        "llm.TransportError",
     }

@@ -530,6 +530,17 @@ class TestIngestTscc:
         assert doc.text == "teacher: hi 〈STUDENT〉\nstudent: hello"
         assert [s.surface for s in spans] == ["〈STUDENT〉"]
 
+    @pytest.mark.parametrize("inner", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_only_a_newline_ends_a_line(self, inner):
+        # str.splitlines would end the line here too, and fail on " student: ..." or make it a turn.
+        doc, spans = ingest_tscc(f"teacher: hi{inner} student: 〈STUDENT〉", "t6")
+        assert doc.text == f"teacher: hi{inner} student: 〈STUDENT〉"
+        assert [s.surface for s in spans] == ["〈STUDENT〉"]
+
+    def test_crlf_and_cr_end_lines(self):
+        doc, _ = ingest_tscc("teacher: hi\r\nstudent: 〈STUDENT〉\rteacher: ok\r\n", "t7")
+        assert doc.text == "teacher: hi\nstudent: 〈STUDENT〉\nteacher: ok"
+
     def test_malformed_line(self):
         with pytest.raises(CorpusError, match="^line 2 "):
             ingest_tscc("teacher: hello\njust text without a role", "t4")

@@ -32,7 +32,7 @@ from deidkit.detect import (
     write_finetune_file,
 )
 from deidkit.hips import load_name_pools
-from deidkit.llm import ChatClient, EmptyCompletion, TransportError, _TokenBucket
+from deidkit.llm import ChatClient, TransportError, _TokenBucket
 
 TABLE_DOC = Document("379", "Hi John Doe. Tel: (555)555-5555", "crapii")
 TABLE_SPANS = [
@@ -319,8 +319,10 @@ class TestFinetuneRecords:
 
     def test_file_lines_parse_and_strip_back(self, tmp_path, mini_docs, mini_gold):
         out = tmp_path / "train.jsonl"
+        # A whitespace-only document has nothing to label: no record, and no count.
+        blank = (Document("blank", " \n\t"), [])
         count = write_finetune_file(
-            out, ((mini_docs[i], mini_gold[i]) for i in sorted(mini_docs))
+            out, [blank, *((mini_docs[i], mini_gold[i]) for i in sorted(mini_docs))]
         )
         lines = out.read_text(encoding="utf-8").splitlines()
         assert count == len(lines) == len(mini_docs)
@@ -517,12 +519,12 @@ class TestChatClient:
         server, handler = capture_server
         handler.reply = {"choices": []}
         client = self.make_client(server, max_retries=3)
-        with pytest.raises(EmptyCompletion, match="malformed completion payload"):
+        with pytest.raises(TransportError, match="malformed completion payload"):
             client.complete([{"role": "user", "content": "x"}])
         assert len(handler.captured) == 1
 
     def test_empty_completion_detected(self):
-        with pytest.raises(EmptyCompletion):
+        with pytest.raises(TransportError, match="completion content is empty"):
             ChatClient._parse({"choices": [{"message": {"content": ""}}]})
 
     def test_config_validation(self):
@@ -629,7 +631,7 @@ class TestChatClient:
         handler.reply = {"choices": [
             {"message": {"role": "assistant", "content": "ok"}, "finish_reason": "length"}
         ]}
-        with pytest.raises(EmptyCompletion, match="cut at max_tokens"):
+        with pytest.raises(TransportError, match="cut at max_tokens"):
             self.make_client(server, max_retries=3).complete([{"role": "user", "content": "x"}])
         assert len(handler.captured) == 1  # not retried: at temperature 0 it comes back the same
         out = tmp_path / "pred.json"
@@ -670,6 +672,28 @@ class TestChatClient:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         assert "ftp://x" in lines[0]
+
+    @pytest.mark.parametrize("base_url, part", [
+        ("https://x/openai?api-version=1", "query"),
+        ("https://x/v1#frag", "fragment"),
+        ("http://user:pw@host/v1", "credentials"),
+        ("http://user:pw@host:99999/v1", "credentials"),  # the port error would echo the URL
+    ])
+    def test_base_url_part_the_client_would_drop_exits_1(
+        self, fixture_paths, tmp_path, capsys, base_url, part
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main([
+            "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
+            "--base-url", base_url, "--out", str(out / "pred.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and part in lines[0], err
+        assert "pw" not in err
+        assert not any(out.iterdir())  # no output and no manifest
 
 
 def test_token_bucket_waits_once_its_minute_is_spent(monkeypatch):

@@ -247,6 +247,15 @@ class TestApplyHips:
         assert shifted.category is Category.NAME_STUDENT
         assert result.text[shifted.start : shifted.end] == "John Doe"
 
+    def test_shifted_spans_are_the_output_gold(self):
+        # A name placeholder's surrogate is a name; an age filler is no entity of the scheme.
+        doc, spans = ingest_tscc("teacher: 〈STUDENT〉 is 〈AGE〉", "t2")
+        result = apply_hips(doc, spans, ("Male", "Americas"), seed=0, pools=stub_pool())
+        assert len(result.replacements) == 2
+        [shifted] = result.shifted_spans
+        assert shifted.category is Category.NAME_STUDENT
+        assert result.text[shifted.start : shifted.end] == shifted.surface == "John Doe"
+
     def test_zero_spans_identity(self):
         doc = Document("x", "plain text stays put")
         result = apply_hips(doc, [], ("Male", "Asia"), seed=1)
