@@ -41,7 +41,7 @@ from .hips import (
     EmptyGroup, HipsError, apply_hips, assign_groups, load_name_pools, simulate_leakage,
 )
 from .llm import ChatClient, TransportError
-from .verify import VerifierVariant, verifier_examples, verify_spans, write_verifier_training_file
+from .verify import VerifierVariant, verifier_examples, verifier_training_record, verify_spans
 
 T = TypeVar("T")
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -76,14 +76,10 @@ _INPUT_FLAGS = (
 _DETECTORS = ("rules", *(f"llm-{mode}" for mode in detect.PROMPT_BUILDERS))
 
 
-class CliError(ValueError):
-    pass
-
-
 def _env_value(path: str | Path, match: re.Match) -> str:
     var = match.group(1)
     if var not in os.environ:
-        raise CliError(f"{path}: config references unset environment variable {var}")
+        raise ValueError(f"{path}: config references unset environment variable {var}")
     return os.environ[var]
 
 
@@ -100,23 +96,23 @@ def load_run_config(path: str | Path) -> dict:
     """
     config = corpus.read_json(path)
     if not isinstance(config, dict):
-        raise CliError(f"{path}: config file must hold a JSON object")
+        raise ValueError(f"{path}: config file must hold a JSON object")
     for key, types in _CONFIG_TYPES.items():
         value = _config_value(config, key)
         if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
             expected = " or ".join(t.__name__ for t in types)
-            raise CliError(f"{path}: {key} must be {expected}, not {type(value).__name__}")
+            raise ValueError(f"{path}: {key} must be {expected}, not {type(value).__name__}")
         if key.startswith("pricing.") and value is not None and not 0 <= value < float("inf"):
-            raise CliError(f"{path}: {key} must be a non-negative finite number, not {value!r}")
+            raise ValueError(f"{path}: {key} must be a non-negative finite number, not {value!r}")
     if config.get("detector") and config["detector"] not in _DETECTORS:
-        raise CliError(f"{path}: unknown detector {config['detector']!r}")
+        raise ValueError(f"{path}: unknown detector {config['detector']!r}")
     config["llm"] = {
         k: _ENV_RE.sub(lambda m: _env_value(path, m), v) if isinstance(v, str) else v
         for k, v in (config.get("llm") or {}).items()
     }
     for key, dest in _CONFIG_FLAGS.items():
         if dest in _INPUT_FLAGS and config.get(key) is not None and not Path(config[key]).exists():
-            raise CliError(f"{path}: {key} {config[key]!r} does not exist")
+            raise ValueError(f"{path}: {key} {config[key]!r} does not exist")
     return config
 
 
@@ -163,7 +159,7 @@ def _write_manifest(out_path: str | Path, settings: Mapping, args: argparse.Name
 
 def _build_client(args: argparse.Namespace) -> ChatClient:
     if not args.base_url:
-        raise CliError(f"{args.subcommand} needs --base-url (or llm.base_url in the config)")
+        raise ValueError(f"{args.subcommand} needs --base-url (or llm.base_url in the config)")
     # The llm section's keys are ChatClient's parameter names.
     fields = {
         key.removeprefix("llm."): getattr(args, dest)
@@ -195,7 +191,7 @@ def _map_documents(
 
     with client or nullcontext():
         if jobs < 1:
-            raise CliError("--jobs must be >= 1")
+            raise ValueError("--jobs must be >= 1")
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return dict(zip(ids, pool.map(run, ids)))
 
@@ -206,15 +202,15 @@ def _map_documents(
 
 def _cmd_ingest(args: argparse.Namespace) -> None:
     if args.tscc and args.strict:
-        raise CliError("--strict applies to --in input, not --tscc")
+        raise ValueError("--strict applies to --in input, not --tscc")
     if args.infile and args.id is not None:
-        raise CliError("--id applies to --tscc input, not --in")
+        raise ValueError("--id applies to --tscc input, not --in")
     if args.tscc:
         try:  # bytes that are not UTF-8, or a line that is not "role: text"
             text = Path(args.tscc).read_text(encoding="utf-8")
             doc, placeholders = corpus.ingest_tscc(text, args.id or Path(args.tscc).stem)
         except ValueError as exc:
-            raise CliError(f"{args.tscc}: {exc}") from exc
+            raise ValueError(f"{args.tscc}: {exc}") from exc
         corpus.write_documents(args.out_docs, [doc])
         corpus.write_standoff(args.out_gold, {doc.id: placeholders})
         return
@@ -245,7 +241,7 @@ def _cmd_split(args: argparse.Namespace) -> None:
     try:  # too few or too many parts, or one that is not a number
         base, verifier, test = map(float, args.ratios.split(","))
     except ValueError:
-        raise CliError("--ratios needs three comma-separated numbers") from None
+        raise ValueError("--ratios needs three comma-separated numbers") from None
     split = corpus.split_corpus(entity_counts, (base, verifier, test), args.seed, gold=args.gold)
     corpus.write_json(args.out, split.as_dict())
 
@@ -287,7 +283,7 @@ def _cmd_replace(args: argparse.Namespace) -> None:
     if args.group:
         group = tuple(args.group.split(":"))
         if len(group) != 2 or not all(group):
-            raise CliError("--group must look like Gender:Culture, e.g. Female:Africa")
+            raise ValueError("--group must look like Gender:Culture, e.g. Female:Africa")
         group_of = dict.fromkeys(docs, group)
     else:
         group_of = assign_groups(sorted(docs), args.seed)
@@ -300,10 +296,10 @@ def _cmd_replace(args: argparse.Namespace) -> None:
         except HipsError as exc:  # a span that has no surrogate
             # A group the pools lack is the pools file's fault, not the span file's.
             source = args.pools if isinstance(exc, EmptyGroup) else args.spans
-            raise CliError(f"{source}: document {doc_id!r}: {exc}") from exc
+            raise ValueError(f"{source}: document {doc_id!r}: {exc}") from exc
     corpus.write_jsonl(args.out_audit, ({
         "document": i, "group": list(group_of[i]),
-        "replacements": [r.as_dict() for r in res.replacements],
+        "replacements": [vars(r) for r in res.replacements],
     } for i, res in results.items()))
     corpus.write_documents(
         args.out_docs, (Document(i, res.text, docs[i].source) for i, res in results.items()))
@@ -325,7 +321,7 @@ def _cmd_bias(args: argparse.Namespace) -> None:
     gold = corpus.read_standoff(args.gold)
     for dest in ("gender_table", "surname_table", "region_table"):
         if not getattr(args, dest):
-            raise CliError(f"bias needs --{dest.replace('_', '-')} (or {dest} in the config)")
+            raise ValueError(f"bias needs --{dest.replace('_', '-')} (or {dest} in the config)")
     tables = (load_gender_table(args.gender_table), load_surname_table(args.surname_table),
               load_region_table(args.region_table))
     report = bias_report(bias_entries(pred, gold, *tables))
@@ -337,7 +333,7 @@ def _cmd_cost(args: argparse.Namespace) -> None:
     try:
         summary = cost_summary(ledger)
     except ValueError as exc:
-        raise CliError(f"{args.ledger}: {exc}") from exc
+        raise ValueError(f"{args.ledger}: {exc}") from exc
     corpus.write_json(args.out, summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
 
@@ -350,11 +346,7 @@ def _cmd_simulate_leakage(args: argparse.Namespace) -> None:
         n_docs=args.docs,
         seed=args.seed,
     )
-    closed_redaction = 1.0 - (1.0 - args.fn) ** args.entities
-    closed_hips = 1.0 - (1.0 - args.fn * args.attacker_rate) ** args.entities
     payload = estimate._asdict() | {
-        "closed_form_redaction": closed_redaction,
-        "closed_form_hips": closed_hips,
         "parameters": {
             "fn": args.fn,
             "attacker_rate": args.attacker_rate,
@@ -385,16 +377,16 @@ def _cmd_make_verifier_data(args: argparse.Namespace) -> None:
     by_doc = _map_documents(sorted(detections), lambda i: verifier_examples(
         docs[i], detections[i], gold.get(i, ()), variant, client), 1, client)
     examples = [e for doc_examples in by_doc.values() for e in doc_examples]
-    count = write_verifier_training_file(args.out, examples, variant)
+    count = corpus.write_jsonl(args.out, (verifier_training_record(e, variant) for e in examples))
     forced = sum(1 for e in examples if e.forced_default)
     print(f"wrote {count} verifier example(s) to {args.out} ({forced} defaulted to T)")
 
 
 def _cmd_mock_llm(args: argparse.Namespace) -> None:
     if not 0 <= args.port <= 65535:
-        raise CliError(f"--port must be between 0 and 65535, not {args.port}")
+        raise ValueError(f"--port must be between 0 and 65535, not {args.port}")
     if args.gold and not args.corpus:
-        raise CliError(f"--gold {args.gold} needs --corpus, the documents its spans belong to")
+        raise ValueError(f"--gold {args.gold} needs --corpus, the documents its spans belong to")
     docs = corpus.read_documents(args.corpus) if args.corpus else {}
     gold = corpus.read_standoff(args.gold, docs) if args.gold else {}
     gold_by_text = {doc.text: gold.get(doc_id, []) for doc_id, doc in docs.items()}

@@ -38,9 +38,7 @@ class HipsError(ValueError):
 
 
 class EmptyGroup(HipsError):
-    def __init__(self, gender: str, culture: str):
-        self.group = (gender, culture)
-        super().__init__(f"name pool has no names for group ({gender}, {culture})")
+    """The pools lack a group, so the pools file is at fault, not the spans."""
 
 
 @dataclass
@@ -48,13 +46,12 @@ class NamePool:
     """First/last name lists keyed by (gender, culture); ASCII names only."""
 
     groups: dict[tuple[str, str], tuple[list[str], list[str]]] = field(default_factory=dict)
-    dropped_non_ascii: int = 0
 
     def names(self, group: tuple[str, str]) -> tuple[list[str], list[str]]:
         """The group's first and last names; ``EmptyGroup`` if either list is empty."""
         firsts, lasts = self.groups.get(group, ([], []))
         if not firsts or not lasts:
-            raise EmptyGroup(*group)
+            raise EmptyGroup("name pool has no names for group ({}, {})".format(*group))
         return firsts, lasts
 
     @cached_property
@@ -76,10 +73,7 @@ def load_name_pools(path: str | Path) -> NamePool:
     pool = NamePool()
     for gender, culture, kind, name in read_csv(path, ("gender", "culture", "kind", "name")):
         name = name.strip()
-        if not name:
-            continue
-        if not name.isascii():
-            pool.dropped_non_ascii += 1
+        if not name or not name.isascii():
             continue
         if not name.isprintable():
             raise HipsError(f"{path}: name {name!r} holds a control character")
@@ -223,24 +217,14 @@ def surrogate_for(
 
 @dataclass
 class Replacement:
+    """One audit entry; ``vars()`` gives its keys in the audit's order."""
+
     category: str
     original: str
     surrogate: str
-    input_start: int
-    input_end: int
-    output_start: int
-    output_end: int
-    shape_changed: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "category": self.category,
-            "original": self.original,
-            "surrogate": self.surrogate,
-            "input_offsets": [self.input_start, self.input_end],
-            "output_offsets": [self.output_start, self.output_end],
-            "shape_changed": self.shape_changed,
-        }
+    input_offsets: tuple[int, int]
+    output_offsets: tuple[int, int]
+    shape_changed: bool
 
 
 @dataclass
@@ -294,18 +278,10 @@ def apply_hips(
         shape_changed = (
             span.category is Category.NAME_STUDENT and len(span.surface.split()) > 2
         )
-        replacements.append(
-            Replacement(
-                category=span.category.value,
-                original=span.surface,
-                surrogate=surrogate,
-                input_start=span.start,
-                input_end=span.end,
-                output_start=out_start,
-                output_end=span.end + shift,
-                shape_changed=shape_changed,
-            )
-        )
+        replacements.append(Replacement(
+            span.category.value, span.surface, surrogate,
+            (span.start, span.end), (out_start, span.end + shift), shape_changed,
+        ))
     parts.append(doc.text[cursor:])
     return HipsResult(text="".join(parts), replacements=replacements, shifted_spans=shifted)
 
@@ -313,6 +289,8 @@ def apply_hips(
 class LeakageEstimate(NamedTuple):
     redaction_leak_fraction: float
     hips_observed_leak_fraction: float
+    closed_form_redaction: float
+    closed_form_hips: float
 
 
 def simulate_leakage(
@@ -326,15 +304,19 @@ def simulate_leakage(
 
     Under redaction every missed entity is exposed verbatim; under HIPS a
     missed entity only counts as an observed leak when the attacker can tell
-    it apart from the surrounding surrogates. Matches the closed forms
-    1-(1-fn)^k and 1-(1-fn*d)^k within Monte-Carlo error.
+    it apart from the surrounding surrogates. Also returns the closed forms
+    1-(1-fn)^k and 1-(1-fn*d)^k, which the fractions match within Monte-Carlo error.
     """
     if not (0.0 <= fn_rate <= 1.0 and 0.0 <= attacker_detect_rate <= 1.0):
         raise HipsError("rates must lie in [0, 1]")
     if entities_per_doc < 0 or n_docs <= 0:
         raise HipsError("entities_per_doc must be >= 0 and n_docs positive")
+    closed_forms = (
+        1.0 - (1.0 - fn_rate) ** entities_per_doc,
+        1.0 - (1.0 - fn_rate * attacker_detect_rate) ** entities_per_doc,
+    )
     if entities_per_doc == 0 or fn_rate == 0.0:
-        return LeakageEstimate(0.0, 0.0)
+        return LeakageEstimate(0.0, 0.0, *closed_forms)
 
     rng = random.Random(seed)
     exposed = observed = 0
@@ -347,7 +329,4 @@ def simulate_leakage(
         ]
         exposed += bool(spotted)
         observed += any(spotted)
-    return LeakageEstimate(
-        redaction_leak_fraction=exposed / n_docs,
-        hips_observed_leak_fraction=observed / n_docs,
-    )
+    return LeakageEstimate(exposed / n_docs, observed / n_docs, *closed_forms)

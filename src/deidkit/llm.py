@@ -98,6 +98,10 @@ class ChatClient:
             raise ValueError(f"base URL must look like http(s)://host/..., not {base_url!r}")
         if url.query or url.fragment:
             raise ValueError(f"base URL {base_url!r}: requests would drop its query or fragment")
+        # urlsplit drops a tab or a line break unasked, and http.client sends the path as it is.
+        if any(c in base_url.strip() for c in "\t\r\n") or not all(" " < c < "\x7f" for c in url.path):
+            raise ValueError(f"base URL {base_url!r} must hold no tab or line break, and its path "
+                             "no space, DEL, other control or non-ASCII character")
         self._model, self._api_key_env, self._max_retries = model, api_key_env, max_retries
         self._host, self._port = url.hostname, port
         self._path = url.path.rstrip("/") + "/chat/completions"

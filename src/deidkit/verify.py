@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Document, Span, write_jsonl
+from .corpus import Document, Span
 from .detect import FINETUNE_SYSTEM_PROMPT
 from .eval import span_key
 from .llm import SupportsComplete
@@ -165,9 +164,3 @@ def verifier_training_record(example: VerifierExample, variant: VerifierVariant)
     else:
         assistant = example.label
     return {"messages": messages + [{"role": "assistant", "content": assistant}]}
-
-
-def write_verifier_training_file(
-    path: str | Path, examples: Iterable[VerifierExample], variant: VerifierVariant
-) -> int:
-    return write_jsonl(path, (verifier_training_record(e, variant) for e in examples))

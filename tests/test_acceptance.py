@@ -155,13 +155,13 @@ def test_criterion_4_hips_integrity(fixture_paths):
         # identical residue.
         residual_in, cursor = [], 0
         for rep in result.replacements:
-            residual_in.append(doc.text[cursor : rep.input_start])
-            cursor = rep.input_end
+            residual_in.append(doc.text[cursor : rep.input_offsets[0]])
+            cursor = rep.input_offsets[1]
         residual_in.append(doc.text[cursor:])
         residual_out, cursor = [], 0
         for rep in result.replacements:
-            residual_out.append(result.text[cursor : rep.output_start])
-            cursor = rep.output_end
+            residual_out.append(result.text[cursor : rep.output_offsets[0]])
+            cursor = rep.output_offsets[1]
         residual_out.append(result.text[cursor:])
         assert residual_in == residual_out
 

@@ -490,19 +490,25 @@ class TestReplaceCommand:
 
 class TestUtilityCommands:
     def test_simulate_leakage_matches_closed_form(self, tmp_path, capsys):
-        code = run_cli(
-            "simulate-leakage",
-            "--fn", "0.05",
-            "--entities", "10",
-            "--docs", "100000",
-            "--seed", "0",
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert abs(payload["redaction_leak_fraction"] - 0.4013) < 0.01
-        assert (
-            payload["hips_observed_leak_fraction"] <= payload["redaction_leak_fraction"]
-        )
+        fn, k = 0.05, 10
+        # Below an attacker rate of 1 the two closed forms differ.
+        for d, rate_flag in ((1.0, []), (0.5, ["--attacker-rate", "0.5"])):
+            code = run_cli(
+                "simulate-leakage",
+                "--fn", str(fn),
+                "--entities", str(k),
+                "--docs", "100000",
+                "--seed", "0",
+                *rate_flag,
+            )
+            assert code == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert abs(payload["redaction_leak_fraction"] - 0.4013) < 0.01
+            assert (
+                payload["hips_observed_leak_fraction"] <= payload["redaction_leak_fraction"]
+            )
+            assert payload["closed_form_redaction"] == 1 - (1 - fn) ** k
+            assert payload["closed_form_hips"] == 1 - (1 - fn * d) ** k
 
     def test_simulate_leakage_out_writes_what_it_prints(self, tmp_path, capsys):
         out = tmp_path / "leakage.json"
@@ -1701,6 +1707,31 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_every_module_level_import_is_used():
+    # No linter runs on the package, so a deletion can leave its imports behind.
+    # An import line marked "# noqa: F401" is exempt, and a name in __all__ counts as used.
+    package = Path(__file__).resolve().parents[1] / "src" / "deidkit"
+    unused: list[str] = []
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines, tree = source.splitlines(), ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                used.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in "".join(lines[node.lineno - 1 : node.end_lineno])):
+                continue
+            unused += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                if name not in used
+            ]
+    assert unused == []
+
+
 def test_package_parses_at_the_python_floor():
     # Every module parses with the grammar of the oldest Python that pyproject.toml allows.
     root = Path(__file__).resolve().parents[1]
@@ -1748,6 +1779,6 @@ def test_one_error_class_per_module():
                     and obj.__module__ == module.__name__):
                 defined.add(f"{info.name}.{name}")
     assert defined == {
-        "corpus.CorpusError", "cli.CliError", "hips.HipsError", "hips.EmptyGroup",
+        "corpus.CorpusError", "hips.HipsError", "hips.EmptyGroup",
         "llm.TransportError",
     }

@@ -678,6 +678,12 @@ class TestChatClient:
         ("https://x/v1#frag", "fragment"),
         ("http://user:pw@host/v1", "credentials"),
         ("http://user:pw@host:99999/v1", "credentials"),  # the port error would echo the URL
+        # http.client refuses these paths only once a request is under way,
+        ("http://127.0.0.1:1/v 1", "path"),
+        ("http://127.0.0.1:1/v\u00e9", "path"),
+        ("http://127.0.0.1:1/v\x7f", "path"),
+        # and urlsplit drops a tab without a word.
+        ("http://127.0.0.1:1/v\t1", "tab"),
     ])
     def test_base_url_part_the_client_would_drop_exits_1(
         self, fixture_paths, tmp_path, capsys, base_url, part

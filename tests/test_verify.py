@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from deidkit.corpus import Category, Document, Span
+from deidkit.corpus import Category, Document, Span, write_jsonl
 from deidkit.detect import rule_detect
 from deidkit.hips import load_name_pools
 from deidkit.mockllm import MockLlm
@@ -21,8 +21,8 @@ from deidkit.verify import (
     extract_context,
     parse_verdict,
     verifier_examples,
+    verifier_training_record,
     verify_spans,
-    write_verifier_training_file,
 )
 
 NEWTON_DOC = Document("newton", "The Newton method is used for optimization")
@@ -232,7 +232,8 @@ class TestTrainingFile:
             VerifierExample("John Doe", "Hi John Doe.", "T"),
         ]
         path = tmp_path / "verifier.jsonl"
-        count = write_verifier_training_file(path, examples, VerifierVariant.WITHOUT_COT)
+        count = write_jsonl(
+            path, (verifier_training_record(e, VerifierVariant.WITHOUT_COT) for e in examples))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert count == len(lines) == 2
         for line, example in zip(lines, examples):
@@ -246,7 +247,7 @@ class TestTrainingFile:
             "Newton", "The Newton method", "F", reasoning="a historical figure, not a student"
         )
         path = tmp_path / "cot.jsonl"
-        write_verifier_training_file(path, [example], VerifierVariant.WITH_COT)
+        write_jsonl(path, [verifier_training_record(example, VerifierVariant.WITH_COT)])
         record = json.loads(path.read_text(encoding="utf-8"))
         assert record["messages"][2]["content"].endswith(" F")
         assert record["messages"][2]["content"].startswith("a historical figure")
