@@ -21,6 +21,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -313,7 +314,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     report = evaluate_documents(pred, gold)
     print(render_metrics_table(report))
     if args.out:
-        corpus.write_json(args.out, report.as_dict())
+        corpus.write_json(args.out, asdict(report))
 
 
 def _cmd_bias(args: argparse.Namespace) -> None:
@@ -325,7 +326,7 @@ def _cmd_bias(args: argparse.Namespace) -> None:
     tables = (load_gender_table(args.gender_table), load_surname_table(args.surname_table),
               load_region_table(args.region_table))
     report = bias_report(bias_entries(pred, gold, *tables))
-    corpus.write_json(args.out, report.as_dict())
+    corpus.write_json(args.out, asdict(report))
 
 
 def _cmd_cost(args: argparse.Namespace) -> None:
@@ -339,22 +340,9 @@ def _cmd_cost(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate_leakage(args: argparse.Namespace) -> None:
-    estimate = simulate_leakage(
-        fn_rate=args.fn,
-        attacker_detect_rate=args.attacker_rate,
-        entities_per_doc=args.entities,
-        n_docs=args.docs,
-        seed=args.seed,
-    )
-    payload = estimate._asdict() | {
-        "parameters": {
-            "fn": args.fn,
-            "attacker_rate": args.attacker_rate,
-            "entities_per_doc": args.entities,
-            "docs": args.docs,
-            "seed": args.seed,
-        },
-    }
+    parameters = {"fn": args.fn, "attacker_rate": args.attacker_rate,
+                  "entities_per_doc": args.entities, "docs": args.docs, "seed": args.seed}
+    payload = simulate_leakage(**parameters)._asdict() | {"parameters": parameters}
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         corpus.write_json(args.out, payload)

@@ -319,7 +319,7 @@ _JSON = json.JSONDecoder(parse_constant=_not_a_number)  # NaN and Infinity are n
 def read_json(path: str | Path) -> Any:
     try:
         return _JSON.decode(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON (or not UTF-8), or NaN or Infinity
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, too deep, NaN or Infinity
         raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -356,7 +356,7 @@ def read_jsonl(
             seen.add(document_id(item))
         except CorpusError as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-        except ValueError as exc:  # not JSON, or NaN or Infinity
+        except (ValueError, RecursionError) as exc:  # not JSON, nested too deep, NaN or Infinity
             raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         except KeyError as exc:
             raise CorpusError(f"{path}:{lineno}: missing key {exc}") from exc

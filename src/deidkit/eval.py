@@ -7,8 +7,10 @@ denominators) are reported as missing, not as zero.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -38,7 +40,9 @@ def f_beta(precision: float, recall: float, beta: float) -> float:
 
 @dataclass
 class CategoryMetrics:
-    counts: ConfusionCounts
+    tp: int
+    fp: int
+    fn: int
     precision: float | None
     recall: float | None
     f1: float | None
@@ -48,25 +52,14 @@ class CategoryMetrics:
 def metrics_from_counts(counts: ConfusionCounts) -> CategoryMetrics:
     p = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp else None
     r = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn else None
-    if p is None or r is None:
-        return CategoryMetrics(counts, p, r, None, None)
-    return CategoryMetrics(counts, p, r, f_beta(p, r, 1), f_beta(p, r, 5))
+    f1, f5 = (None, None) if p is None or r is None else (f_beta(p, r, 1), f_beta(p, r, 5))
+    return CategoryMetrics(counts.tp, counts.fp, counts.fn, p, r, f1, f5)
 
 
 @dataclass
 class MetricsReport:
     per_category: dict[Category, CategoryMetrics]
     overall: CategoryMetrics
-
-    def as_dict(self) -> dict:
-        def one(m: CategoryMetrics) -> dict:
-            row = asdict(m)
-            return row.pop("counts") | row
-
-        return {
-            "per_category": {c.value: one(m) for c, m in self.per_category.items()},
-            "overall": one(self.overall),
-        }
 
 
 def evaluate_documents(
@@ -103,7 +96,7 @@ def render_metrics_table(report: MetricsReport) -> str:
     rows.append(("Overall", report.overall))
     for label, m in rows:
         lines.append(
-            f"{label:<14} {m.counts.tp:>7} {m.counts.fp:>7} {m.counts.fn:>7} "
+            f"{label:<14} {m.tp:>7} {m.fp:>7} {m.fn:>7} "
             f"{_fmt(m.precision):>8} {_fmt(m.recall):>8} {_fmt(m.f1):>8} {_fmt(m.f5):>8}"
         )
     return "\n".join(lines)
@@ -194,9 +187,6 @@ class BiasReport:
     overall_recall: float | None
     coverage: float  # fraction of gold names with a known gender AND culture
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def bias_entries(
     pred_by_doc: Mapping[str, Sequence[Span]],
@@ -255,8 +245,9 @@ def stage_ledger(stage: str, tokens_in: int, tokens_out: int, pricing: Mapping) 
 def cost_summary(ledger: object) -> dict:
     """Check a parsed cost ledger and return it with its totals.
 
-    ``items`` maps a stage to a non-negative USD number, ``tokens_per_stage`` a
-    stage to a non-negative integer count; either may be left out, and a bool is neither.
+    ``items`` maps a stage to a non-negative finite USD number, ``tokens_per_stage``
+    a stage to a non-negative integer count; either may be left out, and a bool is
+    neither. A ledger whose totals overflow a float is refused: no total is Infinity.
     """
     if not isinstance(ledger, dict):
         raise ValueError("a cost ledger must be a JSON object")
@@ -264,18 +255,25 @@ def cost_summary(ledger: object) -> dict:
     if not isinstance(items, dict) or not isinstance(tokens_per_stage, dict):
         raise ValueError("items and tokens_per_stage must be objects")
     for stage, usd in items.items():
-        if isinstance(usd, bool) or not isinstance(usd, (int, float)) or usd < 0:
-            raise ValueError(f"stage {stage!r}: cost must be a non-negative number, not {usd!r}")
+        if isinstance(usd, bool) or not isinstance(usd, (int, float)) or not 0 <= usd < math.inf:
+            raise ValueError(
+                f"stage {stage!r}: cost must be a non-negative finite number, not {usd!r}"
+            )
     for stage, tokens in tokens_per_stage.items():
         if isinstance(tokens, bool) or not isinstance(tokens, int) or tokens < 0:
             raise ValueError(
                 f"stage {stage!r}: token count must be a non-negative integer, not {tokens!r}"
             )
     total_usd, total_tokens = sum(items.values()), sum(tokens_per_stage.values())
+    if total_usd > sys.float_info.max:
+        raise ValueError("total_usd is not a finite number: the items sum past the largest float")
+    usd_per_1m_tokens = total_usd / (total_tokens / 1_000_000) if total_tokens > 0 else None
+    if usd_per_1m_tokens == math.inf:
+        raise ValueError("usd_per_1m_tokens is not a finite number: it overflows a float")
     return {
         "items": dict(items),
         "tokens_per_stage": dict(tokens_per_stage),
         "total_usd": round(total_usd, 6),
         "total_tokens": total_tokens,
-        "usd_per_1m_tokens": total_usd / (total_tokens / 1_000_000) if total_tokens > 0 else None,
+        "usd_per_1m_tokens": usd_per_1m_tokens,
     }

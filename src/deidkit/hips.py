@@ -294,39 +294,42 @@ class LeakageEstimate(NamedTuple):
 
 
 def simulate_leakage(
-    fn_rate: float,
-    attacker_detect_rate: float,
+    fn: float,
+    attacker_rate: float,
     entities_per_doc: int,
-    n_docs: int,
+    docs: int,
     seed: int = 0,
 ) -> LeakageEstimate:
-    """Monte-Carlo fraction of documents with at least one exposed entity.
+    """Monte-Carlo fraction of ``docs`` documents with at least one exposed entity.
 
-    Under redaction every missed entity is exposed verbatim; under HIPS a
-    missed entity only counts as an observed leak when the attacker can tell
-    it apart from the surrounding surrogates. Also returns the closed forms
-    1-(1-fn)^k and 1-(1-fn*d)^k, which the fractions match within Monte-Carlo error.
+    The detector misses each of a document's ``entities_per_doc`` (k) entities
+    with probability ``fn``. Under redaction every missed entity is exposed
+    verbatim; under HIPS a missed entity only counts as an observed leak when the
+    attacker tells it apart from the surrounding surrogates, with probability
+    ``attacker_rate`` (d). Also returns the closed forms 1-(1-fn)^k and
+    1-(1-fn*d)^k, which the fractions match within Monte-Carlo error. The names
+    are the keys of the ``parameters`` that ``simulate-leakage`` reports.
     """
-    if not (0.0 <= fn_rate <= 1.0 and 0.0 <= attacker_detect_rate <= 1.0):
+    if not (0.0 <= fn <= 1.0 and 0.0 <= attacker_rate <= 1.0):
         raise HipsError("rates must lie in [0, 1]")
-    if entities_per_doc < 0 or n_docs <= 0:
+    if entities_per_doc < 0 or docs <= 0:
         raise HipsError("entities_per_doc must be >= 0 and n_docs positive")
     closed_forms = (
-        1.0 - (1.0 - fn_rate) ** entities_per_doc,
-        1.0 - (1.0 - fn_rate * attacker_detect_rate) ** entities_per_doc,
+        1.0 - (1.0 - fn) ** entities_per_doc,
+        1.0 - (1.0 - fn * attacker_rate) ** entities_per_doc,
     )
-    if entities_per_doc == 0 or fn_rate == 0.0:
+    if entities_per_doc == 0 or fn == 0.0:
         return LeakageEstimate(0.0, 0.0, *closed_forms)
 
     rng = random.Random(seed)
     exposed = observed = 0
-    for _ in range(n_docs):
+    for _ in range(docs):
         # One flag per missed entity: whether the attacker spots it.
         spotted = [
-            rng.random() < attacker_detect_rate
+            rng.random() < attacker_rate
             for _ in range(entities_per_doc)
-            if rng.random() < fn_rate
+            if rng.random() < fn
         ]
         exposed += bool(spotted)
         observed += any(spotted)
-    return LeakageEstimate(exposed / n_docs, observed / n_docs, *closed_forms)
+    return LeakageEstimate(exposed / docs, observed / docs, *closed_forms)

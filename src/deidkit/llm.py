@@ -11,6 +11,7 @@ import http.client
 import json
 import math
 import os
+import re
 import ssl
 import threading
 import time
@@ -85,23 +86,28 @@ class ChatClient:
             raise ValueError("requests_per_minute must be positive")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        url = urllib.parse.urlsplit(base_url)
         # Requests carry only the scheme, host, port and path, so any other part is refused;
-        # credentials first, and without the URL, since the errors below echo it.
-        if "@" in url.netloc:
+        # credentials first, and without the URL, since the errors below echo it. The
+        # authority is cut out by hand, because urlsplit may refuse it.
+        if "@" in re.split("[/?#]", base_url.partition("//")[2], maxsplit=1)[0]:
             raise ValueError("base URL must not hold credentials: the API key comes from api_key_env")
-        try:
-            port = url.port
+        try:  # a bracket left open, a port that is no number, or a host that does not IDNA-encode
+            url = urllib.parse.urlsplit(base_url)
+            port, host = url.port, (url.hostname or "").encode("idna").decode("ascii")
         except ValueError as exc:
             raise ValueError(f"base URL {base_url!r}: {exc}") from exc
-        if url.scheme not in ("http", "https") or not url.hostname:
+        if url.scheme not in ("http", "https") or not host:
             raise ValueError(f"base URL must look like http(s)://host/..., not {base_url!r}")
         if url.query or url.fragment:
             raise ValueError(f"base URL {base_url!r}: requests would drop its query or fragment")
-        # urlsplit drops a tab or a line break unasked, and http.client sends the path as it is.
-        if any(c in base_url.strip() for c in "\t\r\n") or not all(" " < c < "\x7f" for c in url.path):
-            raise ValueError(f"base URL {base_url!r} must hold no tab or line break, and its path "
-                             "no space, DEL, other control or non-ASCII character")
+        # urlsplit drops a tab or a line break unasked, and http.client sends the host and
+        # the path as they are.
+        if any(c in base_url.strip() for c in "\t\r\n") or not all(
+            " " < c < "\x7f" for c in host + url.path
+        ):
+            raise ValueError(f"base URL {base_url!r} must hold no tab or line break, its host and "
+                             "path no space, DEL or other control character, and its path no "
+                             "non-ASCII one")
         self._model, self._api_key_env, self._max_retries = model, api_key_env, max_retries
         self._host, self._port = url.hostname, port
         self._path = url.path.rstrip("/") + "/chat/completions"
@@ -180,7 +186,7 @@ class ChatClient:
                 if status == 200:
                     try:
                         reply = json.loads(data)
-                    except ValueError as exc:  # not JSON, or not UTF-8
+                    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or too deep
                         raise TransportError(f"completion body is not JSON: {exc}") from exc
                     content = self._parse(reply)
                     with self._usage_lock:

@@ -223,7 +223,7 @@ def test_criterion_5_verifier_contract(fixture_paths, mini_docs, mini_gold, scri
     after = evaluate_documents(verified, mini_gold)
     assert after.overall.precision == 1.0  # 100% of false positives removed
     assert after.overall.recall == before.overall.recall  # 0% of true positives lost
-    assert after.overall.counts.fp == 0
+    assert after.overall.fp == 0
 
     # Always-wrong CoT mock: the label defaults to T after exactly 6 attempts.
     wrong = scripted_client(lambda m: "reasoning that concludes F")

@@ -489,6 +489,34 @@ class TestReplaceCommand:
 
 
 class TestUtilityCommands:
+    _LEAKAGE = ["simulate-leakage", "--fn", "0.05", "--docs", "20000", "--seed", "7"]
+    # SHA-256 over what each report command prints, then its --out file, with rules
+    # predictions on the fixture corpus. A report's JSON and table keep their bytes.
+    REPORT_SHA256 = {
+        "evaluate": (["evaluate", "--pred", "{pred}", "--gold", "{gold}"],
+                     "9347a2fcc8433af4b4f91c51db128bb08f0062558fac11c30d28acd6d069ed35"),
+        "bias": (["bias", "--pred", "{pred}", "--gold", "{gold}", "--gender-table", "{gender}",
+                  "--surname-table", "{surname}", "--region-table", "{region}"],
+                 "00efd57c27eb2f5748f615c20f2fd1bf422464f603e0ad7ba078d8731a9e0f90"),
+        "simulate-leakage": (
+            _LEAKAGE, "c802817bd72acdd3d6c0f8cf66a9ae866c83a63f1dcc848699eebf0058a21ec9"),
+        "simulate-leakage-attacker-rate-0.5": (
+            [*_LEAKAGE, "--attacker-rate", "0.5"],
+            "b327b860162be41ed9ef5f53e186a37ab3989b392613c20d4a98ae6a192ba6b5"),
+    }
+
+    @pytest.mark.parametrize("report", sorted(REPORT_SHA256))
+    def test_report_bytes_are_pinned(self, fixture_paths, tmp_path, capsys, report):
+        pred, out = tmp_path / "pred.json", tmp_path / "report.json"
+        assert run_cli("detect", "--detector", "rules", "--in", str(fixture_paths["corpus"]),
+                       "--pools", str(fixture_paths["pools"]), "--out", str(pred)) == 0
+        template, expected = self.REPORT_SHA256[report]
+        names = {k: str(v) for k, v in fixture_paths.items()} | {"pred": str(pred)}
+        capsys.readouterr()
+        assert run_cli(*[arg.format(**names) for arg in template], "--out", str(out)) == 0
+        printed = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(printed + out.read_bytes()).hexdigest() == expected
+
     def test_simulate_leakage_matches_closed_form(self, tmp_path, capsys):
         fn, k = 0.05, 10
         # Below an attacker rate of 1 the two closed forms differ.
@@ -856,6 +884,7 @@ _OVERLAPPING_SPANS = (
 _INGEST = [
     "ingest", "--in", "{bad}", "--out-docs", "{bad}.docs.jsonl", "--out-gold", "{bad}.gold.json",
 ]
+_DEEP_JSON = "[" * 200_000 + "]" * 200_000
 _VERIFY = ["verify", "--in", "{corpus}", "--spans", "{gold}", "--base-url", "http://127.0.0.1:1/v1"]
 
 # Each case: the content of the malformed file and the command that reads it,
@@ -1027,6 +1056,21 @@ _MALFORMED_INPUTS = {
     "ledger-token-count-a-bool": (
         '{"items": {"a": 1}, "tokens_per_stage": {"a": true}}', ["cost", "--ledger", "{bad}"]),
     "ledger-item-nan": ('{"items": {"a": NaN}}', ["cost", "--ledger", "{bad}"]),
+    # A number past the largest float is read as inf, or sums or divides to it, and
+    # would be written as Infinity, which deidkit's own readers refuse.
+    "ledger-item-past-the-largest-float": (
+        '{"items": {"a": 1e400}, "tokens_per_stage": {"a": 5}}', ["cost", "--ledger", "{bad}"]),
+    "ledger-items-sum-past-the-largest-float": (
+        '{"items": {"a": 1e308, "b": 1e308}}', ["cost", "--ledger", "{bad}"]),
+    "ledger-usd-per-1m-tokens-past-the-largest-float": (
+        '{"items": {"a": 1e303}, "tokens_per_stage": {"a": 1}}', ["cost", "--ledger", "{bad}"]),
+    # JSON nested past the recursion limit once raised a RecursionError out of main.
+    "span-file-nested-too-deep": (_DEEP_JSON, ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
+    "documents-line-nested-too-deep": (
+        _DEEP_JSON + "\n", ["detect", "--detector", "rules", "--in", "{bad}"]),
+    "config-nested-too-deep": (
+        _DEEP_JSON, ["--config", "{bad}", "detect", "--detector", "rules", "--in", "{corpus}"]),
+    "ledger-nested-too-deep": (_DEEP_JSON, ["cost", "--ledger", "{bad}"]),
     # Found by the fuzz test: each raised an AttributeError out of main.
     "token-record-line-not-an-object": ('"x"\n', _INGEST),
     "replace-placeholder-not-a-string": (
@@ -1496,6 +1540,22 @@ def test_non_json_reply_is_a_transport_error(fixture_paths, tmp_path, capsys):
     assert models
     assert code == 2
     assert capsys.readouterr().err.startswith("transport error:")
+
+
+def test_reply_nested_past_the_recursion_limit_is_a_transport_error(
+    fixture_paths, tmp_path, capsys
+):
+    out = tmp_path / "pred.json"
+    with capture_server(b"[" * 100_000 + b"]" * 100_000) as (base_url, models):
+        code = run_cli("detect", "--detector", "llm-finetuned",
+                       "--in", str(fixture_paths["corpus"]), "--base-url", base_url,
+                       "--max-retries", "0", "--out", str(out))
+    err = capsys.readouterr().err
+    assert models
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("transport error:"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["detect", "verify"])

@@ -684,6 +684,13 @@ class TestChatClient:
         ("http://127.0.0.1:1/v\x7f", "path"),
         # and urlsplit drops a tab without a word.
         ("http://127.0.0.1:1/v\t1", "tab"),
+        # http.client refuses such a host only when it connects, and the client retried that;
+        ("http://a b:1/v1", "host"),
+        ("http://a\x00b:1/v1", "host"),
+        # these were raised without the URL: the IDNA codec's error and urlsplit's.
+        ("http://a..b:1/v1", "label empty"),
+        ("http://[::1:1/v1", "IPv6"),
+        ("http://u:pw@[::1/v1", "credentials"),
     ])
     def test_base_url_part_the_client_would_drop_exits_1(
         self, fixture_paths, tmp_path, capsys, base_url, part
@@ -697,8 +704,9 @@ class TestChatClient:
         err = capsys.readouterr().err
         assert code == 1
         lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:") and part in lines[0], err
+        assert len(lines) == 1 and lines[0].startswith("error: base URL") and part in lines[0], err
         assert "pw" not in err
+        assert part == "credentials" or repr(base_url) in lines[0]
         assert not any(out.iterdir())  # no output and no manifest
 
 
