@@ -219,7 +219,8 @@ def decode(marked: str, original: Document) -> DecodeReport:
     report = DecodeReport()
     stripped, regions, report.dropped = _scan_regions(marked)
     text = original.text
-    anchors = _align(stripped, text)
+    # Only a region with inner text is mapped, so a reply without one needs no alignment.
+    anchors = _align(stripped, text) if any(inner for _, inner, _ in regions) else []
     taken = bytearray(len(text))  # 1 wherever a kept span lies
     for cat, inner, strip_start in regions:
         if not inner:

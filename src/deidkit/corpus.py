@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, islice
-from operator import add
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -376,8 +376,8 @@ def write_jsonl(path: str | Path, objects: Iterable[Any]) -> int:
 
 def read_csv(
     path: str | Path, columns: Sequence[str], optional: Sequence[str] = ()
-) -> Iterator[list[str]]:
-    """Yield each row of a CSV file as its ``columns`` fields, then its ``optional`` ones.
+) -> Iterator[tuple[str, ...]]:
+    """Yield each CSV row as a tuple: its ``columns`` fields, then its ``optional`` ones.
 
     The header must name every one of ``columns``; an ``optional`` column it does
     not name reads "". As with ``csv.DictReader``, a blank line is skipped, a short
@@ -393,10 +393,15 @@ def read_csv(
             raise CorpusError(f"{path}: missing column(s) {missing}")
         # An absent optional column points past every row, so it reads "" as a short row does.
         picks = [index.get(c, sys.maxsize) for c in (*columns, *optional)]
+        # A row that holds every pick is picked in C; itemgetter of one index gives no tuple.
+        pick = itemgetter(*picks) if len(picks) > 1 else lambda row: tuple([row[i] for i in picks])
+        needed = max(picks, default=0) + 1
         for row in reader:
-            if row:
+            if len(row) >= needed:
+                yield pick(row)
+            elif row:
                 width = len(row)
-                yield [row[i] if i < width else "" for i in picks]
+                yield tuple([row[i] if i < width else "" for i in picks])
     except csv.Error as exc:
         raise CorpusError(f"{path}:{reader.line_num}: {exc}") from exc
 

@@ -267,6 +267,8 @@ def cost_summary(ledger: object) -> dict:
     total_usd, total_tokens = sum(items.values()), sum(tokens_per_stage.values())
     if total_usd > sys.float_info.max:
         raise ValueError("total_usd is not a finite number: the items sum past the largest float")
+    if total_tokens > sys.float_info.max:  # its quotient below could overflow a float
+        raise ValueError("total_tokens is not a finite float: the counts sum past the largest float")
     usd_per_1m_tokens = total_usd / (total_tokens / 1_000_000) if total_tokens > 0 else None
     if usd_per_1m_tokens == math.inf:
         raise ValueError("usd_per_1m_tokens is not a finite number: it overflows a float")

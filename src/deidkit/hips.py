@@ -68,20 +68,27 @@ class NamePool:
         )
 
 
+_KIND_SLOT = {"first": 0, "last": 1}
+
+
 def load_name_pools(path: str | Path) -> NamePool:
     """Load a gender,culture,kind,name CSV, dropping non-ASCII names."""
     pool = NamePool()
+    groups = pool.groups
     for gender, culture, kind, name in read_csv(path, ("gender", "culture", "kind", "name")):
         name = name.strip()
         if not name or not name.isascii():
             continue
         if not name.isprintable():
             raise HipsError(f"{path}: name {name!r} holds a control character")
-        kind_name = kind.strip().lower()
-        if kind_name not in ("first", "last"):
+        slot = _KIND_SLOT.get(kind.strip().lower())
+        if slot is None:
             raise HipsError(f"{path}: unknown name kind {kind!r}")
-        firsts, lasts = pool.groups.setdefault((gender.strip(), culture.strip()), ([], []))
-        (firsts if kind_name == "first" else lasts).append(name)
+        group = (gender.strip(), culture.strip())
+        names = groups.get(group)
+        if names is None:
+            names = groups[group] = ([], [])
+        names[slot].append(name)
     return pool
 
 
@@ -308,12 +315,13 @@ def simulate_leakage(
     attacker tells it apart from the surrounding surrogates, with probability
     ``attacker_rate`` (d). Also returns the closed forms 1-(1-fn)^k and
     1-(1-fn*d)^k, which the fractions match within Monte-Carlo error. The names
-    are the keys of the ``parameters`` that ``simulate-leakage`` reports.
+    are the keys of the ``parameters`` that ``simulate-leakage`` reports, and a
+    bad value is a ``HipsError`` that names the flag which sets it.
     """
     if not (0.0 <= fn <= 1.0 and 0.0 <= attacker_rate <= 1.0):
-        raise HipsError("rates must lie in [0, 1]")
+        raise HipsError("--fn and --attacker-rate must lie in [0, 1]")
     if entities_per_doc < 0 or docs <= 0:
-        raise HipsError("entities_per_doc must be >= 0 and n_docs positive")
+        raise HipsError("--entities must be >= 0 and --docs positive")
     closed_forms = (
         1.0 - (1.0 - fn) ** entities_per_doc,
         1.0 - (1.0 - fn * attacker_rate) ** entities_per_doc,

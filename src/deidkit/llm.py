@@ -88,8 +88,11 @@ class ChatClient:
             raise ValueError("max_retries must be >= 0")
         # Requests carry only the scheme, host, port and path, so any other part is refused;
         # credentials first, and without the URL, since the errors below echo it. The
-        # authority is cut out by hand, because urlsplit may refuse it.
-        if "@" in re.split("[/?#]", base_url.partition("//")[2], maxsplit=1)[0]:
+        # authority is cut out by hand, because urlsplit may refuse it; all before it is
+        # searched too, as are extra slashes, since a URL that garbles its "//" holds its
+        # credentials there.
+        head, _, rest = base_url.partition("//")
+        if "@" in head + re.split("[/?#]", rest.lstrip("/"), maxsplit=1)[0]:
             raise ValueError("base URL must not hold credentials: the API key comes from api_key_env")
         try:  # a bracket left open, a port that is no number, or a host that does not IDNA-encode
             url = urllib.parse.urlsplit(base_url)

@@ -1064,6 +1064,9 @@ _MALFORMED_INPUTS = {
         '{"items": {"a": 1e308, "b": 1e308}}', ["cost", "--ledger", "{bad}"]),
     "ledger-usd-per-1m-tokens-past-the-largest-float": (
         '{"items": {"a": 1e303}, "tokens_per_stage": {"a": 1}}', ["cost", "--ledger", "{bad}"]),
+    "ledger-token-count-past-the-largest-float": (
+        '{"tokens_per_stage": {"a": 1' + "0" * 400 + '}, "items": {"a": 1.0}}',
+        ["cost", "--ledger", "{bad}"]),
     # JSON nested past the recursion limit once raised a RecursionError out of main.
     "span-file-nested-too-deep": (_DEEP_JSON, ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
     "documents-line-nested-too-deep": (
@@ -1252,10 +1255,13 @@ _BAD_SETTINGS = {
         "--group"),
     "leakage-negative-entities": (
         ["simulate-leakage", "--fn", "0.1", "--entities", "-1", "--out", "{tmp}/out.json"],
-        "entities_per_doc must be >= 0"),
+        "--entities must be >= 0"),
     "leakage-no-documents": (
         ["simulate-leakage", "--fn", "0.1", "--docs", "0", "--out", "{tmp}/out.json"],
-        "n_docs positive"),
+        "--docs positive"),
+    "leakage-attacker-rate-above-one": (
+        ["simulate-leakage", "--fn", "0.1", "--attacker-rate", "1.5", "--out", "{tmp}/out.json"],
+        "--attacker-rate must lie in [0, 1]"),
     "ratios-two-numbers": (
         ["split", "--in", "{corpus}", "--ratios", "0.5,0.5", "--out", "{tmp}/out.json"],
         "--ratios needs three comma-separated numbers"),

@@ -11,10 +11,12 @@ from deidkit import codec
 from deidkit.codec import (
     _TOKEN_RE,
     ALL_MARKER_STRINGS,
+    DROP_EMPTY,
     DROP_INTERLEAVED,
     DROP_NOT_IN_ORIGINAL,
     DROP_OVERLAP,
     MARKERS,
+    DecodeReport,
     DroppedRegion,
     decode,
     encode,
@@ -255,6 +257,36 @@ class TestDecode:
         assert set(spans) <= set(report.spans)
         for span in report.spans:
             assert doc.text[span.start : span.end] == span.surface
+
+    @pytest.mark.parametrize("region, dropped", [
+        pytest.param("", [], id="no-region"),
+        pytest.param("@@@###", [DroppedRegion("", Category.NAME_STUDENT, DROP_EMPTY)],
+                     id="empty-region"),
+    ])
+    def test_reply_that_marks_no_text_is_not_aligned(self, monkeypatch, region, dropped):
+        # Only a region with inner text is mapped onto the original, so aligning
+        # such a reply is wasted work.
+        rng = random.Random(11)
+        doc, _ = long_case(rng, 1000)
+        marked = perturb_marked(doc.text, [], rng)
+        middle = marked.index(" ", len(marked) // 2)
+        marked = f"{marked[:middle]} {region}{marked[middle:]}"
+
+        def no_align(stripped, original):
+            raise AssertionError("a reply that marks no text was aligned")
+
+        monkeypatch.setattr(codec, "_align", no_align)
+        assert decode(marked, doc) == DecodeReport(dropped=dropped)
+
+    def test_reply_with_one_marked_region_is_aligned_once(self, monkeypatch):
+        rng = random.Random(12)
+        doc, spans = long_case(rng, 1000)
+        marked = perturb_marked(encode(doc, spans[:1]), spans[:1], rng)
+        calls = []
+        align = codec._align
+        monkeypatch.setattr(codec, "_align", lambda *texts: calls.append(texts) or align(*texts))
+        assert decode(marked, doc).spans == spans[:1]
+        assert len(calls) == 1
 
     def test_clean_long_document_anchors_every_span_exactly(self):
         doc, spans = long_case(random.Random(5), 5000)

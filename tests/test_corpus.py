@@ -639,10 +639,10 @@ def test_write_json_streams_instead_of_building_the_text(tmp_path):
 
 
 def _dict_reader_rows(path, columns, optional=()):
-    """The rows ``csv.DictReader`` gives, as lists: the reference for ``read_csv``."""
+    """The rows ``csv.DictReader`` gives, as tuples: the reference for ``read_csv``."""
     with open(path, encoding="utf-8", newline="") as handle:
         return [
-            [row[c] for c in columns] + [row.get(c) or "" for c in optional]
+            tuple([row[c] for c in columns] + [row.get(c) or "" for c in optional])
             for row in csv.DictReader(handle, restval="")
         ]
 
@@ -661,6 +661,7 @@ def _dict_reader_rows(path, columns, optional=()):
                  ("first_name", "gender"), ("count",), id="optional-count-cell-empty-or-short"),
     pytest.param('gender,kind\n"Fe\nmale","first, ""x"""\n', ("gender", "kind"), (),
                  id="quoted-fields"),
+    pytest.param("kind,name\nfirst,Ann\nlast\n\nlast,Lee,x\n", ("name",), (), id="one-column"),
 ])
 def test_read_csv_reads_what_dict_reader_reads(tmp_path, content, columns, optional):
     path = tmp_path / "table.csv"

@@ -678,6 +678,10 @@ class TestChatClient:
         ("https://x/v1#frag", "fragment"),
         ("http://user:pw@host/v1", "credentials"),
         ("http://user:pw@host:99999/v1", "credentials"),  # the port error would echo the URL
+        # and so would the scheme/host error, where the "//" is missing, misplaced or tripled;
+        ("http:u:pw@host/v1", "credentials"),
+        ("http:u:pw@host//v1", "credentials"),
+        ("http:///u:pw@host/v1", "credentials"),
         # http.client refuses these paths only once a request is under way,
         ("http://127.0.0.1:1/v 1", "path"),
         ("http://127.0.0.1:1/v\u00e9", "path"),

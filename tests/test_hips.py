@@ -79,6 +79,19 @@ class TestLoadNamePools:
             load_name_pools(csv_path)
         assert str(excinfo.value) == f"{csv_path}: name 'Bo\\tb' holds a control character"
 
+    @pytest.mark.parametrize("rows, error", [
+        ("Male,Europe,first,Bo\tb\nMale,Europe,middle,Ann\n",
+         "name 'Bo\\tb' holds a control character"),
+        ("Male,Europe,middle,Ann\nMale,Europe,first,Bo\tb\n", "unknown name kind 'middle'"),
+    ])
+    def test_first_faulty_row_in_the_file_names_the_error(self, tmp_path, rows, error):
+        csv_path = tmp_path / "pools.csv"
+        csv_path.write_text("gender,culture,kind,name\nMale,Europe,first,Ann\n" + rows,
+                            encoding="utf-8")
+        with pytest.raises(HipsError) as excinfo:
+            load_name_pools(csv_path)
+        assert str(excinfo.value) == f"{csv_path}: {error}"
+
     def test_empty_group_raises(self, pools):
         with pytest.raises(EmptyGroup, match=r"^name pool has no names for group \(Female, Oceania\)$"):
             NamePool().names(("Female", "Oceania"))
