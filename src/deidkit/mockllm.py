@@ -17,7 +17,6 @@ import json
 import random
 import re
 import string
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping, Sequence
 
 from . import codec
@@ -118,33 +117,34 @@ def _completion_payload(content: str) -> dict:
     }
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # keep-alive; every response sends Content-Length
-    disable_nagle_algorithm = True  # else the body, a second write, waits for a delayed ACK
-    mock: MockLlm  # injected by make_server
+def make_server(mock: MockLlm, port: int = 0):
+    """A ``ThreadingHTTPServer`` on localhost that answers as ``mock`` does; it does not serve yet."""
+    # Imported here, so that a stage which only reads MODES does not load the server.
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-    def do_POST(self):  # noqa: N802 (http.server API)
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            if length < 0:  # read(-1) would wait for the client to close
-                raise ValueError(f"Content-Length must not be negative, not {length}")
-            body = json.loads(self.rfile.read(length) or b"{}")
-            status, reply = 200, _completion_payload(self.mock.respond(body))
-        except Exception as exc:  # a broken request must not kill the server
-            status, reply = 400, {"error": str(exc)}
-        payload = json.dumps(reply).encode("utf-8")
-        self.send_response(status)
-        if status != 200:  # the body may be unread, so the next request could not be found
-            self.send_header("Connection", "close")
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keep-alive; every response sends Content-Length
+        disable_nagle_algorithm = True  # else the body, a second write, waits for a delayed ACK
 
-    def log_message(self, fmt, *args):  # silence per-request stderr noise
-        pass
+        def do_POST(self):  # noqa: N802 (http.server API)
+            try:
+                length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:  # read(-1) would wait for the client to close
+                    raise ValueError(f"Content-Length must not be negative, not {length}")
+                body = json.loads(self.rfile.read(length) or b"{}")
+                status, reply = 200, _completion_payload(mock.respond(body))
+            except Exception as exc:  # a broken request must not kill the server
+                status, reply = 400, {"error": str(exc)}
+            payload = json.dumps(reply).encode("utf-8")
+            self.send_response(status)
+            if status != 200:  # the body may be unread, so the next request could not be found
+                self.send_header("Connection", "close")
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
 
+        def log_message(self, fmt, *args):  # silence per-request stderr noise
+            pass
 
-def make_server(mock: MockLlm, port: int = 0) -> ThreadingHTTPServer:
-    handler = type("BoundHandler", (_Handler,), {"mock": mock})
-    return ThreadingHTTPServer(("127.0.0.1", port), handler)
+    return ThreadingHTTPServer(("127.0.0.1", port), Handler)

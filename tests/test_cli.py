@@ -1736,20 +1736,37 @@ def test_benchmark_trace_hooks_still_fire(fixture_paths, tmp_path):
     assert expected <= names, expected - names
 
 
-def test_cli_import_loads_neither_requests_nor_numpy():
-    # Every CLI process pays for what ``deidkit.cli`` imports. The package,
-    # the chat client and simulate-leakage included, is standard library only.
+def _fresh_python(code: str) -> str:
+    """The stdout of ``code`` run in a new interpreter that imports deidkit from src."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import deidkit.cli, sys; "
-         "print(sorted({'requests', 'urllib3', 'numpy'} & set(sys.modules)))"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_neither_requests_nor_numpy():
+    # Every CLI process pays for what ``deidkit.cli`` imports. The package,
+    # the chat client and simulate-leakage included, is standard library only.
+    assert _fresh_python(
+        "import deidkit.cli, sys; "
+        "print(sorted({'requests', 'urllib3', 'numpy'} & set(sys.modules)))"
+    ) == "[]"
+
+
+def test_cli_import_loads_no_http_library():
+    # The chat client writes HTTP/1.1 over a socket itself, so no stage loads the
+    # standard library's HTTP client or its header parser, the mock's server, or TLS
+    # for a plain-HTTP endpoint. Only an https client loads ssl.
+    assert _fresh_python(
+        "import deidkit.cli, sys; from deidkit.llm import ChatClient; "
+        "loaded = lambda: sorted({'http.client', 'email.parser', 'ssl', 'http.server'} "
+        "& set(sys.modules)); "
+        "print(loaded()); ChatClient('http://127.0.0.1:9/v1'); print(loaded()); "
+        "ChatClient('https://127.0.0.1:9/v1'); print(loaded())"
+    ).splitlines() == ["[]", "[]", "['ssl']"]
 
 
 def test_package_imports_only_the_standard_library():
@@ -1813,7 +1830,7 @@ def test_transport_lives_in_one_module():
     # The chat client owns the HTTP client side and TLS, the mock endpoint the
     # server side, and nothing else in the package speaks the chat protocol.
     package = Path(__file__).resolve().parents[1] / "src" / "deidkit"
-    importers: dict[str, set[str]] = {"http.client": set(), "ssl": set(), "http.server": set()}
+    importers: dict[str, set[str]] = {"socket": set(), "ssl": set(), "http.server": set()}
     completers: set[str] = set()
     for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -1830,7 +1847,7 @@ def test_transport_lives_in_one_module():
             for name in names:
                 if name in importers:
                     importers[name].add(path.name)
-    assert importers == {"http.client": {"llm.py"}, "ssl": {"llm.py"}, "http.server": {"mockllm.py"}}
+    assert importers == {"socket": {"llm.py"}, "ssl": {"llm.py"}, "http.server": {"mockllm.py"}}
     assert completers == {"llm.py"}
 
 

@@ -5,10 +5,13 @@ import json
 import math
 import random
 import re
+import socket
+import socketserver
 import sys
 import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager, suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -682,13 +685,13 @@ class TestChatClient:
         ("http:u:pw@host/v1", "credentials"),
         ("http:u:pw@host//v1", "credentials"),
         ("http:///u:pw@host/v1", "credentials"),
-        # http.client refuses these paths only once a request is under way,
+        # the request line would carry these paths as they are,
         ("http://127.0.0.1:1/v 1", "path"),
         ("http://127.0.0.1:1/v\u00e9", "path"),
         ("http://127.0.0.1:1/v\x7f", "path"),
         # and urlsplit drops a tab without a word.
         ("http://127.0.0.1:1/v\t1", "tab"),
-        # http.client refuses such a host only when it connects, and the client retried that;
+        # such a host would reach the Host header or a name lookup;
         ("http://a b:1/v1", "host"),
         ("http://a\x00b:1/v1", "host"),
         # these were raised without the URL: the IDNA codec's error and urlsplit's.
@@ -712,6 +715,190 @@ class TestChatClient:
         assert "pw" not in err
         assert part == "credentials" or repr(base_url) in lines[0]
         assert not any(out.iterdir())  # no output and no manifest
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    """Answers the n-th request with the server's n-th scripted reply, byte for byte.
+
+    The last reply repeats past the end of the script. The server records each
+    request's head lines and each connection it accepts.
+    """
+
+    def handle(self):
+        server = self.server
+        server.connections.append(self.client_address)
+        with suppress(OSError):  # a client that gave up on a reply resets the connection
+            while line := self.rfile.readline():
+                head = [line]
+                while head[-1] not in (b"\r\n", b""):
+                    head.append(self.rfile.readline())
+                length = next(int(h.partition(b":")[2]) for h in head
+                              if h.lower().startswith(b"content-length:"))
+                self.rfile.read(length)
+                server.heads.append(head)
+                self.wfile.write(server.replies[min(len(server.heads), len(server.replies)) - 1])
+                if server.hang_up:
+                    return
+
+
+@contextmanager
+def raw_server(host: str = "127.0.0.1"):
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    server_class = type("RawServer", (socketserver.ThreadingTCPServer,),
+                        {"address_family": family, "daemon_threads": True})
+    server = server_class((host, 0), _RawHandler)
+    server.replies, server.hang_up, server.heads, server.connections = [], False, [], []
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+_OK = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+_SIZED_OK = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_OK), _OK)
+
+
+@pytest.mark.parametrize("replies, hang_up, outcome", [
+    # Two calls: what the first returns (or the error it raises) and the connections both take.
+    ([_SIZED_OK], False, ("ok", 1)),
+    ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x;note=1\r\n%s\r\n%x\r\n%s\r\n"
+      b"0\r\nX-Trailer: 1\r\n\r\n" % (9, _OK[:9], len(_OK) - 9, _OK[9:])], False, ("ok", 1)),
+    ([b"HTTP/1.1 200 OK\r\n\r\n" + _OK], True, ("ok", 2)),
+    ([_SIZED_OK.replace(b"OK\r\n", b"OK\r\nConnection: close\r\n")], False, ("ok", 2)),
+    ([_SIZED_OK.replace(b"1.1", b"1.0")], False, ("ok", 2)),
+    ([b"HTTP/1.1 100 Continue\r\n\r\n" + _SIZED_OK], False, ("ok", 1)),
+    ([b"HTTP/1.1 204 No Content\r\n\r\n", _SIZED_OK], False, ("HTTP 204", 1)),
+    ([_SIZED_OK.replace(b"OK\r\n", b"OK\r\n" + b"X-A: 1\r\n" * 99)], False, ("ok", 1)),
+    # Unreadable replies: the stage exits 2 after the retries, naming the fault.
+    ([b"ICY 200 OK\r\n\r\n" + _OK], False, "not HTTP/1.x"),
+    ([_SIZED_OK.replace(b"Length: ", b"Length: 9")], True, "cut short"),
+    ([_SIZED_OK.replace(b"Length: ", b"Length: " + b"9" * 20)], True, "cut short"),
+    ([_SIZED_OK.replace(b"Length: ", b"Length: -")], False, "bad Content-Length"),
+    ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n" + _OK], False,
+     "bad chunk size"),
+    ([_SIZED_OK.replace(b"OK\r\n", b"OK\r\nX-Long: " + b"a" * (65537 - 8) + b"\r\n")], False,
+     "longer than 65536"),
+    ([_SIZED_OK.replace(b"OK\r\n", b"OK\r\n" + b"X-A: 1\r\n" * 100)], False, "more than 100"),
+], ids=["content-length", "chunked", "to-close", "connection-close", "http-1.0", "continue",
+        "204", "100-fields", "status-line", "cut-short", "huge-length", "bad-length",
+        "chunk-size", "long-line", "101-fields"])
+def test_reply_framing(fixture_paths, tmp_path, capsys, replies, hang_up, outcome):
+    with raw_server() as server:
+        server.replies, server.hang_up = replies, hang_up
+        base_url = f"http://127.0.0.1:{server.server_address[1]}/v1"
+        if isinstance(outcome, tuple):
+            first, connections = outcome
+            results = []
+            with ChatClient(base_url, max_retries=0) as client:
+                for _ in range(2):
+                    try:
+                        results.append(client.complete([{"role": "user", "content": "x"}]))
+                    except TransportError as exc:
+                        results.append(str(exc))
+            assert first in results[0] and results[1] == "ok", results
+            assert len(server.heads) == 2
+            assert len(server.connections) == connections
+        else:
+            code = main([
+                "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
+                "--base-url", base_url, "--max-retries", "1", "--out", str(tmp_path / "pred.json"),
+            ])
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert code == 2
+            assert len(lines) == 1 and lines[0].startswith(
+                "transport error: chat endpoint unreachable after 2 attempts"), lines
+            assert outcome in lines[0]
+            assert len(server.heads) == 2
+            assert not (tmp_path / "pred.json").exists()
+
+
+@pytest.mark.parametrize("key", ["sk-SECRET123\nX-Evil: 1", "sk-SECRET123\r\nX-Evil: 1",
+                                 "sk-SECRET 123", "sk-SECRETé123"])
+def test_api_key_a_header_cannot_carry_exits_1_unsent(
+    capture_server, fixture_paths, tmp_path, capsys, monkeypatch, key
+):
+    server, handler = capture_server
+    monkeypatch.setenv("DEIDKIT_KEY", key)
+    code = main([
+        "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
+        "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1",
+        "--api-key-env", "DEIDKIT_KEY", "--out", str(tmp_path / "pred.json"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "DEIDKIT_KEY" in lines[0], err
+    assert "SECRET" not in err
+    assert handler.captured == []
+    assert not any(tmp_path.iterdir())
+
+
+#: Base-URL parts as (good, bad) pools. https is left out: the capture server speaks plain
+#: HTTP. So is a missing or zero port, which would reach another port of this machine.
+_URL_PARTS = {
+    "scheme": (["http://", "HTTP://"],
+               ["ftp://", "ws://", "//", "http:/", "http:", "https//", "http:///"]),
+    "userinfo": ([""], ["u:pw@", "u@", ":pw@", "u:pw@x@"]),
+    "host": (["127.0.0.1", "[::1]"],
+             ["a b", "a\x00b", "a\x7fb", "a\nb", "a..b", "[::1", "", "[127.0.0.1]"]),
+    "port": (["{port}"], [":99999", ":abc", ":-1", ":1:2", ": 1"]),
+    "path": (["", "/", "/v1", "/v1/", "//v1", "/a/b/", "/v%201", "/~u/v1;x=1"],
+             ["/v 1", "/vé", "/v\x7f", "/v\t1", "/v\r\n1", "?q=1", "/v1?x", "/v1#f"]),
+    "end": (["", "\n", "\r\n", "\t\n"], [" x", "\tx", "\nx"]),
+}
+
+
+def test_fuzzed_base_urls_exit_1_or_send_their_request_line(fixture_paths, tmp_path, capsys,
+                                                            monkeypatch):
+    # Each URL is built from good and bad parts. One with a bad part exits 1 with one
+    # base-URL line, sends nothing and echoes no credentials; one of good parts only sends
+    # its path plus /chat/completions and names its authority as the Host.
+    monkeypatch.delenv("DEIDKIT_API_KEY", raising=False)
+    rng = random.Random(31)
+    faults = []
+    with ExitStack() as stack:
+        servers = {"127.0.0.1": stack.enter_context(raw_server("127.0.0.1"))}
+        with suppress(OSError):  # a machine without an IPv6 loopback fuzzes IPv4 hosts only
+            servers["[::1]"] = stack.enter_context(raw_server("::1"))
+        for server in servers.values():
+            server.replies = [_SIZED_OK]
+        for case in range(80):
+            parts, good = {}, True
+            for name, (good_pool, bad_pool) in _URL_PARTS.items():
+                pick_good = rng.random() < 0.85
+                parts[name] = rng.choice(good_pool if pick_good else bad_pool)
+                good = good and pick_good
+            if parts["host"] == "[::1]" and parts["host"] not in servers:
+                parts["host"] = "127.0.0.1"
+            port = servers.get(parts["host"], servers["127.0.0.1"]).server_address[1]
+            parts["port"] = parts["port"].format(port=f":{port}")
+            base_url = "".join(parts.values())
+            for server in servers.values():
+                server.heads.clear()
+            out = tmp_path / f"{case}.json"
+            code = main(["detect", "--detector", "llm-finetuned", "--in",
+                         str(fixture_paths["corpus"]), "--base-url", base_url,
+                         "--max-retries", "0", "--out", str(out)])
+            err = capsys.readouterr().err
+            lines = err.strip().splitlines()
+            path = parts["path"].rstrip("/") + "/chat/completions"
+            authority = parts["host"] + parts["port"]
+            sent = [(h[0], sorted(line.partition(b":")[0].lower() for line in h[1:-1]),
+                     next(line for line in h if line.lower().startswith(b"host:")))
+                    for server in servers.values() for h in server.heads]
+            if good:
+                ok = code == 0 and sent and all(s == (
+                    f"POST {path} HTTP/1.1\r\n".encode(),
+                    [b"accept-encoding", b"content-length", b"content-type", b"host"],
+                    f"Host: {authority}\r\n".encode()) for s in sent)
+            else:
+                ok = (code == 1 and len(lines) == 1 and lines[0].startswith("error: base URL")
+                      and "pw" not in err and not sent and not out.exists())
+            if not ok:
+                faults.append((case, base_url, code, err.strip(), sent[:1]))
+    assert not faults, faults
 
 
 def test_token_bucket_waits_once_its_minute_is_spent(monkeypatch):
