@@ -18,13 +18,6 @@ from .corpus import Category, CorpusError, Span, read_csv
 from .hips import CULTURES
 
 
-@dataclass
-class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-
-
 def span_key(span: Span) -> tuple:
     """What an exact match compares: offsets and category, never the surface."""
     return span.start, span.end, span.category
@@ -49,11 +42,11 @@ class CategoryMetrics:
     f5: float | None
 
 
-def metrics_from_counts(counts: ConfusionCounts) -> CategoryMetrics:
-    p = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp else None
-    r = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn else None
+def metrics_from_counts(tp: int, fp: int, fn: int) -> CategoryMetrics:
+    p = tp / (tp + fp) if tp + fp else None
+    r = tp / (tp + fn) if tp + fn else None
     f1, f5 = (None, None) if p is None or r is None else (f_beta(p, r, 1), f_beta(p, r, 5))
-    return CategoryMetrics(counts.tp, counts.fp, counts.fn, p, r, f1, f5)
+    return CategoryMetrics(tp, fp, fn, p, r, f1, f5)
 
 
 @dataclass
@@ -77,11 +70,9 @@ def evaluate_documents(
         gold = set(map(span_key, gold_by_doc.get(doc_id, ())))
         for tally, keys in ((tp, pred & gold), (fp, pred - gold), (fn, gold - pred)):
             tally.update(category for _, _, category in keys)
-    per_cat = {c: ConfusionCounts(tp[c], fp[c], fn[c]) for c in Category}
-    overall = ConfusionCounts(*(sum(t[c] for c in Category) for t in (tp, fp, fn)))
     return MetricsReport(
-        per_category={c: metrics_from_counts(n) for c, n in per_cat.items()},
-        overall=metrics_from_counts(overall),
+        per_category={c: metrics_from_counts(tp[c], fp[c], fn[c]) for c in Category},
+        overall=metrics_from_counts(*(sum(t[c] for c in Category) for t in (tp, fp, fn))),
     )
 
 

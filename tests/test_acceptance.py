@@ -6,11 +6,8 @@ criterion. Each test also enforces its runtime budget.
 
 from __future__ import annotations
 
-import json
 import random
 import time
-
-import pytest
 
 import metric_fixtures
 from test_cli import mock_llm_server, run_cli
@@ -19,7 +16,7 @@ from test_codec import long_case, perturb_marked, random_case
 from deidkit import codec, corpus
 from deidkit.corpus import Span, split_corpus
 from deidkit.detect import rule_detect
-from deidkit.eval import ConfusionCounts, Demographic, bias_report, evaluate_documents, metrics_from_counts
+from deidkit.eval import Demographic, bias_report, evaluate_documents, metrics_from_counts
 from deidkit.hips import apply_hips, load_name_pools, simulate_leakage
 from deidkit.verify import MAX_COT_ATTEMPTS, VerifierVariant, verifier_examples, verify_spans
 
@@ -44,7 +41,7 @@ def _announce(number: int, title: str):
 def test_criterion_1_metric_math_reproduction():
     clock = Stopwatch(1.0)
     for model, entity, tp, fp, fn, p, r, f1, f5 in metric_fixtures.PERFORMANCE_ROWS:
-        m = metrics_from_counts(ConfusionCounts(tp, fp, fn))
+        m = metrics_from_counts(tp, fp, fn)
         for published, computed in (
             (p, m.precision),
             (r, m.recall),
@@ -54,7 +51,7 @@ def test_criterion_1_metric_math_reproduction():
             assert computed is not None
             assert abs(published - computed) < TOLERANCE_METRICS, (model, entity)
     # Spot-check the anchor row quoted with the criterion.
-    anchor = metrics_from_counts(ConfusionCounts(2774, 1817, 119))
+    anchor = metrics_from_counts(2774, 1817, 119)
     assert (
         round(anchor.precision, 4),
         round(anchor.recall, 4),

@@ -17,10 +17,11 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+
+from conftest import http_reply
 
 import deidkit
 from deidkit import cli, codec, corpus, llm, mockllm
@@ -47,33 +48,6 @@ def mock_llm_server(mode: str, corpus_path=None, gold_path=None, seed: int = 0):
         proc.wait(timeout=10)
         proc.stdout.close()
         proc.stderr.close()
-
-
-@contextmanager
-def capture_server(reply: bytes):
-    """One-off chat endpoint: answers every request with ``reply`` (HTTP 200)
-    and records the model each request asked for."""
-    models: list[str] = []
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            models.append(body["model"])
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(reply)))
-            self.end_headers()
-            self.wfile.write(reply)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}/v1", models
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def run_cli(*argv: str) -> int:
@@ -1356,16 +1330,16 @@ def test_fixed_llm_settings_have_no_flag(fixture_paths, tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
-def test_llm_temperature_in_the_config_is_ignored(fixture_paths, tmp_path):
+def test_llm_temperature_in_the_config_is_ignored(chat_endpoint, fixture_paths, tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"llm": {"temperature": "hot"}}), encoding="utf-8")
-    reply = json.dumps({"choices": [{"message": {"content": "no entities"}}]}).encode()
-    with capture_server(reply) as (base_url, models):
-        code = run_cli("--config", str(config), "detect", "--detector", "llm-finetuned",
-                       "--in", str(fixture_paths["corpus"]), "--base-url", base_url,
-                       "--out", str(tmp_path / "pred.json"))
+    endpoint = chat_endpoint(
+        http_reply({"choices": [{"message": {"content": "no entities"}}]}, version=b"1.0"))
+    code = run_cli("--config", str(config), "detect", "--detector", "llm-finetuned",
+                   "--in", str(fixture_paths["corpus"]), "--base-url", endpoint.base_url,
+                   "--out", str(tmp_path / "pred.json"))
     assert code == 0
-    assert models
+    assert endpoint.requests
 
 
 def test_replace_has_no_inconsistent_flag(fixture_paths, tmp_path, capsys):
@@ -1520,44 +1494,44 @@ def test_manifest_inputs_include_config_split_file_and_tables(fixture_paths, tmp
     }
 
 
-def test_model_precedence_flag_then_config_then_default(fixture_paths, tmp_path):
+def test_model_precedence_flag_then_config_then_default(chat_endpoint, fixture_paths, tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"llm": {"model": "config-model"}}), encoding="utf-8")
-    reply = json.dumps({"choices": [{"message": {"content": "T"}}]}).encode()
+    reply = http_reply({"choices": [{"message": {"content": "T"}}]}, version=b"1.0")
     runs = {
         "gpt-4o-mini": ([], []),
         "config-model": (["--config", str(config)], []),
         "flag-model": (["--config", str(config)], ["--model", "flag-model"]),
     }
     for expected, (config_flags, model_flags) in runs.items():
-        with capture_server(reply) as (base_url, models):
-            code = run_cli(*config_flags, "verify", "--in", str(fixture_paths["corpus"]),
-                           "--spans", str(fixture_paths["gold"]), "--base-url", base_url,
-                           *model_flags, "--out", str(tmp_path / "kept.json"))
+        endpoint = chat_endpoint(reply)
+        code = run_cli(*config_flags, "verify", "--in", str(fixture_paths["corpus"]),
+                       "--spans", str(fixture_paths["gold"]), "--base-url", endpoint.base_url,
+                       *model_flags, "--out", str(tmp_path / "kept.json"))
         assert code == 0
-        assert models and set(models) == {expected}
+        assert endpoint.requests and {r.body["model"] for r in endpoint.requests} == {expected}
 
 
-def test_non_json_reply_is_a_transport_error(fixture_paths, tmp_path, capsys):
-    with capture_server(b"<html><body>gateway</body></html>") as (base_url, models):
-        code = run_cli("detect", "--detector", "llm-finetuned",
-                       "--in", str(fixture_paths["corpus"]), "--base-url", base_url,
-                       "--max-retries", "0", "--out", str(tmp_path / "x.json"))
-    assert models
+def test_non_json_reply_is_a_transport_error(chat_endpoint, fixture_paths, tmp_path, capsys):
+    endpoint = chat_endpoint(http_reply(b"<html><body>gateway</body></html>", version=b"1.0"))
+    code = run_cli("detect", "--detector", "llm-finetuned",
+                   "--in", str(fixture_paths["corpus"]), "--base-url", endpoint.base_url,
+                   "--max-retries", "0", "--out", str(tmp_path / "x.json"))
+    assert endpoint.requests
     assert code == 2
     assert capsys.readouterr().err.startswith("transport error:")
 
 
 def test_reply_nested_past_the_recursion_limit_is_a_transport_error(
-    fixture_paths, tmp_path, capsys
+    chat_endpoint, fixture_paths, tmp_path, capsys
 ):
     out = tmp_path / "pred.json"
-    with capture_server(b"[" * 100_000 + b"]" * 100_000) as (base_url, models):
-        code = run_cli("detect", "--detector", "llm-finetuned",
-                       "--in", str(fixture_paths["corpus"]), "--base-url", base_url,
-                       "--max-retries", "0", "--out", str(out))
+    endpoint = chat_endpoint(http_reply(b"[" * 100_000 + b"]" * 100_000, version=b"1.0"))
+    code = run_cli("detect", "--detector", "llm-finetuned",
+                   "--in", str(fixture_paths["corpus"]), "--base-url", endpoint.base_url,
+                   "--max-retries", "0", "--out", str(out))
     err = capsys.readouterr().err
-    assert models
+    assert endpoint.requests
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("transport error:"), err
@@ -1567,19 +1541,19 @@ def test_reply_nested_past_the_recursion_limit_is_a_transport_error(
 @pytest.mark.parametrize("stage", ["detect", "verify"])
 @pytest.mark.parametrize("content", [5, True, ["a"], {"x": 1}], ids=["int", "bool", "list", "object"])
 def test_reply_content_that_is_not_a_string_is_a_transport_error(
-    fixture_paths, tmp_path, capsys, stage, content
+    chat_endpoint, fixture_paths, tmp_path, capsys, stage, content
 ):
-    reply = json.dumps({"choices": [{"message": {"content": content}, "finish_reason": "stop"}]})
+    reply = {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
     stage_argv = {
         "detect": ["detect", "--detector", "llm-finetuned"],
         "verify": ["verify", "--spans", str(fixture_paths["gold"])],
     }[stage]
     out = tmp_path / "out.json"
-    with capture_server(reply.encode("utf-8")) as (base_url, models):
-        code = run_cli(*stage_argv, "--in", str(fixture_paths["corpus"]), "--base-url", base_url,
-                       "--max-retries", "0", "--out", str(out))
+    endpoint = chat_endpoint(http_reply(reply, version=b"1.0"))
+    code = run_cli(*stage_argv, "--in", str(fixture_paths["corpus"]),
+                   "--base-url", endpoint.base_url, "--max-retries", "0", "--out", str(out))
     err = capsys.readouterr().err
-    assert models
+    assert endpoint.requests
     assert code == 2
     assert "Traceback" not in err
     lines = err.strip().splitlines()

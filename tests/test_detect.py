@@ -5,17 +5,16 @@ import json
 import math
 import random
 import re
-import socket
-import socketserver
 import sys
 import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager, suppress
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from contextlib import suppress
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
+
+from conftest import http_reply
 
 from deidkit import codec, llm
 from deidkit.cli import main
@@ -398,109 +397,45 @@ class TestLlmDetect:
             llm_detect(TABLE_DOC, client, "zero-shot")
 
 
-class _CapturingHandler(BaseHTTPRequestHandler):
-    captured: list = []
-    ok_first: int = 0  # replies that succeed before the fail_first failures
-    fail_first: int = 0
-    fail_status: int = 503
-    reply: dict = {"choices": [{"message": {"role": "assistant", "content": "ok"}}]}
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).captured.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
-        )
-        if type(self).ok_first > 0:
-            type(self).ok_first -= 1
-        elif type(self).fail_first > 0:
-            type(self).fail_first -= 1
-            self.send_response(type(self).fail_status)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
-        payload = json.dumps(type(self).reply).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
+_OK_REPLY = {"choices": [{"message": {"role": "assistant", "content": "ok"}}]}
 
 
-@pytest.fixture
-def capture_server():
-    handler = type("H", (_CapturingHandler,), {"captured": [], "fail_first": 0})
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server, handler
-    server.shutdown()
-    server.server_close()
-
-
-class _KeepAliveHandler(_CapturingHandler):
-    """HTTP/1.1 endpoint that keeps connections open and counts those it accepts."""
-
-    protocol_version = "HTTP/1.1"
-    connections = 0
-    drop_after_reply = False
-
-    def setup(self):
-        super().setup()
-        type(self).connections += 1
-
-    def do_POST(self):
-        super().do_POST()
-        # Hang up without a Connection: close header, as a server that drops
-        # an idle keep-alive connection does.
-        self.close_connection = self.drop_after_reply
-
-
-@pytest.fixture
-def keepalive_server():
-    handler = type("K", (_KeepAliveHandler,), {"captured": [], "fail_first": 0, "connections": 0})
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server, handler
-    server.shutdown()
-    server.server_close()
+def failing(fail_first: int, status: int = 503, ok_first: int = 0, version: bytes = b"1.0"):
+    """An answer that fails the ``fail_first`` requests after the first ``ok_first`` with an
+    empty ``status`` reply, and answers every other one "ok"."""
+    def answer(i, body):
+        if ok_first <= i < ok_first + fail_first:
+            return http_reply(b"", status, version=version)
+        return http_reply(_OK_REPLY, version=version)
+    return answer
 
 
 class TestChatClient:
-    def make_client(self, server, **overrides) -> ChatClient:
-        return ChatClient(
-            base_url=f"http://127.0.0.1:{server.server_address[1]}/v1",
-            model="test-model",
-            **overrides,
-        )
+    def make_client(self, endpoint, **overrides) -> ChatClient:
+        return ChatClient(base_url=endpoint.base_url, model="test-model", **overrides)
 
-    def test_wire_format(self, capture_server, monkeypatch):
-        server, handler = capture_server
+    def test_wire_format(self, chat_endpoint, monkeypatch):
+        endpoint = chat_endpoint(http_reply(_OK_REPLY, version=b"1.0"))
         monkeypatch.setenv("DEIDKIT_API_KEY", "sk-test")
-        client = self.make_client(server)
+        client = self.make_client(endpoint)
         out = client.complete([{"role": "user", "content": "hello"}], max_tokens=32)
         assert out == "ok"
-        sent = handler.captured[0]
-        assert sent["body"]["model"] == "test-model"
-        assert sent["body"]["temperature"] == 0.0
-        assert sent["body"]["messages"] == [{"role": "user", "content": "hello"}]
-        assert sent["body"]["max_tokens"] == 32
-        assert sent["auth"] == "Bearer sk-test"
+        sent = endpoint.requests[0]
+        assert sent.body["model"] == "test-model"
+        assert sent.body["temperature"] == 0.0
+        assert sent.body["messages"] == [{"role": "user", "content": "hello"}]
+        assert sent.body["max_tokens"] == 32
+        assert sent.auth == "Bearer sk-test"
 
-    def test_retries_transient_errors(self, capture_server):
-        server, handler = capture_server
-        handler.fail_first = 2
-        client = self.make_client(server, max_retries=3)
+    def test_retries_transient_errors(self, chat_endpoint):
+        endpoint = chat_endpoint(failing(2))
+        client = self.make_client(endpoint, max_retries=3)
         client._backoff_base = 0.01
         assert client.complete([{"role": "user", "content": "x"}]) == "ok"
-        assert len(handler.captured) == 3
+        assert len(endpoint.requests) == 3
 
-    def test_transport_error_after_max_retries(self, capture_server):
-        server, handler = capture_server
-        handler.fail_first = 10
-        client = self.make_client(server, max_retries=1)
+    def test_transport_error_after_max_retries(self, chat_endpoint):
+        client = self.make_client(chat_endpoint(failing(10)), max_retries=1)
         client._backoff_base = 0.01
         with pytest.raises(TransportError):
             client.complete([{"role": "user", "content": "x"}])
@@ -510,21 +445,19 @@ class TestChatClient:
         with pytest.raises(TransportError):
             client.complete([{"role": "user", "content": "x"}])
 
-    def test_non_retryable_status_fails_after_one_request(self, capture_server):
-        server, handler = capture_server
-        handler.fail_first, handler.fail_status = 10, 401
-        client = self.make_client(server, max_retries=3)
+    def test_non_retryable_status_fails_after_one_request(self, chat_endpoint):
+        endpoint = chat_endpoint(failing(10, 401))
+        client = self.make_client(endpoint, max_retries=3)
         with pytest.raises(TransportError, match="HTTP 401"):
             client.complete([{"role": "user", "content": "x"}])
-        assert len(handler.captured) == 1
+        assert len(endpoint.requests) == 1
 
-    def test_reply_without_choices_is_empty_completion(self, capture_server):
-        server, handler = capture_server
-        handler.reply = {"choices": []}
-        client = self.make_client(server, max_retries=3)
+    def test_reply_without_choices_is_empty_completion(self, chat_endpoint):
+        endpoint = chat_endpoint(http_reply({"choices": []}, version=b"1.0"))
+        client = self.make_client(endpoint, max_retries=3)
         with pytest.raises(TransportError, match="malformed completion payload"):
             client.complete([{"role": "user", "content": "x"}])
-        assert len(handler.captured) == 1
+        assert len(endpoint.requests) == 1
 
     def test_empty_completion_detected(self):
         with pytest.raises(TransportError, match="completion content is empty"):
@@ -534,25 +467,24 @@ class TestChatClient:
         with pytest.raises(Exception):
             ChatClient(base_url="http://x", model="m", requests_per_minute=0)
 
-    def test_usage_accumulates(self, capture_server):
-        server, handler = capture_server
-        client = self.make_client(server)
+    def test_usage_accumulates(self, chat_endpoint):
+        client = self.make_client(chat_endpoint(http_reply(_OK_REPLY, version=b"1.0")))
         client.complete([{"role": "user", "content": "h" * 40}])
         assert client.estimated_input_tokens == 10
         assert client.estimated_output_tokens >= 1
 
-    def test_sequential_calls_share_one_connection(self, keepalive_server):
-        server, handler = keepalive_server
-        client = self.make_client(server)
+    def test_sequential_calls_share_one_connection(self, chat_endpoint):
+        endpoint = chat_endpoint(http_reply(_OK_REPLY))
+        client = self.make_client(endpoint)
         for _ in range(5):
             assert client.complete([{"role": "user", "content": "x"}]) == "ok"
         client.close()
-        assert len(handler.captured) == 5
-        assert handler.connections == 1
+        assert len(endpoint.requests) == 5
+        assert len(endpoint.connections) == 1
 
-    def test_threads_reuse_idle_connections(self, keepalive_server):
-        server, handler = keepalive_server
-        client = self.make_client(server)
+    def test_threads_reuse_idle_connections(self, chat_endpoint):
+        endpoint = chat_endpoint(http_reply(_OK_REPLY))
+        client = self.make_client(endpoint)
         start = threading.Barrier(2, timeout=10)
 
         def five_calls() -> list[str]:
@@ -570,33 +502,33 @@ class TestChatClient:
         client.close()
         del client
         gc.collect()  # a connection close() missed would raise a ResourceWarning here
-        assert len(handler.captured) == 10
-        assert 1 <= handler.connections <= 2
+        assert len(endpoint.requests) == 10
+        assert 1 <= len(endpoint.connections) <= 2
 
-    def test_connection_dropped_while_idle_is_reopened_without_a_retry(self, keepalive_server):
-        server, handler = keepalive_server
-        handler.drop_after_reply = True
-        client = self.make_client(server, max_retries=0)
+    def test_connection_dropped_while_idle_is_reopened_without_a_retry(self, chat_endpoint):
+        # The endpoint hangs up without a Connection: close field, as a server that drops
+        # an idle keep-alive connection does.
+        endpoint = chat_endpoint(http_reply(_OK_REPLY), hang_up=True)
+        client = self.make_client(endpoint, max_retries=0)
         for _ in range(5):
             assert client.complete([{"role": "user", "content": "x"}]) == "ok"
         client.close()
-        assert len(handler.captured) == 5
-        assert handler.connections == 5
+        assert len(endpoint.requests) == 5
+        assert len(endpoint.connections) == 5
 
-    def test_https_against_a_plain_http_port_is_transport_error(self, capture_server):
-        server, handler = capture_server
+    def test_https_against_a_plain_http_port_is_transport_error(self, chat_endpoint):
+        endpoint = chat_endpoint(http_reply(_OK_REPLY, version=b"1.0"))
         client = ChatClient(
-            base_url=f"https://127.0.0.1:{server.server_address[1]}/v1", model="m", max_retries=0
+            base_url=endpoint.base_url.replace("http:", "https:"), model="m", max_retries=0
         )
         with pytest.raises(TransportError):
             client.complete([{"role": "user", "content": "x"}])
-        assert handler.captured == []
+        assert endpoint.requests == []
 
     def test_failing_stage_closes_its_connections(
-        self, keepalive_server, fixture_paths, tmp_path, capsys
+        self, chat_endpoint, fixture_paths, tmp_path, capsys
     ):
         # The suite's ResourceWarning filter fails a connection left open.
-        server, handler = keepalive_server
         config = tmp_path / "config.json"
         config.write_text('{"pricing": {"usd_per_1m_input": 0.15, "usd_per_1m_output": 0.6}}')
         out = tmp_path / "kept.json"
@@ -607,12 +539,10 @@ class TestChatClient:
             (["make-verifier-data", "--variant", "with-cot", "--gold", gold,
               "--detections", gold], 1),
         ):
-            handler.ok_first, handler.fail_first, handler.fail_status = 1, 10**6, 401
-            handler.connections = 0
-            handler.captured.clear()
+            endpoint = chat_endpoint(failing(10**6, 401, ok_first=1, version=b"1.1"))
             code = main([
                 *stage, "--in", str(fixture_paths["corpus"]),
-                "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1", "--out", str(out),
+                "--base-url", endpoint.base_url, "--out", str(out),
             ])
             gc.collect()
             lines = capsys.readouterr().err.strip().splitlines()
@@ -620,27 +550,26 @@ class TestChatClient:
             assert len(lines) == 1 and lines[0].startswith("transport error:"), lines
             assert "HTTP 401" in lines[0]
             # The one reply that succeeds, then one failure from each document in flight.
-            assert 2 <= len(handler.captured) <= 1 + jobs, stage
-            assert 1 <= handler.connections <= jobs
+            assert 2 <= len(endpoint.requests) <= 1 + jobs, stage
+            assert 1 <= len(endpoint.connections) <= jobs
             assert not out.exists() and not (tmp_path / "kept.json.cost.json").exists()
             assert not (tmp_path / "kept.json.manifest.json").exists()
 
     def test_reply_cut_at_max_tokens_is_transport_error(
-        self, capture_server, fixture_paths, tmp_path, capsys
+        self, chat_endpoint, fixture_paths, tmp_path, capsys
     ):
         stopped = {"choices": [{"message": {"content": "x"}, "finish_reason": "stop"}]}
         assert ChatClient._parse(stopped) == "x"
-        server, handler = capture_server
-        handler.reply = {"choices": [
+        endpoint = chat_endpoint(http_reply({"choices": [
             {"message": {"role": "assistant", "content": "ok"}, "finish_reason": "length"}
-        ]}
+        ]}, version=b"1.0"))
         with pytest.raises(TransportError, match="cut at max_tokens"):
-            self.make_client(server, max_retries=3).complete([{"role": "user", "content": "x"}])
-        assert len(handler.captured) == 1  # not retried: at temperature 0 it comes back the same
+            self.make_client(endpoint, max_retries=3).complete([{"role": "user", "content": "x"}])
+        assert len(endpoint.requests) == 1  # not retried: at temperature 0 it comes back the same
         out = tmp_path / "pred.json"
         code = main([
             "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
-            "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1", "--out", str(out),
+            "--base-url", endpoint.base_url, "--out", str(out),
         ])
         lines = capsys.readouterr().err.strip().splitlines()
         assert code == 2
@@ -650,20 +579,20 @@ class TestChatClient:
 
     @pytest.mark.parametrize("jobs, most", [(1, 1), (2, 2)])
     def test_no_document_starts_after_a_failure(
-        self, capture_server, fixture_paths, tmp_path, capsys, jobs, most
+        self, chat_endpoint, fixture_paths, tmp_path, capsys, jobs, most
     ):
-        server, handler = capture_server
-        handler.reply = {"choices": [{"message": {"content": "ok"}, "finish_reason": "length"}]}
+        endpoint = chat_endpoint(http_reply(
+            {"choices": [{"message": {"content": "ok"}, "finish_reason": "length"}]}, version=b"1.0"))
         for _ in range(3):  # a document started after the failure was a race, not a certainty
-            handler.captured.clear()
+            endpoint.requests.clear()
             code = main([
                 "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
-                "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1",
+                "--base-url", endpoint.base_url,
                 "--jobs", str(jobs), "--out", str(tmp_path / "pred.json"),
             ])
             lines = capsys.readouterr().err.strip().splitlines()
             assert code == 2 and len(lines) == 1 and "cut at max_tokens" in lines[0], lines
-            assert 1 <= len(handler.captured) <= most
+            assert 1 <= len(endpoint.requests) <= most
 
     def test_non_http_base_url_exits_1(self, fixture_paths, tmp_path, capsys):
         code = main([
@@ -717,47 +646,8 @@ class TestChatClient:
         assert not any(out.iterdir())  # no output and no manifest
 
 
-class _RawHandler(socketserver.StreamRequestHandler):
-    """Answers the n-th request with the server's n-th scripted reply, byte for byte.
-
-    The last reply repeats past the end of the script. The server records each
-    request's head lines and each connection it accepts.
-    """
-
-    def handle(self):
-        server = self.server
-        server.connections.append(self.client_address)
-        with suppress(OSError):  # a client that gave up on a reply resets the connection
-            while line := self.rfile.readline():
-                head = [line]
-                while head[-1] not in (b"\r\n", b""):
-                    head.append(self.rfile.readline())
-                length = next(int(h.partition(b":")[2]) for h in head
-                              if h.lower().startswith(b"content-length:"))
-                self.rfile.read(length)
-                server.heads.append(head)
-                self.wfile.write(server.replies[min(len(server.heads), len(server.replies)) - 1])
-                if server.hang_up:
-                    return
-
-
-@contextmanager
-def raw_server(host: str = "127.0.0.1"):
-    family = socket.AF_INET6 if ":" in host else socket.AF_INET
-    server_class = type("RawServer", (socketserver.ThreadingTCPServer,),
-                        {"address_family": family, "daemon_threads": True})
-    server = server_class((host, 0), _RawHandler)
-    server.replies, server.hang_up, server.heads, server.connections = [], False, [], []
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
 _OK = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
-_SIZED_OK = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_OK), _OK)
+_SIZED_OK = http_reply(_OK)
 
 
 @pytest.mark.parametrize("replies, hang_up, outcome", [
@@ -766,11 +656,11 @@ _SIZED_OK = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_OK), _OK)
     ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x;note=1\r\n%s\r\n%x\r\n%s\r\n"
       b"0\r\nX-Trailer: 1\r\n\r\n" % (9, _OK[:9], len(_OK) - 9, _OK[9:])], False, ("ok", 1)),
     ([b"HTTP/1.1 200 OK\r\n\r\n" + _OK], True, ("ok", 2)),
-    ([_SIZED_OK.replace(b"OK\r\n", b"OK\r\nConnection: close\r\n")], False, ("ok", 2)),
-    ([_SIZED_OK.replace(b"1.1", b"1.0")], False, ("ok", 2)),
+    ([http_reply(_OK, 200, b"Connection: close")], False, ("ok", 2)),
+    ([http_reply(_OK, version=b"1.0")], False, ("ok", 2)),
     ([b"HTTP/1.1 100 Continue\r\n\r\n" + _SIZED_OK], False, ("ok", 1)),
     ([b"HTTP/1.1 204 No Content\r\n\r\n", _SIZED_OK], False, ("HTTP 204", 1)),
-    ([_SIZED_OK.replace(b"OK\r\n", b"OK\r\n" + b"X-A: 1\r\n" * 99)], False, ("ok", 1)),
+    ([http_reply(_OK, 200, *[b"X-A: 1"] * 99)], False, ("ok", 1)),
     # Unreadable replies: the stage exits 2 after the retries, naming the fault.
     ([b"ICY 200 OK\r\n\r\n" + _OK], False, "not HTTP/1.x"),
     ([_SIZED_OK.replace(b"Length: ", b"Length: 9")], True, "cut short"),
@@ -778,52 +668,51 @@ _SIZED_OK = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_OK), _OK)
     ([_SIZED_OK.replace(b"Length: ", b"Length: -")], False, "bad Content-Length"),
     ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n" + _OK], False,
      "bad chunk size"),
-    ([_SIZED_OK.replace(b"OK\r\n", b"OK\r\nX-Long: " + b"a" * (65537 - 8) + b"\r\n")], False,
-     "longer than 65536"),
-    ([_SIZED_OK.replace(b"OK\r\n", b"OK\r\n" + b"X-A: 1\r\n" * 100)], False, "more than 100"),
+    ([http_reply(_OK, 200, b"X-Long: " + b"a" * (65537 - 8))], False, "longer than 65536"),
+    ([http_reply(_OK, 200, *[b"X-A: 1"] * 100)], False, "more than 100"),
 ], ids=["content-length", "chunked", "to-close", "connection-close", "http-1.0", "continue",
         "204", "100-fields", "status-line", "cut-short", "huge-length", "bad-length",
         "chunk-size", "long-line", "101-fields"])
-def test_reply_framing(fixture_paths, tmp_path, capsys, replies, hang_up, outcome):
-    with raw_server() as server:
-        server.replies, server.hang_up = replies, hang_up
-        base_url = f"http://127.0.0.1:{server.server_address[1]}/v1"
-        if isinstance(outcome, tuple):
-            first, connections = outcome
-            results = []
-            with ChatClient(base_url, max_retries=0) as client:
-                for _ in range(2):
-                    try:
-                        results.append(client.complete([{"role": "user", "content": "x"}]))
-                    except TransportError as exc:
-                        results.append(str(exc))
-            assert first in results[0] and results[1] == "ok", results
-            assert len(server.heads) == 2
-            assert len(server.connections) == connections
-        else:
-            code = main([
-                "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
-                "--base-url", base_url, "--max-retries", "1", "--out", str(tmp_path / "pred.json"),
-            ])
-            lines = capsys.readouterr().err.strip().splitlines()
-            assert code == 2
-            assert len(lines) == 1 and lines[0].startswith(
-                "transport error: chat endpoint unreachable after 2 attempts"), lines
-            assert outcome in lines[0]
-            assert len(server.heads) == 2
-            assert not (tmp_path / "pred.json").exists()
+def test_reply_framing(chat_endpoint, fixture_paths, tmp_path, capsys, replies, hang_up, outcome):
+    # The last reply repeats past the end of the script.
+    endpoint = chat_endpoint(lambda i, body: replies[min(i, len(replies) - 1)], hang_up=hang_up)
+    if isinstance(outcome, tuple):
+        first, connections = outcome
+        results = []
+        with ChatClient(endpoint.base_url, max_retries=0) as client:
+            for _ in range(2):
+                try:
+                    results.append(client.complete([{"role": "user", "content": "x"}]))
+                except TransportError as exc:
+                    results.append(str(exc))
+        assert first in results[0] and results[1] == "ok", results
+        assert len(endpoint.requests) == 2
+        assert len(endpoint.connections) == connections
+    else:
+        code = main([
+            "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
+            "--base-url", endpoint.base_url, "--max-retries", "1",
+            "--out", str(tmp_path / "pred.json"),
+        ])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith(
+            "transport error: chat endpoint unreachable after 2 attempts"), lines
+        assert outcome in lines[0]
+        assert len(endpoint.requests) == 2
+        assert not (tmp_path / "pred.json").exists()
 
 
 @pytest.mark.parametrize("key", ["sk-SECRET123\nX-Evil: 1", "sk-SECRET123\r\nX-Evil: 1",
                                  "sk-SECRET 123", "sk-SECRETé123"])
 def test_api_key_a_header_cannot_carry_exits_1_unsent(
-    capture_server, fixture_paths, tmp_path, capsys, monkeypatch, key
+    chat_endpoint, fixture_paths, tmp_path, capsys, monkeypatch, key
 ):
-    server, handler = capture_server
+    endpoint = chat_endpoint(http_reply(_OK_REPLY, version=b"1.0"))
     monkeypatch.setenv("DEIDKIT_KEY", key)
     code = main([
         "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
-        "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1",
+        "--base-url", endpoint.base_url,
         "--api-key-env", "DEIDKIT_KEY", "--out", str(tmp_path / "pred.json"),
     ])
     err = capsys.readouterr().err
@@ -831,11 +720,11 @@ def test_api_key_a_header_cannot_carry_exits_1_unsent(
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "DEIDKIT_KEY" in lines[0], err
     assert "SECRET" not in err
-    assert handler.captured == []
+    assert endpoint.requests == []
     assert not any(tmp_path.iterdir())
 
 
-#: Base-URL parts as (good, bad) pools. https is left out: the capture server speaks plain
+#: Base-URL parts as (good, bad) pools. https is left out: the chat endpoint speaks plain
 #: HTTP. So is a missing or zero port, which would reach another port of this machine.
 _URL_PARTS = {
     "scheme": (["http://", "HTTP://"],
@@ -850,54 +739,51 @@ _URL_PARTS = {
 }
 
 
-def test_fuzzed_base_urls_exit_1_or_send_their_request_line(fixture_paths, tmp_path, capsys,
-                                                            monkeypatch):
+def test_fuzzed_base_urls_exit_1_or_send_their_request_line(chat_endpoint, fixture_paths,
+                                                            tmp_path, capsys, monkeypatch):
     # Each URL is built from good and bad parts. One with a bad part exits 1 with one
     # base-URL line, sends nothing and echoes no credentials; one of good parts only sends
     # its path plus /chat/completions and names its authority as the Host.
     monkeypatch.delenv("DEIDKIT_API_KEY", raising=False)
     rng = random.Random(31)
     faults = []
-    with ExitStack() as stack:
-        servers = {"127.0.0.1": stack.enter_context(raw_server("127.0.0.1"))}
-        with suppress(OSError):  # a machine without an IPv6 loopback fuzzes IPv4 hosts only
-            servers["[::1]"] = stack.enter_context(raw_server("::1"))
-        for server in servers.values():
-            server.replies = [_SIZED_OK]
-        for case in range(80):
-            parts, good = {}, True
-            for name, (good_pool, bad_pool) in _URL_PARTS.items():
-                pick_good = rng.random() < 0.85
-                parts[name] = rng.choice(good_pool if pick_good else bad_pool)
-                good = good and pick_good
-            if parts["host"] == "[::1]" and parts["host"] not in servers:
-                parts["host"] = "127.0.0.1"
-            port = servers.get(parts["host"], servers["127.0.0.1"]).server_address[1]
-            parts["port"] = parts["port"].format(port=f":{port}")
-            base_url = "".join(parts.values())
-            for server in servers.values():
-                server.heads.clear()
-            out = tmp_path / f"{case}.json"
-            code = main(["detect", "--detector", "llm-finetuned", "--in",
-                         str(fixture_paths["corpus"]), "--base-url", base_url,
-                         "--max-retries", "0", "--out", str(out)])
-            err = capsys.readouterr().err
-            lines = err.strip().splitlines()
-            path = parts["path"].rstrip("/") + "/chat/completions"
-            authority = parts["host"] + parts["port"]
-            sent = [(h[0], sorted(line.partition(b":")[0].lower() for line in h[1:-1]),
-                     next(line for line in h if line.lower().startswith(b"host:")))
-                    for server in servers.values() for h in server.heads]
-            if good:
-                ok = code == 0 and sent and all(s == (
-                    f"POST {path} HTTP/1.1\r\n".encode(),
-                    [b"accept-encoding", b"content-length", b"content-type", b"host"],
-                    f"Host: {authority}\r\n".encode()) for s in sent)
-            else:
-                ok = (code == 1 and len(lines) == 1 and lines[0].startswith("error: base URL")
-                      and "pw" not in err and not sent and not out.exists())
-            if not ok:
-                faults.append((case, base_url, code, err.strip(), sent[:1]))
+    endpoints = {"127.0.0.1": chat_endpoint(_SIZED_OK)}
+    with suppress(OSError):  # a machine without an IPv6 loopback fuzzes IPv4 hosts only
+        endpoints["[::1]"] = chat_endpoint(_SIZED_OK, host="::1")
+    for case in range(80):
+        parts, good = {}, True
+        for name, (good_pool, bad_pool) in _URL_PARTS.items():
+            pick_good = rng.random() < 0.85
+            parts[name] = rng.choice(good_pool if pick_good else bad_pool)
+            good = good and pick_good
+        if parts["host"] == "[::1]" and parts["host"] not in endpoints:
+            parts["host"] = "127.0.0.1"
+        port = endpoints.get(parts["host"], endpoints["127.0.0.1"]).server_address[1]
+        parts["port"] = parts["port"].format(port=f":{port}")
+        base_url = "".join(parts.values())
+        for endpoint in endpoints.values():
+            endpoint.requests.clear()
+        out = tmp_path / f"{case}.json"
+        code = main(["detect", "--detector", "llm-finetuned", "--in",
+                     str(fixture_paths["corpus"]), "--base-url", base_url,
+                     "--max-retries", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        path = parts["path"].rstrip("/") + "/chat/completions"
+        authority = parts["host"] + parts["port"]
+        sent = [(h[0], sorted(line.partition(b":")[0].lower() for line in h[1:-1]),
+                 next(line for line in h if line.lower().startswith(b"host:")))
+                for endpoint in endpoints.values() for h, _, _ in endpoint.requests]
+        if good:
+            ok = code == 0 and sent and all(s == (
+                f"POST {path} HTTP/1.1\r\n".encode(),
+                [b"accept-encoding", b"content-length", b"content-type", b"host"],
+                f"Host: {authority}\r\n".encode()) for s in sent)
+        else:
+            ok = (code == 1 and len(lines) == 1 and lines[0].startswith("error: base URL")
+                  and "pw" not in err and not sent and not out.exists())
+        if not ok:
+            faults.append((case, base_url, code, err.strip(), sent[:1]))
     assert not faults, faults
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import metric_fixtures
 from deidkit.corpus import Category, CorpusError, Span
 from deidkit.eval import (
-    ConfusionCounts,
+    CategoryMetrics,
     Demographic,
     bias_entries,
     bias_report,
@@ -32,7 +32,7 @@ def s(start: int, end: int, category: Category = NAME) -> Span:
     return Span(start, end, category, "x" * (end - start))
 
 
-def brute_force_counts(pred: list[Span], gold: list[Span]) -> ConfusionCounts:
+def brute_force_counts(pred: list[Span], gold: list[Span]) -> CategoryMetrics:
     # O(n^2) matching oracle over deduplicated predictions.
     pred_unique: list[Span] = []
     for p in pred:
@@ -47,13 +47,12 @@ def brute_force_counts(pred: list[Span], gold: list[Span]) -> ConfusionCounts:
             if (p.start, p.end, p.category) == (g.start, g.end, g.category):
                 tp += 1
                 break
-    return ConfusionCounts(tp=tp, fp=len(pred_unique) - tp, fn=len(gold) - tp)
+    return metrics_from_counts(tp, len(pred_unique) - tp, len(gold) - tp)
 
 
-def match_spans(pred: list[Span], gold: list[Span]) -> ConfusionCounts:
+def match_spans(pred: list[Span], gold: list[Span]) -> CategoryMetrics:
     """One document's overall counts, as ``evaluate`` tallies them."""
-    o = evaluate_documents({"doc": pred}, {"doc": gold}).overall
-    return ConfusionCounts(o.tp, o.fp, o.fn)
+    return evaluate_documents({"doc": pred}, {"doc": gold}).overall
 
 
 class TestMatchSpans:
@@ -112,14 +111,14 @@ class TestMatchSpans:
 
 class TestFBeta:
     def test_published_fine_tuned_row(self):
-        m = metrics_from_counts(ConfusionCounts(2774, 1817, 119))
+        m = metrics_from_counts(2774, 1817, 119)
         assert abs(m.precision - 0.6042) < 5e-4
         assert abs(m.recall - 0.9589) < 5e-4
         assert abs(m.f1 - 0.7413) < 5e-4
         assert abs(m.f5 - 0.9377) < 5e-4
 
     def test_published_high_recall_row(self):
-        m = metrics_from_counts(ConfusionCounts(2665, 8160, 228))
+        m = metrics_from_counts(2665, 8160, 228)
         assert abs(m.precision - 0.2462) < 5e-4
         assert abs(m.recall - 0.9212) < 5e-4
         assert abs(m.f5 - 0.8333) < 5e-4
@@ -148,13 +147,13 @@ class TestFBeta:
 
     def test_all_published_rows(self):
         for model, entity, tp, fp, fn, p, r, f1, f5 in metric_fixtures.PERFORMANCE_ROWS:
-            m = metrics_from_counts(ConfusionCounts(tp, fp, fn))
+            m = metrics_from_counts(tp, fp, fn)
             for published, computed in ((p, m.precision), (r, m.recall), (f1, m.f1), (f5, m.f5)):
                 assert abs(published - computed) < 5e-4, (model, entity)
 
     def test_transcript_benchmark_rows(self):
         for model, tp, fp, fn, p, r, f1, f5 in metric_fixtures.TRANSCRIPT_ROWS:
-            m = metrics_from_counts(ConfusionCounts(tp, fp, fn))
+            m = metrics_from_counts(tp, fp, fn)
             for published, computed in ((p, m.precision), (r, m.recall), (f1, m.f1), (f5, m.f5)):
                 assert abs(published - computed) < 5e-4, model
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 import random
 import string
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from conftest import http_reply
 from deidkit import codec, corpus, mockllm
 from test_cli import run_cli
 
@@ -86,48 +85,35 @@ def _reply(kind: str, rng: random.Random, content: str, text: str) -> tuple[int,
     return 200, json.dumps(payload).encode()
 
 
-class _FuzzHandler(BaseHTTPRequestHandler):
-    mock: mockllm.MockLlm
-    kind = "status"
-    seed = 0
-
-    def do_POST(self):  # noqa: N802 (http.server API)
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        user = body["messages"][-1]["content"]
-        # Seeded by the case and the request, so a rerun of a case sees the same replies.
-        rng = random.Random(f"{self.seed}:{user}")
-        status, reply = _reply(
-            self.kind, rng, self.mock.respond(body), mockllm.extract_target_text(user)
-        )
-        self.send_response(status)
-        self.send_header("Content-Length", str(len(reply)))
-        self.end_headers()
-        self.wfile.write(reply)
-
-    def log_message(self, *args):
-        pass
-
-
 def _is_ordered_sublist(kept: list, spans: list) -> bool:
     remaining = iter(spans)
     return all(span in remaining for span in kept)
 
 
-def test_fuzzed_replies_exit_0_or_2_and_keep_the_stage_contracts(fixture_paths, tmp_path, capsys):
+def test_fuzzed_replies_exit_0_or_2_and_keep_the_stage_contracts(
+    chat_endpoint, fixture_paths, tmp_path, capsys
+):
     docs_path, gold_path = tmp_path / "docs.jsonl", tmp_path / "gold.json"
     assert run_cli("ingest", "--in", str(fixture_paths["corpus"]), "--out-docs", str(docs_path),
                    "--out-gold", str(gold_path)) == 0
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"pricing": {"usd_per_1m_input": 0.15}}), encoding="utf-8")
     docs, gold = corpus.read_documents(docs_path), corpus.read_standoff(gold_path)
-    handler = type("H", (_FuzzHandler,), {
-        "mock": mockllm.MockLlm("echo-gold", {d.text: gold.get(i, []) for i, d in docs.items()}),
-    })
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    mock = mockllm.MockLlm("echo-gold", {d.text: gold.get(i, []) for i, d in docs.items()})
+    fuzz = {"kind": "status", "seed": 0}  # the case being run
+
+    def answer(i, body):
+        user = body["messages"][-1]["content"]
+        # Seeded by the case and the request, so a rerun of a case sees the same replies.
+        rng = random.Random(f"{fuzz['seed']}:{user}")
+        status, reply = _reply(
+            fuzz["kind"], rng, mock.respond(body), mockllm.extract_target_text(user)
+        )
+        return http_reply(reply, status, version=b"1.0")
+
     out_dir = tmp_path / "out"
     out = out_dir / "out.json"
-    llm_flags = ["--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1",
+    llm_flags = ["--base-url", chat_endpoint(answer).base_url,
                  "--max-retries", "0", "--out", str(out)]
     runs = {
         **{f"detect-{mode}": ["detect", "--detector", f"llm-{mode}"] for mode in ("fewshot", "finetuned")},
@@ -139,41 +125,37 @@ def test_fuzzed_replies_exit_0_or_2_and_keep_the_stage_contracts(fixture_paths, 
     rng = random.Random(SEED)
     faults, codes = [], {0: set(), 2: set()}
     started = time.process_time()
-    try:
-        for case in range(CASES):
-            handler.kind, handler.seed = _KINDS[case % len(_KINDS)], rng.getrandbits(32)
-            for name, argv in runs.items():
-                out_dir.mkdir()
+    for case in range(CASES):
+        fuzz["kind"], fuzz["seed"] = _KINDS[case % len(_KINDS)], rng.getrandbits(32)
+        for name, argv in runs.items():
+            out_dir.mkdir()
+            try:
+                code = run_cli("--config", str(config), *argv, "--in", str(docs_path), *llm_flags)
+            except BaseException as exc:  # anything out of main is the finding
+                code = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if "error:" in line]
+            fault = code not in (0, 2) or len(errors) != (code == 2) or "Traceback" in err
+            if code == 2:
+                fault = fault or any(out_dir.iterdir())
+            elif code == 0 and name.startswith("detect"):
                 try:
-                    code = run_cli("--config", str(config), *argv, "--in", str(docs_path), *llm_flags)
-                except BaseException as exc:  # anything out of main is the finding
-                    code = f"{type(exc).__name__}: {exc}"
-                err = capsys.readouterr().err
-                errors = [line for line in err.splitlines() if "error:" in line]
-                fault = code not in (0, 2) or len(errors) != (code == 2) or "Traceback" in err
-                if code == 2:
-                    fault = fault or any(out_dir.iterdir())
-                elif code == 0 and name.startswith("detect"):
-                    try:
-                        for doc_id, spans in corpus.read_standoff(out).items():
-                            corpus.validate_spans(docs[doc_id].text, spans)
-                    except ValueError as exc:
-                        fault, err = True, str(exc)
-                elif code == 0:
-                    kept = corpus.read_standoff(out)
-                    fault = fault or kept.keys() != gold.keys() or not all(
-                        _is_ordered_sublist(kept[i], gold[i]) for i in gold
-                    )
-                if fault:
-                    faults.append((case, handler.kind, handler.seed, name, code, err.strip()[-300:]))
-                else:
-                    codes[code].add(handler.kind)
-                for path in out_dir.iterdir():
-                    path.unlink()
-                out_dir.rmdir()
-    finally:
-        server.shutdown()
-        server.server_close()
+                    for doc_id, spans in corpus.read_standoff(out).items():
+                        corpus.validate_spans(docs[doc_id].text, spans)
+                except ValueError as exc:
+                    fault, err = True, str(exc)
+            elif code == 0:
+                kept = corpus.read_standoff(out)
+                fault = fault or kept.keys() != gold.keys() or not all(
+                    _is_ordered_sublist(kept[i], gold[i]) for i in gold
+                )
+            if fault:
+                faults.append((case, fuzz["kind"], fuzz["seed"], name, code, err.strip()[-300:]))
+            else:
+                codes[code].add(fuzz["kind"])
+            for path in out_dir.iterdir():
+                path.unlink()
+            out_dir.rmdir()
     assert not faults, faults
     assert codes[0] and codes[2], codes  # the changes reach both outcomes
     assert time.process_time() - started < 10
