@@ -135,13 +135,22 @@ def _sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_path: str | Path, settings: Mapping, args: argparse.Namespace) -> None:
+def _input_digests(args: argparse.Namespace) -> dict[str, str]:
+    """The digest of each input file; one that is a directory raises. A pipe is left out:
+    read here, it would be empty when the stage reads it."""
+    inputs = (getattr(args, dest, None) for dest in _INPUT_FLAGS)
+    files = [p for p in inputs if p and (Path(p).is_file() or Path(p).is_dir())]
+    return {str(p): _sha256_file(p) for p in files}
+
+
+def _write_manifest(
+    out_path: str | Path, settings: Mapping, args: argparse.Namespace, inputs: Mapping[str, str]
+) -> None:
     plain = {
         k: v
         for k, v in sorted(settings.items())
         if isinstance(v, (str, int, float, bool, type(None)))
     }
-    inputs = [getattr(args, dest, None) for dest in _INPUT_FLAGS]
     manifest = {
         "command": args.subcommand,
         "settings": plain,
@@ -153,7 +162,7 @@ def _write_manifest(out_path: str | Path, settings: Mapping, args: argparse.Name
             "deidkit": __version__,
             "python": sys.version.split()[0],
         },
-        "inputs": {str(p): _sha256_file(p) for p in inputs if p and Path(p).exists()},
+        "inputs": inputs,
     }
     corpus.write_json(str(out_path) + ".manifest.json", manifest)
 
@@ -523,10 +532,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     settings = dict(vars(args))
     try:
         _apply_config(args, load_run_config(args.config) if args.config else {})
-        args.func(args)
         out = getattr(args, "out", None) or getattr(args, "out_docs", None)
+        # Before the stage: it may overwrite an input, or write its output and then fail on one.
+        inputs = _input_digests(args) if out else {}
+        args.func(args)
         if out:
-            _write_manifest(out, settings, args)
+            _write_manifest(out, settings, args, inputs)
         return 0
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)

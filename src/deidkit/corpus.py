@@ -314,11 +314,26 @@ def _not_a_number(constant: str) -> None:
 
 
 _JSON = json.JSONDecoder(parse_constant=_not_a_number)  # NaN and Infinity are not JSON
+#: The escape of a surrogate code point (U+D800 to U+DFFF): UTF-8 text cannot spell one
+#: otherwise, so a line without it skips the exact check.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _decode(text: str) -> Any:
+    """``text`` as JSON; a key or string that is not Unicode text is a ValueError."""
+    value = _JSON.decode(text)
+    if _SURROGATE_ESCAPE.search(text):  # a pair is one character; a lone one fails to encode
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            surrogate = exc.object[exc.start]
+            raise ValueError(f"lone surrogate {surrogate!r} is not Unicode text") from None
+    return value
 
 
 def read_json(path: str | Path) -> Any:
     try:
-        return _JSON.decode(Path(path).read_text(encoding="utf-8"))
+        return _decode(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, too deep, NaN or Infinity
         raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -350,7 +365,7 @@ def read_jsonl(
         if not line.strip():
             continue
         try:
-            item = parse(_JSON.decode(line))
+            item = parse(_decode(line))
             if document_id(item) in seen:
                 raise CorpusError(f"document {document_id(item)!r} is listed twice")
             seen.add(document_id(item))

@@ -58,6 +58,8 @@ _STALE_CONNECTION = (BrokenPipeError, ConnectionResetError)
 _MAX_LINE, _MAX_FIELDS = 65536, 100
 _STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)\b")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
+#: A code point that is not Unicode text; JSON spells it as an escape such as \ud800.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _read_line(rfile) -> bytes:
@@ -341,4 +343,6 @@ class ChatClient:
             raise TransportError("completion content is empty")
         if not isinstance(content, str):
             raise TransportError(f"completion content must be a string, not {type(content).__name__}")
+        if not content.isascii() and (surrogate := _SURROGATE.search(content)):
+            raise TransportError(f"malformed completion payload: lone surrogate {surrogate[0]!r}")
         return content

@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import minicorpus  # noqa: E402
 
-from deidkit import corpus  # noqa: E402
+from deidkit import corpus, mockllm  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,19 @@ def mini_docs(fixture_paths) -> dict[str, corpus.Document]:
 @pytest.fixture(scope="session")
 def mini_gold(fixture_paths) -> dict[str, list[corpus.Span]]:
     return corpus.read_standoff(fixture_paths["gold"])
+
+
+@pytest.fixture(scope="session")
+def mini_gold_by_text(mini_docs, mini_gold) -> dict[str, list[corpus.Span]]:
+    """The gold spans of each fixture document by its text, as ``MockLlm`` takes them."""
+    return {doc.text: mini_gold.get(doc.id, []) for doc in mini_docs.values()}
+
+
+def one_error_line(err: str, prefix: str = "error:") -> str:
+    """The one line of the stderr text ``err``: it starts with ``prefix``, and no traceback."""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix) and "Traceback" not in err, err
+    return lines[0]
 
 
 class ScriptedClient:
@@ -138,3 +151,26 @@ def chat_endpoint():
         endpoint.server_close()
     errors = [exc for endpoint in endpoints for exc in endpoint.errors]
     assert not errors, f"the chat endpoint failed: {errors!r}"
+
+
+@pytest.fixture
+def mock_endpoint():
+    """Serves a ``MockLlm`` per call of ``mock_endpoint(mock)`` from a daemon thread.
+
+    Each call returns the ``mockllm.make_server`` server with its ``base_url`` set. Teardown
+    shuts each one down and closes it.
+    """
+    servers = []
+
+    def start(mock: mockllm.MockLlm):
+        server = mockllm.make_server(mock)
+        server.base_url = "http://%s:%d/v1" % server.server_address[:2]
+        # shutdown() waits out one poll interval, which is 0.5 s by default.
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()

@@ -7,10 +7,14 @@ criterion. Each test also enforces its runtime budget.
 from __future__ import annotations
 
 import random
+import re
+import subprocess
+import sys
 import time
+from contextlib import contextmanager
 
 import metric_fixtures
-from test_cli import mock_llm_server, run_cli
+from test_cli import run_cli
 from test_codec import long_case, perturb_marked, random_case
 
 from deidkit import codec, corpus
@@ -279,6 +283,24 @@ def test_criterion_7_bias_pipeline():
     assert round(238 * 0.7647) == 182
     clock.check()
     _announce(7, "planted group recalls exact; published rows re-derive within 5e-4")
+
+
+@contextmanager
+def mock_llm_server(mode: str, corpus_path, gold_path, seed: int):
+    """Runs ``deidkit mock-llm`` in a process of its own and yields its base URL."""
+    cmd = [sys.executable, "-m", "deidkit", "mock-llm", "--mode", mode, "--seed", str(seed),
+           "--corpus", str(corpus_path), "--gold", str(gold_path)]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        line = proc.stdout.readline()
+        match = re.search(r"http://([\d.]+):(\d+)", line)
+        assert match, f"mock-llm did not announce a port: {line!r}"
+        yield f"http://{match.group(1)}:{match.group(2)}/v1"
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_criterion_8_end_to_end_mock_llm(fixture_paths, tmp_path):

@@ -13,41 +13,17 @@ import re
 import socket
 import subprocess
 import sys
-import threading
 import time
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from conftest import http_reply
+from conftest import http_reply, one_error_line
 
 import deidkit
 from deidkit import cli, codec, corpus, llm, mockllm
 from deidkit.cli import main
-
-
-@contextmanager
-def mock_llm_server(mode: str, corpus_path=None, gold_path=None, seed: int = 0):
-    cmd = [sys.executable, "-m", "deidkit", "mock-llm", "--mode", mode, "--seed", str(seed)]
-    if corpus_path:
-        cmd += ["--corpus", str(corpus_path)]
-    if gold_path:
-        cmd += ["--gold", str(gold_path)]
-    proc = subprocess.Popen(
-        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
-    )
-    try:
-        line = proc.stdout.readline()
-        match = re.search(r"http://([\d.]+):(\d+)", line)
-        assert match, f"mock-llm did not announce a port: {line!r}"
-        yield f"http://{match.group(1)}:{match.group(2)}/v1"
-    finally:
-        proc.terminate()
-        proc.wait(timeout=10)
-        proc.stdout.close()
-        proc.stderr.close()
 
 
 def run_cli(*argv: str) -> int:
@@ -126,8 +102,7 @@ class TestIngestAndSplit:
         code = run_cli("ingest", *argv, "--out-docs", str(tmp_path / "docs.jsonl"),
                        "--out-gold", str(tmp_path / "g.json"))
         assert code == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0], lines
+        assert flag in one_error_line(capsys.readouterr().err)
         assert not any(tmp_path.iterdir())
 
     def _ingest_repairable_record(self, tmp_path, *flags: str) -> tuple[Path, int]:
@@ -158,9 +133,7 @@ class TestIngestAndSplit:
     def test_ingest_strict_names_the_file_and_line(self, tmp_path, capsys):
         records, code = self._ingest_repairable_record(tmp_path, "--strict")
         assert code == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {records}:1: "), lines
-        assert "I-NAME_STUDENT" in lines[0]
+        assert "I-NAME_STUDENT" in one_error_line(capsys.readouterr().err, f"error: {records}:1: ")
 
     def test_split_deterministic_bytes(self, fixture_paths, tmp_path):
         out_a = tmp_path / "split_a.json"
@@ -238,19 +211,19 @@ class TestDetectAndEvaluate:
         assert payload["overall"]["recall"] == 1.0
         assert "Overall" in capsys.readouterr().out
 
-    def test_llm_detect_against_mock(self, fixture_paths, tmp_path):
+    def test_llm_detect_against_mock(
+        self, mock_endpoint, mini_gold_by_text, fixture_paths, tmp_path
+    ):
         out = tmp_path / "llm_spans.json"
-        with mock_llm_server(
-            "echo-gold", fixture_paths["corpus"], fixture_paths["gold"]
-        ) as base_url:
-            code = run_cli(
-                "detect",
-                "--detector", "llm-finetuned",
-                "--in", str(fixture_paths["corpus"]),
-                "--base-url", base_url,
-                "--out", str(out),
-                "--jobs", "2",
-            )
+        endpoint = mock_endpoint(mockllm.MockLlm("echo-gold", mini_gold_by_text))
+        code = run_cli(
+            "detect",
+            "--detector", "llm-finetuned",
+            "--in", str(fixture_paths["corpus"]),
+            "--base-url", endpoint.base_url,
+            "--out", str(out),
+            "--jobs", "2",
+        )
         assert code == 0
         pred = corpus.read_standoff(out)
         gold = corpus.read_standoff(fixture_paths["gold"])
@@ -318,32 +291,32 @@ class TestDetectAndEvaluate:
 
 
 class TestVerifyCommand:
-    def test_deny_all_mock_empties_spans(self, fixture_paths, tmp_path):
+    def test_deny_all_mock_empties_spans(self, mock_endpoint, fixture_paths, tmp_path):
         out = tmp_path / "kept.json"
-        with mock_llm_server("deny-all") as base_url:
-            code = run_cli(
-                "verify",
-                "--in", str(fixture_paths["corpus"]),
-                "--spans", str(fixture_paths["gold"]),
-                "--variant", "without-cot",
-                "--base-url", base_url,
-                "--out", str(out),
-            )
+        endpoint = mock_endpoint(mockllm.MockLlm("deny-all", {}))
+        code = run_cli(
+            "verify",
+            "--in", str(fixture_paths["corpus"]),
+            "--spans", str(fixture_paths["gold"]),
+            "--variant", "without-cot",
+            "--base-url", endpoint.base_url,
+            "--out", str(out),
+        )
         assert code == 0
         kept = corpus.read_standoff(out)
         assert all(spans == [] for spans in kept.values())
 
-    def test_echo_gold_mock_confirms_everything(self, fixture_paths, tmp_path):
+    def test_echo_gold_mock_confirms_everything(self, mock_endpoint, fixture_paths, tmp_path):
         out = tmp_path / "kept.json"
-        with mock_llm_server("echo-gold") as base_url:
-            code = run_cli(
-                "verify",
-                "--in", str(fixture_paths["corpus"]),
-                "--spans", str(fixture_paths["gold"]),
-                "--variant", "with-cot",
-                "--base-url", base_url,
-                "--out", str(out),
-            )
+        endpoint = mock_endpoint(mockllm.MockLlm("echo-gold", {}))
+        code = run_cli(
+            "verify",
+            "--in", str(fixture_paths["corpus"]),
+            "--spans", str(fixture_paths["gold"]),
+            "--variant", "with-cot",
+            "--base-url", endpoint.base_url,
+            "--out", str(out),
+        )
         assert code == 0
         assert corpus.read_standoff(out) == corpus.read_standoff(fixture_paths["gold"])
 
@@ -627,7 +600,7 @@ class TestUtilityCommands:
         assert any(s.category.value == "NAME_STUDENT" for s in pred["379"])
 
     def test_only_the_rules_detector_loads_the_pools(
-        self, fixture_paths, mini_docs, mini_gold, tmp_path, monkeypatch
+        self, mock_endpoint, mini_gold_by_text, fixture_paths, tmp_path, monkeypatch
     ):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"pools": str(fixture_paths["pools"])}), encoding="utf-8")
@@ -635,17 +608,10 @@ class TestUtilityCommands:
         load = cli.load_name_pools
         monkeypatch.setattr(cli, "load_name_pools", lambda path: loaded.append(path) or load(path))
         argv = ["--config", str(config), "detect", "--in", str(fixture_paths["corpus"])]
-        server = mockllm.make_server(
-            mockllm.MockLlm("echo-gold", {d.text: mini_gold.get(d.id, []) for d in mini_docs.values()})
-        )
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            out = tmp_path / "llm.json"
-            assert run_cli(*argv, "--detector", "llm-finetuned", "--out", str(out),
-                           "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1") == 0
-        finally:
-            server.shutdown()
-            server.server_close()
+        endpoint = mock_endpoint(mockllm.MockLlm("echo-gold", mini_gold_by_text))
+        out = tmp_path / "llm.json"
+        assert run_cli(*argv, "--detector", "llm-finetuned", "--out", str(out),
+                       "--base-url", endpoint.base_url) == 0
         assert loaded == []
         # The manifest records the inputs the run was given, used or not.
         manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
@@ -653,24 +619,24 @@ class TestUtilityCommands:
         assert run_cli(*argv, "--detector", "rules", "--out", str(tmp_path / "rules.json")) == 0
         assert loaded == [str(fixture_paths["pools"])]
 
-    def test_pricing_config_emits_cost_ledger(self, fixture_paths, tmp_path):
+    def test_pricing_config_emits_cost_ledger(
+        self, mock_endpoint, mini_gold_by_text, fixture_paths, tmp_path
+    ):
         config = tmp_path / "run.json"
         config.write_text(
             json.dumps({"pricing": {"usd_per_1m_input": 0.15, "usd_per_1m_output": 0.60}}),
             encoding="utf-8",
         )
         out = tmp_path / "spans.json"
-        with mock_llm_server(
-            "echo-gold", fixture_paths["corpus"], fixture_paths["gold"]
-        ) as base_url:
-            code = run_cli(
-                "--config", str(config),
-                "detect",
-                "--detector", "llm-finetuned",
-                "--in", str(fixture_paths["corpus"]),
-                "--base-url", base_url,
-                "--out", str(out),
-            )
+        endpoint = mock_endpoint(mockllm.MockLlm("echo-gold", mini_gold_by_text))
+        code = run_cli(
+            "--config", str(config),
+            "detect",
+            "--detector", "llm-finetuned",
+            "--in", str(fixture_paths["corpus"]),
+            "--base-url", endpoint.base_url,
+            "--out", str(out),
+        )
         assert code == 0
         ledger = json.loads((tmp_path / "spans.json.cost.json").read_text())
         assert ledger["items"]["evaluation"] > 0
@@ -776,12 +742,9 @@ class TestSpanFiles:
         pred = tmp_path / "pred.json"
         pred.write_text(json.dumps([{"document": "379", "spans": [entry]}]), encoding="utf-8")
         code = run_cli("evaluate", "--pred", str(pred), "--gold", str(fixture_paths["gold"]))
-        err = capsys.readouterr().err
         assert code == 1
-        assert "Traceback" not in err
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert str(pred) in lines[0] and "'379'" in lines[0] and missing in lines[0]
+        line = one_error_line(capsys.readouterr().err)
+        assert str(pred) in line and "'379'" in line and missing in line
 
 
 class TestJobs:
@@ -817,25 +780,27 @@ class TestJobs:
             outputs.append(out.read_bytes())
         return outputs
 
-    def test_jobs_do_not_change_output(self, fixture_paths, tmp_path):
+    def test_jobs_do_not_change_output(
+        self, mock_endpoint, mini_gold_by_text, fixture_paths, tmp_path
+    ):
         corpus_path = str(fixture_paths["corpus"])
         rules = self._outputs_by_jobs(tmp_path, [
             "detect", "--detector", "rules", "--in", corpus_path,
             "--pools", str(fixture_paths["pools"]),
         ])
         assert rules[0] == rules[1]
-        with mock_llm_server("perturb", corpus_path, fixture_paths["gold"]) as base_url:
-            llm = self._outputs_by_jobs(tmp_path, [
-                "detect", "--detector", "llm-finetuned", "--in", corpus_path,
-                "--base-url", base_url,
-            ])
+        perturb = mock_endpoint(mockllm.MockLlm("perturb", mini_gold_by_text))
+        llm = self._outputs_by_jobs(tmp_path, [
+            "detect", "--detector", "llm-finetuned", "--in", corpus_path,
+            "--base-url", perturb.base_url,
+        ])
         assert llm[0] == llm[1]
         rules_spans = tmp_path / "detect-jobs1.json"
-        with mock_llm_server("echo-gold", corpus_path, fixture_paths["gold"]) as base_url:
-            verified = self._outputs_by_jobs(tmp_path, [
-                "verify", "--in", corpus_path, "--spans", str(rules_spans),
-                "--base-url", base_url,
-            ])
+        echo_gold = mock_endpoint(mockllm.MockLlm("echo-gold", mini_gold_by_text))
+        verified = self._outputs_by_jobs(tmp_path, [
+            "verify", "--in", corpus_path, "--spans", str(rules_spans),
+            "--base-url", echo_gold.base_url,
+        ])
         assert verified[0] == verified[1]
 
 
@@ -1116,6 +1081,18 @@ _MALFORMED_INPUTS = {
     "pools-field-over-the-csv-limit": (
         "gender,culture,kind,name\nFemale,Africa,first," + "A" * 140_000 + "\n",
         ["detect", "--detector", "rules", "--in", "{corpus}", "--pools", "{bad}"]),
+    # A JSON escape of a lone surrogate is valid JSON but not Unicode text, which no writer takes.
+    "documents-text-lone-surrogate": (
+        '{"id": "a", "text": "\\ud800"}\n', ["detect", "--detector", "rules", "--in", "{bad}"]),
+    "token-record-token-lone-surrogate": (
+        '{"document": "d", "tokens": ["\\ud800"], "labels": ["O"], '
+        '"trailing_whitespace": [false]}\n',
+        _INGEST),
+    "ledger-key-lone-surrogate": (
+        '{"items": {"a": 1}, "tokens_per_stage": {"\\udc00": 5}}', ["cost", "--ledger", "{bad}"]),
+    "span-file-surface-lone-surrogate": (
+        _JOHN_DOE_SPANS.replace('"John Doe"', '"John \\ud800"'),
+        ["evaluate", "--pred", "{bad}", "--gold", "{gold}"]),
     "gender-table-field-over-the-csv-limit": (
         "first_name,gender\n" + "A" * 140_000 + ",Female\n",
         ["bias", "--pred", "{gold}", "--gold", "{gold}", "--gender-table", "{bad}",
@@ -1139,20 +1116,10 @@ def test_malformed_input_is_one_line_error(fixture_paths, tmp_path, capsys, monk
     if not {"ingest", "replace", "mock-llm"} & set(argv):  # none of them has an --out
         argv += ["--out", str(out)]
     code = run_cli(*argv)
-    err = capsys.readouterr().err
     assert code == 1
     assert not out.exists()
-    assert "Traceback" not in err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), err
-    assert str(bad) in lines[0], lines[0]
-
-
-def _one_error_line(capsys) -> str:
-    err = capsys.readouterr().err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), err
-    return lines[0]
+    line = one_error_line(capsys.readouterr().err)
+    assert str(bad) in line, line
 
 
 def test_control_character_in_a_pools_name_stops_replace(fixture_paths, tmp_path, capsys):
@@ -1166,7 +1133,8 @@ def test_control_character_in_a_pools_name_stops_replace(fixture_paths, tmp_path
                    "--pools", str(pools), "--out-docs", str(out_docs),
                    "--out-audit", str(tmp_path / "audit.jsonl"))
     assert code == 1
-    assert _one_error_line(capsys) == f"error: {pools}: name 'Bo\\tb' holds a control character"
+    assert one_error_line(capsys.readouterr().err) == (
+        f"error: {pools}: name 'Bo\\tb' holds a control character")
     assert not out_docs.exists()
 
 
@@ -1193,7 +1161,7 @@ def test_non_utf8_input_names_the_file(fixture_paths, tmp_path, capsys, case):
     if "ingest" not in argv:
         argv += ["--out", str(tmp_path / "out.json")]
     assert run_cli(*argv) == 1
-    line = _one_error_line(capsys)
+    line = one_error_line(capsys.readouterr().err)
     assert str(bad) in line and "can't decode" in line, line
     assert sorted(tmp_path.iterdir()) == [bad]
 
@@ -1262,7 +1230,7 @@ def test_bad_setting_is_one_line_error(fixture_paths, tmp_path, capsys, case):
     out_dir.mkdir()
     names = {k: str(v) for k, v in fixture_paths.items()} | {"tmp": str(out_dir)}
     assert run_cli(*[arg.format(**names) for arg in template]) == 1
-    assert expected in _one_error_line(capsys)
+    assert expected in one_error_line(capsys.readouterr().err)
     assert not any(out_dir.iterdir())
 
 
@@ -1273,11 +1241,9 @@ def test_replace_span_out_of_bounds_names_the_span_file(fixture_paths, tmp_path,
     code = run_cli("replace", "--in", str(fixture_paths["corpus"]), "--spans", str(spans),
                    "--pools", str(fixture_paths["pools"]),
                    "--out-docs", str(tmp_path / "anon.jsonl"), "--out-audit", str(tmp_path / "a.jsonl"))
-    err = capsys.readouterr().err
     assert code == 1
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), err
-    assert str(spans) in lines[0] and "out of bounds" in lines[0], lines[0]
+    line = one_error_line(capsys.readouterr().err)
+    assert str(spans) in line and "out of bounds" in line, line
 
 
 @pytest.mark.parametrize("source", ["tscc-placeholder", "name-span"])
@@ -1293,11 +1259,9 @@ def test_replace_without_pools_names_the_flag_and_the_span_file(
         docs, spans = fixture_paths["corpus"], fixture_paths["gold"]
     code = run_cli("replace", "--in", str(docs), "--spans", str(spans),
                    "--out-docs", str(tmp_path / "anon.jsonl"), "--out-audit", str(tmp_path / "a.jsonl"))
-    err = capsys.readouterr().err
     assert code == 1
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), err
-    assert "--pools" in lines[0] and str(spans) in lines[0], lines[0]
+    line = one_error_line(capsys.readouterr().err)
+    assert "--pools" in line and str(spans) in line, line
 
 
 def test_replace_pools_without_the_group_names_the_pools_file(fixture_paths, tmp_path, capsys):
@@ -1308,11 +1272,8 @@ def test_replace_pools_without_the_group_names_the_pools_file(fixture_paths, tmp
                    "--spans", str(fixture_paths["gold"]), "--pools", str(pools),
                    "--group", "Female:Oceania",
                    "--out-docs", str(tmp_path / "anon.jsonl"), "--out-audit", str(tmp_path / "a.jsonl"))
-    err = capsys.readouterr().err
     assert code == 1
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {pools}: "), err
-    assert "(Female, Oceania)" in lines[0]
+    assert "(Female, Oceania)" in one_error_line(capsys.readouterr().err, f"error: {pools}: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1366,24 +1327,22 @@ def test_split_gold_that_cannot_be_stratified_names_the_file(tmp_path, capsys):
     corpus.write_standoff(gold, {"d0": [email], "d1": [email, corpus.Span(0, 4, email.category, "mail")]})
     out = tmp_path / "split.json"
     assert run_cli("split", "--in", str(docs), "--gold", str(gold), "--out", str(out)) == 1
-    assert _one_error_line(capsys) == (
+    assert one_error_line(capsys.readouterr().err) == (
         f"error: {gold}: category EMAIL has 3 entities in only 2 documents; cannot cover 3 splits"
     )
     assert not out.exists()
     # A fault of the ratios is the flag's, not the gold file's.
     assert run_cli("split", "--in", str(docs), "--gold", str(gold), "--ratios", "0.5,0.5,0.5",
                    "--out", str(out)) == 1
-    assert _one_error_line(capsys) == "error: ratios (0.5, 0.5, 0.5) do not sum to 1"
+    assert one_error_line(capsys.readouterr().err) == (
+        "error: ratios (0.5, 0.5, 0.5) do not sum to 1")
 
 
 @pytest.mark.parametrize("port", ["99999", "-1"])
 def test_mock_llm_port_out_of_range_is_one_line_error(capsys, port):
     code = run_cli("mock-llm", "--mode", "echo-gold", "--port", port)
-    err = capsys.readouterr().err
     assert code == 1
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), err
-    assert "--port" in lines[0]
+    assert "--port" in one_error_line(capsys.readouterr().err)
 
 
 def test_mock_llm_gold_without_corpus_is_one_line_error(fixture_paths, capsys):
@@ -1392,51 +1351,39 @@ def test_mock_llm_gold_without_corpus_is_one_line_error(fixture_paths, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "listening" not in captured.out
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
-    assert "--gold" in lines[0] and "--corpus" in lines[0], lines[0]
+    line = one_error_line(captured.err)
+    assert "--gold" in line and "--corpus" in line, line
 
 
-def test_mock_llm_answers_a_body_that_is_not_json_with_400():
-    server = mockllm.make_server(mockllm.MockLlm("echo-gold", {}))
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+def test_mock_llm_answers_a_body_that_is_not_json_with_400(mock_endpoint):
+    server = mock_endpoint(mockllm.MockLlm("echo-gold", {}))
     replies = {}
-    try:
-        # A well-formed body that is not JSON, a length that is not a number, and
-        # a negative length, which would make the handler read until the client closes.
-        for length in ("8", "abc", "-1"):
-            with socket.create_connection(server.server_address[:2], timeout=3) as sock:
-                sock.sendall(b"POST /v1/chat/completions HTTP/1.1\r\nHost: mock\r\n"
-                             b"Content-Type: application/json\r\nContent-Length: "
-                             + length.encode() + b"\r\n\r\nnot json")
-                response = http.client.HTTPResponse(sock)
-                response.begin()
-                replies[length] = (response.status, response.getheader("Connection"),
-                                   json.loads(response.read()))
-                response.close()
-    finally:
-        server.shutdown()
-        server.server_close()
+    # A well-formed body that is not JSON, a length that is not a number, and
+    # a negative length, which would make the handler read until the client closes.
+    for length in ("8", "abc", "-1"):
+        with socket.create_connection(server.server_address[:2], timeout=3) as sock:
+            sock.sendall(b"POST /v1/chat/completions HTTP/1.1\r\nHost: mock\r\n"
+                         b"Content-Type: application/json\r\nContent-Length: "
+                         + length.encode() + b"\r\n\r\nnot json")
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            replies[length] = (response.status, response.getheader("Connection"),
+                               json.loads(response.read()))
+            response.close()
     for length, (status, connection, reply) in replies.items():
         assert status == 400, length
         assert connection == "close", length  # the rest of the body is not read as a request
         assert set(reply) == {"error"} and reply["error"], length
 
 
-def test_mock_llm_answers_keep_alive_requests_without_waiting_for_an_ack():
+def test_mock_llm_answers_keep_alive_requests_without_waiting_for_an_ack(mock_endpoint):
     # The body of a reply is a second write; with Nagle's algorithm on it waits
     # for the client's delayed ACK, about 40 ms per request on loopback.
-    server = mockllm.make_server(mockllm.MockLlm("echo-gold", {}))
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    host, port = server.server_address[:2]
-    try:
-        with llm.ChatClient(f"http://{host}:{port}/v1", max_retries=0) as client:
-            started = time.perf_counter()
-            replies = [client.complete([{"role": "user", "content": f"text {i}"}]) for i in range(20)]
-            elapsed = time.perf_counter() - started
-    finally:
-        server.shutdown()
-        server.server_close()
+    server = mock_endpoint(mockllm.MockLlm("echo-gold", {}))
+    with llm.ChatClient(server.base_url, max_retries=0) as client:
+        started = time.perf_counter()
+        replies = [client.complete([{"role": "user", "content": f"text {i}"}]) for i in range(20)]
+        elapsed = time.perf_counter() - started
     assert replies == [f"text {i}" for i in range(20)]
     assert elapsed < 0.3, elapsed
 
@@ -1462,11 +1409,8 @@ def test_bias_and_evaluate_agree_on_name_recall(fixture_paths, tmp_path):
 def test_bias_without_tables_names_the_missing_flag(fixture_paths, tmp_path, capsys):
     gold = str(fixture_paths["gold"])
     code = run_cli("bias", "--pred", gold, "--gold", gold, "--out", str(tmp_path / "b.json"))
-    err = capsys.readouterr().err
     assert code == 1
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), err
-    assert "--gender-table" in lines[0]
+    assert "--gender-table" in one_error_line(capsys.readouterr().err)
 
 
 def test_manifest_inputs_include_config_split_file_and_tables(fixture_paths, tmp_path):
@@ -1492,6 +1436,54 @@ def test_manifest_inputs_include_config_split_file_and_tables(fixture_paths, tmp
     assert set(manifest["inputs"]) == {
         str(pred), paths["gold"], paths["gender"], paths["surname"], paths["region"]
     }
+
+
+def test_manifest_digests_an_input_as_the_stage_read_it(fixture_paths, tmp_path):
+    # replace's --out-gold here overwrites its --spans.
+    paths = {k: str(v) for k, v in fixture_paths.items()}
+    pred = tmp_path / "pred.json"
+    assert run_cli("detect", "--detector", "rules", "--in", paths["corpus"],
+                   "--pools", paths["pools"], "--out", str(pred)) == 0
+    read = hashlib.sha256(pred.read_bytes()).hexdigest()
+    anon = tmp_path / "anon.jsonl"
+    assert run_cli("replace", "--in", paths["corpus"], "--spans", str(pred),
+                   "--pools", paths["pools"], "--out-docs", str(anon),
+                   "--out-audit", str(tmp_path / "audit.jsonl"), "--out-gold", str(pred)) == 0
+    assert hashlib.sha256(pred.read_bytes()).hexdigest() != read
+    manifest = json.loads(Path(f"{anon}.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"][str(pred)] == read
+
+
+def test_input_that_cannot_be_digested_fails_before_the_stage(
+    chat_endpoint, fixture_paths, tmp_path, capsys
+):
+    # The LLM detector never reads --pools, but the manifest digests it.
+    endpoint = chat_endpoint(
+        http_reply({"choices": [{"message": {"content": "no entities"}}]}, version=b"1.0"))
+    pools, out = tmp_path / "pools", tmp_path / "pred.json"
+    pools.mkdir()
+    code = run_cli("detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
+                   "--pools", str(pools), "--base-url", endpoint.base_url, "--out", str(out))
+    assert code == 1
+    assert str(pools) in one_error_line(capsys.readouterr().err)
+    assert endpoint.requests == []
+    assert sorted(tmp_path.iterdir()) == [pools]
+
+
+def test_manifest_leaves_out_an_input_read_from_a_pipe(fixture_paths, tmp_path):
+    # A digest taken from the pipe would leave the stage nothing to read.
+    read_end, write_end = os.pipe()
+    os.write(write_end, fixture_paths["corpus"].read_bytes())
+    os.close(write_end)
+    piped, out = f"/dev/fd/{read_end}", tmp_path / "pred.json"
+    try:
+        assert run_cli("detect", "--detector", "rules", "--in", piped,
+                       "--pools", str(fixture_paths["pools"]), "--out", str(out)) == 0
+    finally:
+        os.close(read_end)
+    assert set(corpus.read_standoff(out)) == set(corpus.read_documents(fixture_paths["corpus"]))
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest["inputs"]) == {str(fixture_paths["pools"])}
 
 
 def test_model_precedence_flag_then_config_then_default(chat_endpoint, fixture_paths, tmp_path):
@@ -1530,11 +1522,9 @@ def test_reply_nested_past_the_recursion_limit_is_a_transport_error(
     code = run_cli("detect", "--detector", "llm-finetuned",
                    "--in", str(fixture_paths["corpus"]), "--base-url", endpoint.base_url,
                    "--max-retries", "0", "--out", str(out))
-    err = capsys.readouterr().err
     assert endpoint.requests
     assert code == 2
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("transport error:"), err
+    one_error_line(capsys.readouterr().err, "transport error:")
     assert not out.exists()
 
 
@@ -1552,12 +1542,30 @@ def test_reply_content_that_is_not_a_string_is_a_transport_error(
     endpoint = chat_endpoint(http_reply(reply, version=b"1.0"))
     code = run_cli(*stage_argv, "--in", str(fixture_paths["corpus"]),
                    "--base-url", endpoint.base_url, "--max-retries", "0", "--out", str(out))
-    err = capsys.readouterr().err
     assert endpoint.requests
     assert code == 2
-    assert "Traceback" not in err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("transport error:"), err
+    one_error_line(capsys.readouterr().err, "transport error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", [
+    ["detect", "--detector", "llm-finetuned"],
+    ["make-verifier-data", "--variant", "with-cot", "--gold", "{gold}", "--detections", "{gold}"],
+], ids=["detect", "make-verifier-data"])
+def test_reply_with_a_lone_surrogate_is_a_transport_error(
+    chat_endpoint, fixture_paths, tmp_path, capsys, stage
+):
+    # Sent as the escape \ud800, which is valid JSON but not Unicode text.
+    endpoint = chat_endpoint(http_reply(
+        {"choices": [{"message": {"content": "T \ud800"}, "finish_reason": "stop"}]},
+        version=b"1.0"))
+    out = tmp_path / "out.jsonl"
+    names = {k: str(v) for k, v in fixture_paths.items()}
+    code = run_cli(*[arg.format(**names) for arg in stage], "--in", names["corpus"],
+                   "--base-url", endpoint.base_url, "--out", str(out))
+    assert endpoint.requests
+    assert code == 2
+    assert "lone surrogate" in one_error_line(capsys.readouterr().err, "transport error:")
     assert not out.exists()
 
 
@@ -1584,13 +1592,15 @@ def _with_an_empty_document(tmp_path, mini_docs, mini_gold) -> tuple[Path, Path]
     return docs, gold
 
 
-def test_empty_document_is_not_sent_to_the_detector(tmp_path, mini_docs, mini_gold):
+def test_empty_document_is_not_sent_to_the_detector(
+    mock_endpoint, mini_gold_by_text, tmp_path, mini_docs, mini_gold
+):
     # The mock answers an empty text with itself, which is no completion.
-    docs, gold = _with_an_empty_document(tmp_path, mini_docs, mini_gold)
+    docs, _ = _with_an_empty_document(tmp_path, mini_docs, mini_gold)
+    endpoint = mock_endpoint(mockllm.MockLlm("echo-gold", mini_gold_by_text))
     out = tmp_path / "pred.json"
-    with mock_llm_server("echo-gold", docs, gold) as base_url:
-        code = run_cli("detect", "--detector", "llm-finetuned", "--in", str(docs),
-                       "--base-url", base_url, "--jobs", "2", "--out", str(out))
+    code = run_cli("detect", "--detector", "llm-finetuned", "--in", str(docs),
+                   "--base-url", endpoint.base_url, "--jobs", "2", "--out", str(out))
     assert code == 0
     entries = {e["document"]: e["spans"] for e in json.loads(out.read_text(encoding="utf-8"))}
     assert entries["e1"] == []
@@ -1614,11 +1624,9 @@ def test_make_finetune_gold_mismatch_names_the_file_and_document(fixture_paths, 
     out = tmp_path / "train.jsonl"
     code = run_cli("make-finetune", "--in", str(fixture_paths["corpus"]), "--gold", str(gold),
                    "--out", str(out))
-    err = capsys.readouterr().err
     assert code == 1
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {gold}: document '379': "), err
-    assert "'Jane Doe'" in lines[0]
+    line = one_error_line(capsys.readouterr().err, f"error: {gold}: document '379': ")
+    assert "'Jane Doe'" in line
     assert not out.exists()
 
 

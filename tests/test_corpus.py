@@ -616,6 +616,16 @@ def test_integer_document_ids_read_as_strings(tmp_path):
     assert read_spans(spans, read_documents(docs)) == {"7": []}
 
 
+def test_an_escaped_surrogate_pair_reads_as_the_character_it_encodes(tmp_path):
+    # JSON spells a character past U+FFFF as two escapes; only a lone one is refused.
+    docs, spans = tmp_path / "docs.jsonl", tmp_path / "spans.json"
+    docs.write_text('{"id": "a", "text": "hi \\ud83d\\ude00"}\n', encoding="utf-8")
+    spans.write_text('[{"document": "a", "spans": [{"start": 3, "end": 4, '
+                     '"category": "NAME_STUDENT", "text": "\\ud83d\\ude00"}]}]', encoding="utf-8")
+    assert read_documents(docs)["a"].text == "hi \U0001F600"
+    assert [s.surface for s in read_spans(spans, read_documents(docs))["a"]] == ["\U0001F600"]
+
+
 def test_write_json_writes_the_bytes_of_one_dumps(tmp_path):
     payload = {"z": [1, 2.5, None, True], "é": {"b": "naïve — 名前", "a": []}, "m": {"k": [{"x": "y"}]}}
     write_json(tmp_path / "out.json", payload)

@@ -14,7 +14,7 @@ from contextlib import suppress
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import http_reply
+from conftest import http_reply, one_error_line
 
 from deidkit import codec, llm
 from deidkit.cli import main
@@ -35,6 +35,7 @@ from deidkit.detect import (
 )
 from deidkit.hips import load_name_pools
 from deidkit.llm import ChatClient, TransportError, _TokenBucket
+from deidkit.mockllm import MockLlm
 
 TABLE_DOC = Document("379", "Hi John Doe. Tel: (555)555-5555", "crapii")
 TABLE_SPANS = [
@@ -341,39 +342,27 @@ class TestFinetuneRecords:
         assert count == len(ids)
 
 
-class EchoGoldClient:
-    """In-process oracle endpoint: answers with the gold-marked text."""
-
-    def __init__(self, gold_by_text):
-        self.gold_by_text = gold_by_text
-
-    def complete(self, messages, max_tokens=None):
-        from deidkit.mockllm import extract_target_text
-
-        text = extract_target_text(messages[-1]["content"])
-        spans = self.gold_by_text.get(text, [])
-        return codec.encode(Document("echo", text), list(spans))
-
-
 class TestLlmDetect:
-    def test_echo_gold_recovers_gold(self, mini_docs, mini_gold):
-        client = EchoGoldClient({d.text: mini_gold[i] for i, d in mini_docs.items()})
+    @pytest.fixture
+    def echo_gold(self, scripted_client, mini_gold_by_text):
+        mock = MockLlm("echo-gold", mini_gold_by_text)
+        return scripted_client(lambda messages: mock.respond({"messages": messages}))
+
+    def test_echo_gold_recovers_gold(self, echo_gold, mini_docs, mini_gold):
         for doc_id, doc in mini_docs.items():
-            report = llm_detect(doc, client, "finetuned")
+            report = llm_detect(doc, echo_gold, "finetuned")
             assert report.spans == mini_gold[doc_id]
             assert report.dropped == []
             contract_check(doc, report.spans)
 
-    def test_fewshot_mode_same_oracle(self, mini_docs, mini_gold):
-        client = EchoGoldClient({d.text: mini_gold[i] for i, d in mini_docs.items()})
+    def test_fewshot_mode_same_oracle(self, echo_gold, mini_docs, mini_gold):
         for doc_id, doc in mini_docs.items():
-            assert llm_detect(doc, client, "fewshot").spans == mini_gold[doc_id]
+            assert llm_detect(doc, echo_gold, "fewshot").spans == mini_gold[doc_id]
 
-    def test_reproducible_against_deterministic_mock(self, mini_docs, mini_gold):
-        client = EchoGoldClient({d.text: mini_gold[i] for i, d in mini_docs.items()})
+    def test_reproducible_against_deterministic_mock(self, echo_gold, mini_docs):
         for doc in mini_docs.values():
-            first = llm_detect(doc, client, "finetuned")
-            second = llm_detect(doc, client, "finetuned")
+            first = llm_detect(doc, echo_gold, "finetuned")
+            second = llm_detect(doc, echo_gold, "finetuned")
             assert first.spans == second.spans
             assert first.anchored_exact == second.anchored_exact
 
@@ -545,10 +534,8 @@ class TestChatClient:
                 "--base-url", endpoint.base_url, "--out", str(out),
             ])
             gc.collect()
-            lines = capsys.readouterr().err.strip().splitlines()
             assert code == 2
-            assert len(lines) == 1 and lines[0].startswith("transport error:"), lines
-            assert "HTTP 401" in lines[0]
+            assert "HTTP 401" in one_error_line(capsys.readouterr().err, "transport error:")
             # The one reply that succeeds, then one failure from each document in flight.
             assert 2 <= len(endpoint.requests) <= 1 + jobs, stage
             assert 1 <= len(endpoint.connections) <= jobs
@@ -571,10 +558,8 @@ class TestChatClient:
             "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
             "--base-url", endpoint.base_url, "--out", str(out),
         ])
-        lines = capsys.readouterr().err.strip().splitlines()
         assert code == 2
-        assert len(lines) == 1 and lines[0].startswith("transport error:"), lines
-        assert "cut at max_tokens" in lines[0]
+        assert "cut at max_tokens" in one_error_line(capsys.readouterr().err, "transport error:")
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs, most", [(1, 1), (2, 2)])
@@ -590,8 +575,8 @@ class TestChatClient:
                 "--base-url", endpoint.base_url,
                 "--jobs", str(jobs), "--out", str(tmp_path / "pred.json"),
             ])
-            lines = capsys.readouterr().err.strip().splitlines()
-            assert code == 2 and len(lines) == 1 and "cut at max_tokens" in lines[0], lines
+            line = one_error_line(capsys.readouterr().err, "transport error:")
+            assert code == 2 and "cut at max_tokens" in line, line
             assert 1 <= len(endpoint.requests) <= most
 
     def test_non_http_base_url_exits_1(self, fixture_paths, tmp_path, capsys):
@@ -599,11 +584,8 @@ class TestChatClient:
             "detect", "--detector", "llm-finetuned", "--in", str(fixture_paths["corpus"]),
             "--base-url", "ftp://x", "--out", str(tmp_path / "pred.json"),
         ])
-        err = capsys.readouterr().err
         assert code == 1
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), err
-        assert "ftp://x" in lines[0]
+        assert "ftp://x" in one_error_line(capsys.readouterr().err)
 
     @pytest.mark.parametrize("base_url, part", [
         ("https://x/openai?api-version=1", "query"),
@@ -639,10 +621,10 @@ class TestChatClient:
         ])
         err = capsys.readouterr().err
         assert code == 1
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: base URL") and part in lines[0], err
+        line = one_error_line(err, "error: base URL")
+        assert part in line, err
         assert "pw" not in err
-        assert part == "credentials" or repr(base_url) in lines[0]
+        assert part == "credentials" or repr(base_url) in line
         assert not any(out.iterdir())  # no output and no manifest
 
 
@@ -670,9 +652,13 @@ _SIZED_OK = http_reply(_OK)
      "bad chunk size"),
     ([http_reply(_OK, 200, b"X-Long: " + b"a" * (65537 - 8))], False, "longer than 65536"),
     ([http_reply(_OK, 200, *[b"X-A: 1"] * 100)], False, "more than 100"),
+    ([b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n"
+      % (len(_OK) - 1, _OK)], False, "chunk longer than its size"),
+    # A fresh connection closed before the status line is a counted attempt, not a free reopen.
+    ([b""], True, "closed the connection before replying"),
 ], ids=["content-length", "chunked", "to-close", "connection-close", "http-1.0", "continue",
         "204", "100-fields", "status-line", "cut-short", "huge-length", "bad-length",
-        "chunk-size", "long-line", "101-fields"])
+        "chunk-size", "long-line", "101-fields", "chunk-overrun", "closed-before-reply"])
 def test_reply_framing(chat_endpoint, fixture_paths, tmp_path, capsys, replies, hang_up, outcome):
     # The last reply repeats past the end of the script.
     endpoint = chat_endpoint(lambda i, body: replies[min(i, len(replies) - 1)], hang_up=hang_up)
@@ -694,11 +680,10 @@ def test_reply_framing(chat_endpoint, fixture_paths, tmp_path, capsys, replies, 
             "--base-url", endpoint.base_url, "--max-retries", "1",
             "--out", str(tmp_path / "pred.json"),
         ])
-        lines = capsys.readouterr().err.strip().splitlines()
+        err = capsys.readouterr().err
         assert code == 2
-        assert len(lines) == 1 and lines[0].startswith(
-            "transport error: chat endpoint unreachable after 2 attempts"), lines
-        assert outcome in lines[0]
+        assert outcome in one_error_line(
+            err, "transport error: chat endpoint unreachable after 2 attempts")
         assert len(endpoint.requests) == 2
         assert not (tmp_path / "pred.json").exists()
 
@@ -717,8 +702,7 @@ def test_api_key_a_header_cannot_carry_exits_1_unsent(
     ])
     err = capsys.readouterr().err
     assert code == 1
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "DEIDKIT_KEY" in lines[0], err
+    assert "DEIDKIT_KEY" in one_error_line(err), err
     assert "SECRET" not in err
     assert endpoint.requests == []
     assert not any(tmp_path.iterdir())
