@@ -19,9 +19,7 @@ import re
 import sys
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -184,26 +182,52 @@ def _map_documents(
 ) -> dict[str, T]:
     """Map ``per_doc`` over ``ids``, at most ``jobs`` in flight; results come in id order.
 
-    No document starts once one has failed. The first failure in id order is
-    raised when the running ones finish, so the caller writes nothing.
-    ``client`` is closed after the last document.
+    Each of ``min(jobs, len(ids))`` threads takes the next document in id order.
+    No document starts once one has failed, or once the waiting caller is
+    interrupted. The first failure in id order is raised when the running ones
+    finish, so the caller writes nothing. ``client`` is closed after the last document.
     """
-    failed = threading.Event()
+    results: list = [None] * len(ids)
+    failures: dict[int, BaseException] = {}  # by position in ids
+    pending, lock, stop = iter(enumerate(ids)), threading.Lock(), threading.Event()
+    # Released by each thread as it ends. The caller waits on it, not in join(): on
+    # Python before 3.13 a join that Ctrl-C interrupts marks the running thread as ended,
+    # so nothing would wait for its document to finish.
+    finished = threading.Semaphore(0)
 
-    def run(doc_id: str) -> T | None:
-        if failed.is_set():
-            return None  # never read: documents start in id order, so the failure comes first
+    def work() -> None:
         try:
-            return per_doc(doc_id)
-        except BaseException:
-            failed.set()
-            raise
+            while True:
+                with lock:
+                    item = None if stop.is_set() else next(pending, None)
+                if item is None:
+                    return
+                n, doc_id = item
+                try:
+                    results[n] = per_doc(doc_id)
+                except BaseException as exc:
+                    with lock:
+                        failures[n] = exc
+                        stop.set()
+        finally:
+            finished.release()
 
     with client or nullcontext():
         if jobs < 1:
             raise ValueError("--jobs must be >= 1")
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return dict(zip(ids, pool.map(run, ids)))
+        threads = [threading.Thread(target=work) for _ in range(min(jobs, len(ids)))]
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in threads:
+                finished.acquire()
+        finally:  # an interrupted caller lets the running documents finish
+            stop.set()
+            for thread in filter(threading.Thread.is_alive, threads):
+                thread.join()
+        if failures:
+            raise failures[min(failures)]
+        return dict(zip(ids, results))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +333,7 @@ def _cmd_replace(args: argparse.Namespace) -> None:
             raise ValueError(f"{source}: document {doc_id!r}: {exc}") from exc
     corpus.write_jsonl(args.out_audit, ({
         "document": i, "group": list(group_of[i]),
-        "replacements": [vars(r) for r in res.replacements],
+        "replacements": [r._asdict() for r in res.replacements],
     } for i, res in results.items()))
     corpus.write_documents(
         args.out_docs, (Document(i, res.text, docs[i].source) for i, res in results.items()))
@@ -323,7 +347,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     report = evaluate_documents(pred, gold)
     print(render_metrics_table(report))
     if args.out:
-        corpus.write_json(args.out, asdict(report))
+        corpus.write_json(args.out, {
+            "per_category": {c.value: m._asdict() for c, m in report.per_category.items()},
+            "overall": report.overall._asdict(),
+        })
 
 
 def _cmd_bias(args: argparse.Namespace) -> None:
@@ -335,7 +362,7 @@ def _cmd_bias(args: argparse.Namespace) -> None:
     tables = (load_gender_table(args.gender_table), load_surname_table(args.surname_table),
               load_region_table(args.region_table))
     report = bias_report(bias_entries(pred, gold, *tables))
-    corpus.write_json(args.out, asdict(report))
+    corpus.write_json(args.out, report._asdict())
 
 
 def _cmd_cost(args: argparse.Namespace) -> None:

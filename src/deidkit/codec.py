@@ -11,7 +11,7 @@ import bisect
 import difflib
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corpus import Category, Document, Span, validate_spans
 
@@ -38,21 +38,23 @@ DROP_OVERLAP = "overlaps_prior_span"
 DROP_EMPTY = "empty_region"
 
 
-@dataclass(frozen=True)
-class DroppedRegion:
+class DroppedRegion(NamedTuple):
     surface: str
     category: Category
     reason: str
 
 
-@dataclass
 class DecodeReport:
     """Spans recovered against the original document plus anchoring stats."""
 
-    spans: list[Span] = field(default_factory=list)
-    anchored_exact: int = 0
-    anchored_fuzzy: int = 0
-    dropped: list[DroppedRegion] = field(default_factory=list)
+    def __init__(self, dropped: list[DroppedRegion] | None = None):
+        self.spans: list[Span] = []
+        self.anchored_exact = 0
+        self.anchored_fuzzy = 0
+        self.dropped = [] if dropped is None else dropped
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is DecodeReport and vars(other) == vars(self)
 
 
 def encode(doc: Document, spans: list[Span]) -> str:

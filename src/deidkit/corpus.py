@@ -14,12 +14,11 @@ import random
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, islice
 from operator import add, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 
 class Category(str, Enum):
@@ -52,8 +51,7 @@ class CorpusError(ValueError):
     """A corpus validation failure."""
 
 
-@dataclass(frozen=True)
-class Placeholder:
+class Placeholder(NamedTuple):
     """A transcript placeholder category, e.g. STUDENT or INSTAGRAM ACCOUNT."""
 
     name: str
@@ -65,8 +63,7 @@ class Placeholder:
         return f"PLACEHOLDER:{self.name}"
 
 
-@dataclass(frozen=True, order=True)
-class Span:
+class Span(NamedTuple):
     """Half-open character interval [start, end) with category and surface text."""
 
     start: int
@@ -75,8 +72,7 @@ class Span:
     surface: str
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     id: str
     text: str
     source: str = "raw"  # crapii | tscc | raw
@@ -85,8 +81,7 @@ class Document:
 Documents = Mapping[str, Document]  # by id, as read_documents returns them
 
 
-@dataclass
-class TokenRecord:
+class TokenRecord(NamedTuple):
     """One BIO-labeled record: parallel token/label/whitespace arrays."""
 
     document_id: str
@@ -96,24 +91,26 @@ class TokenRecord:
     full_text: str | None = None
 
 
-@dataclass
 class BioConversion:
     """A record's text, the spans bio_to_spans kept, and what it did not keep."""
 
-    text: str
-    spans: list[Span] = field(default_factory=list)
-    dropped_categories: Counter = field(default_factory=Counter)
-    repaired_continuations: int = 0
+    def __init__(self, text: str, repaired_continuations: int = 0):
+        self.text = text
+        self.spans: list[Span] = []
+        self.dropped_categories: Counter = Counter()
+        self.repaired_continuations = repaired_continuations
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is BioConversion and vars(other) == vars(self)
 
 
-@dataclass
-class CorpusSplit:
+class CorpusSplit(NamedTuple):
     base_train: set[str]
     verifier_train: set[str]
     test: set[str]
 
     def as_dict(self) -> dict[str, list[str]]:
-        return {name: sorted(ids) for name, ids in vars(self).items()}
+        return {name: sorted(ids) for name, ids in self._asdict().items()}
 
 
 def reconstruct_text(rec: TokenRecord) -> str:

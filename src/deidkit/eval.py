@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Category, CorpusError, Span, read_csv
 from .hips import CULTURES
@@ -31,8 +30,7 @@ def f_beta(precision: float, recall: float, beta: float) -> float:
     return (1 + beta * beta) * precision * recall / denominator
 
 
-@dataclass
-class CategoryMetrics:
+class CategoryMetrics(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -49,8 +47,7 @@ def metrics_from_counts(tp: int, fp: int, fn: int) -> CategoryMetrics:
     return CategoryMetrics(tp, fp, fn, p, r, f1, f5)
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     per_category: dict[Category, CategoryMetrics]
     overall: CategoryMetrics
 
@@ -99,8 +96,7 @@ def render_metrics_table(report: MetricsReport) -> str:
 UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Demographic:
+class Demographic(NamedTuple):
     gender: str
     culture: str
     source_name: str
@@ -169,8 +165,7 @@ def parse_and_map_name(
     return Demographic(gender=gender, culture=culture, source_name=full_name)
 
 
-@dataclass
-class BiasReport:
+class BiasReport(NamedTuple):
     by_gender: dict[str, float]
     by_culture: dict[str, float]
     gender_totals: dict[str, int]

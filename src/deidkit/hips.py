@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import random
 import string
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
@@ -41,11 +40,11 @@ class EmptyGroup(HipsError):
     """The pools lack a group, so the pools file is at fault, not the spans."""
 
 
-@dataclass
 class NamePool:
     """First/last name lists keyed by (gender, culture); ASCII names only."""
 
-    groups: dict[tuple[str, str], tuple[list[str], list[str]]] = field(default_factory=dict)
+    def __init__(self, groups: dict[tuple[str, str], tuple[list[str], list[str]]] | None = None):
+        self.groups = {} if groups is None else groups
 
     def names(self, group: tuple[str, str]) -> tuple[list[str], list[str]]:
         """The group's first and last names; ``EmptyGroup`` if either list is empty."""
@@ -74,21 +73,21 @@ _KIND_SLOT = {"first": 0, "last": 1}
 def load_name_pools(path: str | Path) -> NamePool:
     """Load a gender,culture,kind,name CSV, dropping non-ASCII names."""
     pool = NamePool()
-    groups = pool.groups
+    targets: dict[tuple[str, str, str], list[str]] = {}  # the name list of each raw triple
     for gender, culture, kind, name in read_csv(path, ("gender", "culture", "kind", "name")):
         name = name.strip()
         if not name or not name.isascii():
             continue
         if not name.isprintable():
             raise HipsError(f"{path}: name {name!r} holds a control character")
-        slot = _KIND_SLOT.get(kind.strip().lower())
-        if slot is None:
-            raise HipsError(f"{path}: unknown name kind {kind!r}")
-        group = (gender.strip(), culture.strip())
-        names = groups.get(group)
+        names = targets.get((gender, culture, kind))
         if names is None:
-            names = groups[group] = ([], [])
-        names[slot].append(name)
+            slot = _KIND_SLOT.get(kind.strip().lower())
+            if slot is None:
+                raise HipsError(f"{path}: unknown name kind {kind!r}")
+            group = pool.groups.setdefault((gender.strip(), culture.strip()), ([], []))
+            names = targets[gender, culture, kind] = group[slot]
+        names.append(name)
     return pool
 
 
@@ -222,9 +221,8 @@ def surrogate_for(
     raise HipsError(f"no surrogate strategy for category {category!r}")
 
 
-@dataclass
-class Replacement:
-    """One audit entry; ``vars()`` gives its keys in the audit's order."""
+class Replacement(NamedTuple):
+    """One audit entry; ``_asdict()`` gives its keys in the audit's order."""
 
     category: str
     original: str
@@ -234,8 +232,7 @@ class Replacement:
     shape_changed: bool
 
 
-@dataclass
-class HipsResult:
+class HipsResult(NamedTuple):
     text: str
     replacements: list[Replacement]
     shifted_spans: list[Span]

@@ -9,7 +9,6 @@ removing real PII is the costlier mistake.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -50,19 +49,15 @@ _VARIANTS = {
 }
 
 
-@dataclass
 class VerifierExample:
-    entity: str
-    context: str
-    label: str  # "T" | "F"
-    reasoning: str | None = None
-    forced_default: bool = False
-
-    def __post_init__(self):
-        if self.label not in ("T", "F"):
-            raise ValueError(f"label must be T or F, got {self.label!r}")
-        if self.entity not in self.context:
+    def __init__(self, entity: str, context: str, label: str, reasoning: str | None = None,
+                 forced_default: bool = False):
+        if label not in ("T", "F"):
+            raise ValueError(f"label must be T or F, got {label!r}")
+        if entity not in context:
             raise ValueError("entity must occur in its context")
+        self.entity, self.context, self.label = entity, context, label
+        self.reasoning, self.forced_default = reasoning, forced_default
 
 
 def extract_context(doc: Document, span: Span) -> str:

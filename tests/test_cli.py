@@ -10,9 +10,11 @@ import json
 import os
 import pkgutil
 import re
+import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -802,6 +804,39 @@ class TestJobs:
             "--base-url", echo_gold.base_url,
         ])
         assert verified[0] == verified[1]
+
+    def test_interrupt_starts_no_further_document(self, chat_endpoint, fixture_paths, tmp_path):
+        # Ctrl-C while the endpoint holds request 1: no later document starts, and the
+        # stage writes nothing. The exit code and the traceback are left unpinned.
+        held, release = 1, threading.Event()
+
+        def answer(i, body):
+            if i == held:
+                release.wait(timeout=30)
+            return http_reply({"choices": [{"message": {"content": "ok"}, "finish_reason": "stop"}]})
+
+        endpoint = chat_endpoint(answer)
+        out = tmp_path / "pred.json"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "deidkit", "detect", "--detector", "llm-finetuned",
+             "--in", str(fixture_paths["corpus"]), "--base-url", endpoint.base_url,
+             "--jobs", "1", "--out", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 30
+            while len(endpoint.requests) <= held and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(endpoint.requests) == held + 1
+            proc.send_signal(signal.SIGINT)
+            time.sleep(0.5)  # the waiting thread takes the interrupt before the reply comes
+        finally:
+            release.set()
+            proc.communicate(timeout=60)
+        assert len(endpoint.requests) == held + 1
+        assert not out.exists() and not (tmp_path / "pred.json.manifest.json").exists()
 
 
 _UNKNOWN_DOCUMENT_SPANS = (
@@ -1751,25 +1786,45 @@ def test_cli_import_loads_no_http_library():
     ).splitlines() == ["[]", "[]", "['ssl']"]
 
 
-def test_package_imports_only_the_standard_library():
-    # deidkit has no runtime dependency: every absolute import, at module
-    # level or inside a function, names a standard-library module.
+def test_cli_import_loads_no_costly_module():
+    # Every stage is a fresh process. dataclasses loads inspect, ast and dis, and
+    # concurrent.futures loads logging: records are tuples, and the runner uses threads.
+    assert _fresh_python(
+        "import deidkit.cli, sys; print(sorted({'dataclasses', 'inspect', 'ast', 'dis', "
+        "'concurrent.futures', 'logging'} & set(sys.modules)))"
+    ) == "[]"
+
+
+def _package_imports() -> list[tuple[str, str]]:
+    """``(file:line, module)`` for every absolute import in the package, at any level;
+    ``from a import b`` gives both ``a`` and ``a.b``."""
     package = Path(__file__).resolve().parents[1] / "src" / "deidkit"
-    foreign: list[str] = []
+    found: list[tuple[str, str]] = []
     for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            foreign += [
-                f"{path.name}:{node.lineno}: {name}"
-                for name in names
-                if name.split(".")[0] not in sys.stdlib_module_names
-            ]
+            found += [(f"{path.name}:{node.lineno}", name) for name in names]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    # deidkit has no runtime dependency: every absolute import, at module
+    # level or inside a function, names a standard-library module.
+    foreign = [f"{where}: {name}" for where, name in _package_imports()
+               if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_package_never_imports_dataclasses_or_concurrent_futures():
+    # Not even lazily inside a function: a stage that reached one would pay for it.
+    banned = [f"{where}: {name}" for where, name in _package_imports()
+              if name.split(".")[0] == "dataclasses" or name.startswith("concurrent.futures")]
+    assert banned == []
 
 
 def test_every_module_level_import_is_used():

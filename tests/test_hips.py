@@ -1,19 +1,23 @@
 from __future__ import annotations
 
+import csv
 import random
 import re
+from collections import Counter
+from pathlib import Path
 from urllib.parse import urlparse
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deidkit.corpus import Category, Document, Placeholder, Span, ingest_tscc
+from deidkit.corpus import Category, Document, Placeholder, Span, ingest_tscc, read_csv
 from deidkit.eval import load_region_table, map_country_to_culture
 from deidkit.hips import (
     ALL_GROUPS,
     EmptyGroup,
     HipsError,
     NamePool,
+    _KIND_SLOT,
     _stable_rng,
     apply_hips,
     assign_groups,
@@ -35,6 +39,29 @@ def pools(tmp_path_factory) -> NamePool:
 
     paths = minicorpus.materialize(tmp_path_factory.mktemp("pools"))
     return load_name_pools(paths["pools"])
+
+
+# The previous load_name_pools, kept verbatim so the current one can be checked
+# against it on random files.
+def _reference_load_name_pools(path: str | Path) -> NamePool:
+    """Load a gender,culture,kind,name CSV, dropping non-ASCII names."""
+    pool = NamePool()
+    groups = pool.groups
+    for gender, culture, kind, name in read_csv(path, ("gender", "culture", "kind", "name")):
+        name = name.strip()
+        if not name or not name.isascii():
+            continue
+        if not name.isprintable():
+            raise HipsError(f"{path}: name {name!r} holds a control character")
+        slot = _KIND_SLOT.get(kind.strip().lower())
+        if slot is None:
+            raise HipsError(f"{path}: unknown name kind {kind!r}")
+        group = (gender.strip(), culture.strip())
+        names = groups.get(group)
+        if names is None:
+            names = groups[group] = ([], [])
+        names[slot].append(name)
+    return pool
 
 
 def text_with_spans(cases, doc_id: str = "doc") -> tuple[Document, list[Span]]:
@@ -91,6 +118,36 @@ class TestLoadNamePools:
         with pytest.raises(HipsError) as excinfo:
             load_name_pools(csv_path)
         assert str(excinfo.value) == f"{csv_path}: {error}"
+
+    def test_matches_the_reference_loader(self, tmp_path):
+        """The same groups in the same order, or the same first error, as the previous loader."""
+        genders = ["Male", "Female", " Male", "Female ", "male", ""]
+        cultures = ["Asia", "Europe", " Europe", "Africa  ", ""]
+        kinds = ["first", "last", " first", "LAST", "Last ", "middle", ""]
+        names = ["Ann", "Bob", " Cid ", "Dee", "", "   ", "José", "Zoë\t", "Bo\tb", "A\x7fB"]
+        kinds_seen: Counter = Counter()
+        for trial in range(400):
+            rng = random.Random(trial)
+            rows = []
+            for _ in range(rng.randrange(0, 25)):
+                row = [rng.choice(genders), rng.choice(cultures),
+                       rng.choice(kinds[:5] if rng.random() < 0.9 else kinds),
+                       rng.choice(names[:6] if rng.random() < 0.9 else names)]
+                rows.append(row[:rng.randrange(0, 4)] if rng.random() < 0.1 else row)
+            csv_path = tmp_path / f"pools{trial}.csv"
+            with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+                csv.writer(handle).writerows([["gender", "culture", "kind", "name"], *rows])
+
+            def outcome(load) -> object:
+                try:
+                    return list(load(csv_path).groups.items())
+                except HipsError as exc:
+                    return str(exc)
+
+            expected = outcome(_reference_load_name_pools)
+            assert outcome(load_name_pools) == expected, trial
+            kinds_seen["error" if isinstance(expected, str) else "groups" if expected else "empty"] += 1
+        assert all(kinds_seen[k] for k in ("error", "groups", "empty")), kinds_seen
 
     def test_empty_group_raises(self, pools):
         with pytest.raises(EmptyGroup, match=r"^name pool has no names for group \(Female, Oceania\)$"):
