@@ -241,7 +241,7 @@ def _cmd_ingest(args: argparse.Namespace) -> None:
         raise ValueError("--id applies to --tscc input, not --in")
     if args.tscc:
         try:  # bytes that are not UTF-8, or a line that is not "role: text"
-            text = Path(args.tscc).read_text(encoding="utf-8")
+            text = Path(args.tscc).read_text(encoding=corpus.READ_ENCODING)
             doc, placeholders = corpus.ingest_tscc(text, args.id or Path(args.tscc).stem)
         except ValueError as exc:
             raise ValueError(f"{args.tscc}: {exc}") from exc

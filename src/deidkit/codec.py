@@ -44,17 +44,13 @@ class DroppedRegion(NamedTuple):
     reason: str
 
 
-class DecodeReport:
+class DecodeReport(NamedTuple):
     """Spans recovered against the original document plus anchoring stats."""
 
-    def __init__(self, dropped: list[DroppedRegion] | None = None):
-        self.spans: list[Span] = []
-        self.anchored_exact = 0
-        self.anchored_fuzzy = 0
-        self.dropped = [] if dropped is None else dropped
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is DecodeReport and vars(other) == vars(self)
+    spans: list[Span]
+    anchored_exact: int
+    anchored_fuzzy: int
+    dropped: list[DroppedRegion]
 
 
 def encode(doc: Document, spans: list[Span]) -> str:
@@ -218,15 +214,16 @@ def decode(marked: str, original: Document) -> DecodeReport:
     any candidate existed, else as not in the original. A span is only ever
     emitted when the original text matches the inner text exactly.
     """
-    report = DecodeReport()
-    stripped, regions, report.dropped = _scan_regions(marked)
+    stripped, regions, dropped = _scan_regions(marked)
     text = original.text
     # Only a region with inner text is mapped, so a reply without one needs no alignment.
     anchors = _align(stripped, text) if any(inner for _, inner, _ in regions) else []
     taken = bytearray(len(text))  # 1 wherever a kept span lies
+    spans: list[Span] = []
+    exact_count = 0
     for cat, inner, strip_start in regions:
         if not inner:
-            report.dropped.append(DroppedRegion("", cat, DROP_EMPTY))
+            dropped.append(DroppedRegion("", cat, DROP_EMPTY))
             continue
         mapped = _map_position(anchors, strip_start)
         exact = text.startswith(inner, mapped)
@@ -241,14 +238,10 @@ def decode(marked: str, original: Document) -> DecodeReport:
         usable = [c for c in candidates if taken.find(1, c, c + len(inner)) < 0]
         if not usable:
             reason = DROP_OVERLAP if candidates else DROP_NOT_IN_ORIGINAL
-            report.dropped.append(DroppedRegion(inner, cat, reason))
+            dropped.append(DroppedRegion(inner, cat, reason))
             continue
         best = min(usable, key=lambda c: (abs(c - mapped), c))
-        report.spans.append(Span(best, best + len(inner), cat, inner))
+        spans.append(Span(best, best + len(inner), cat, inner))
         taken[best : best + len(inner)] = b"\x01" * len(inner)
-        if exact:
-            report.anchored_exact += 1
-        else:
-            report.anchored_fuzzy += 1
-    report.spans.sort()
-    return report
+        exact_count += exact
+    return DecodeReport(sorted(spans), exact_count, len(spans) - exact_count, dropped)

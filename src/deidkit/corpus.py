@@ -91,17 +91,13 @@ class TokenRecord(NamedTuple):
     full_text: str | None = None
 
 
-class BioConversion:
+class BioConversion(NamedTuple):
     """A record's text, the spans bio_to_spans kept, and what it did not keep."""
 
-    def __init__(self, text: str, repaired_continuations: int = 0):
-        self.text = text
-        self.spans: list[Span] = []
-        self.dropped_categories: Counter = Counter()
-        self.repaired_continuations = repaired_continuations
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is BioConversion and vars(other) == vars(self)
+    text: str
+    spans: list[Span]
+    dropped_categories: Counter
+    repaired_continuations: int
 
 
 class CorpusSplit(NamedTuple):
@@ -171,14 +167,15 @@ def bio_to_spans(rec: TokenRecord, strict: bool = False) -> BioConversion:
             repaired += 1
         runs.append([cat, i, i])
 
-    result = BioConversion(text, repaired_continuations=repaired)
+    spans: list[Span] = []
+    dropped: Counter = Counter()
     for cat, first, last in runs:
         if cat in Category.__members__:
             start, end = starts[first], starts[last] + len(rec.tokens[last])
-            result.spans.append(Span(start, end, Category(cat), text[start:end]))
+            spans.append(Span(start, end, Category(cat), text[start:end]))
         else:
-            result.dropped_categories[cat] += 1
-    return result
+            dropped[cat] += 1
+    return BioConversion(text, spans, dropped, repaired)
 
 
 def validate_spans(text: str, spans: Sequence[Span]) -> None:
@@ -328,9 +325,14 @@ def _decode(text: str) -> Any:
     return value
 
 
+#: Every text input is read as UTF-8. A leading byte order mark, as Excel's
+#: "CSV UTF-8" writes, is not data; one later in the text stays text.
+READ_ENCODING = "utf-8-sig"
+
+
 def read_json(path: str | Path) -> Any:
     try:
-        return _decode(Path(path).read_text(encoding="utf-8"))
+        return _decode(Path(path).read_text(encoding=READ_ENCODING))
     except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, too deep, NaN or Infinity
         raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -343,7 +345,7 @@ def write_json(path: str | Path, payload: Any) -> None:
 
 def _text_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
     """Yield the lines of a UTF-8 text file; bytes that do not decode name the file."""
-    with open(path, encoding="utf-8", newline=newline) as handle:
+    with open(path, encoding=READ_ENCODING, newline=newline) as handle:
         try:
             yield from handle
         except UnicodeDecodeError as exc:

@@ -29,8 +29,8 @@ _CATEGORY_PROMPT_NAMES: dict[Category, str] = {
 #: Marker legend used verbatim in every prompt, derived from the codec table
 #: so the prompts and the decoder can never disagree.
 MARKER_LEGEND = "; ".join(
-    f"{MARKERS[0]}, {MARKERS[1]} to label {_CATEGORY_PROMPT_NAMES[cat]}"
-    for cat, MARKERS in codec.MARKERS.items()
+    f"{opener}, {closer} to label {_CATEGORY_PROMPT_NAMES[cat]}"
+    for cat, (opener, closer) in codec.MARKERS.items()
 )
 
 FEWSHOT_SYSTEM_PROMPT = (
@@ -233,7 +233,7 @@ def llm_detect(doc: Document, client: SupportsComplete, mode: str) -> codec.Deco
     if mode not in PROMPT_BUILDERS:
         raise ValueError(f"unknown llm mode {mode!r}")
     if not doc.text.strip():
-        return codec.DecodeReport()
+        return codec.DecodeReport([], 0, 0, [])
     messages = PROMPT_BUILDERS[mode](doc)
     completion = client.complete(messages, max_tokens=_completion_budget(doc.text))
     return codec.decode(completion, doc)

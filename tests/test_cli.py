@@ -1201,6 +1201,44 @@ def test_non_utf8_input_names_the_file(fixture_paths, tmp_path, capsys, case):
     assert sorted(tmp_path.iterdir()) == [bad]
 
 
+# A text input saved with a leading byte order mark, as Excel's "CSV UTF-8" does.
+_BOM_INPUTS = {
+    "config": ("config", ["--config", "{input}", "detect", "--in", "{corpus}", "--out", "{out}"]),
+    "documents": (
+        "corpus",
+        ["detect", "--detector", "rules", "--in", "{input}", "--pools", "{pools}", "--out", "{out}"]),
+    "pools": (
+        "pools",
+        ["detect", "--detector", "rules", "--in", "{corpus}", "--pools", "{input}", "--out", "{out}"]),
+    "spans": (
+        "gold",
+        ["replace", "--in", "{corpus}", "--spans", "{input}", "--pools", "{pools}",
+         "--group", "Female:Africa", "--out-docs", "{out}", "--out-audit", "{out}.audit.jsonl"]),
+    "transcript": (
+        "tscc",
+        ["ingest", "--tscc", "{input}", "--id", "t1", "--out-docs", "{out}",
+         "--out-gold", "{out}.gold.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOM_INPUTS))
+def test_leading_byte_order_mark_is_not_data(fixture_paths, tmp_path, case):
+    source, template = _BOM_INPUTS[case]
+    config = json.dumps({"pools": str(fixture_paths["pools"]), "detector": "rules"})
+    content = config if source == "config" else fixture_paths[source].read_text(encoding="utf-8")
+    outputs = []
+    for prefix in ("", "\ufeff"):
+        run_dir = tmp_path / ("bom" if prefix else "plain")
+        run_dir.mkdir()
+        (run_dir / "input").write_text(prefix + content, encoding="utf-8")
+        names = {k: str(v) for k, v in fixture_paths.items()}
+        names |= {"input": str(run_dir / "input"), "out": str(run_dir / "out")}
+        assert run_cli(*(arg.format(**names) for arg in template)) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(run_dir.glob("out*"))
+                        if not path.name.endswith(".manifest.json")})
+    assert outputs[0] and outputs[1] == outputs[0]
+
+
 # Each bad setting exits 1 with a line naming it, before anything is written.
 _BAD_SETTINGS = {
     "llm-detector-without-base-url": (
@@ -1758,8 +1796,9 @@ def _fresh_python(code: str) -> str:
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=60)
+    # -S: no site-packages and no .pth file, so only deidkit's own imports are measured.
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -1825,6 +1864,19 @@ def test_package_never_imports_dataclasses_or_concurrent_futures():
     banned = [f"{where}: {name}" for where, name in _package_imports()
               if name.split(".")[0] == "dataclasses" or name.startswith("concurrent.futures")]
     assert banned == []
+
+
+def test_no_class_defines_eq():
+    # A data-only record is a NamedTuple, which compares by value already.
+    package = Path(__file__).resolve().parents[1] / "src" / "deidkit"
+    found = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__eq__" for item in node.body)
+    ]
+    assert found == []
 
 
 def test_every_module_level_import_is_used():

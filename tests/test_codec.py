@@ -276,7 +276,7 @@ class TestDecode:
             raise AssertionError("a reply that marks no text was aligned")
 
         monkeypatch.setattr(codec, "_align", no_align)
-        assert decode(marked, doc) == DecodeReport(dropped=dropped)
+        assert decode(marked, doc) == DecodeReport([], 0, 0, dropped)
 
     def test_reply_with_one_marked_region_is_aligned_once(self, monkeypatch):
         rng = random.Random(12)

@@ -121,7 +121,7 @@ def _reference_bio_to_spans(rec: TokenRecord, strict: bool = False) -> BioConver
     error in strict mode and is promoted to B (and counted) otherwise.
     """
     text = reconstruct_text(rec)  # validates lengths and full_text agreement
-    result = BioConversion(text)
+    result = BioConversion(text, [], Counter(), 0)
 
     offset = 0
     open_cat: str | None = None
@@ -153,7 +153,7 @@ def _reference_bio_to_spans(rec: TokenRecord, strict: bool = False) -> BioConver
             # I after O or after a different category.
             if strict:
                 raise _malformed_bio(i, label)
-            result.repaired_continuations += 1
+            result = result._replace(repaired_continuations=result.repaired_continuations + 1)
             prefix = "B"
 
         if open_cat is not None:
@@ -593,6 +593,12 @@ def test_read_documents_skips_blank_lines_and_counts_them(tmp_path):
         read_documents(path)
     path.write_text('\n{"id": "a", "text": "x"}\n  \n{"id": "b", "text": "y"}\n', encoding="utf-8")
     assert [d.text for d in read_documents(path).values()] == ["x", "y"]
+
+
+def test_only_a_leading_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    path.write_text('\ufeff{"id": "a", "text": "\ufeffx"}\n', encoding="utf-8")
+    assert read_documents(path)["a"].text == "\ufeffx"
 
 
 def test_read_documents_accepts_both_schemas(fixture_paths, tmp_path):

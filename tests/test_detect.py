@@ -289,6 +289,13 @@ class TestFewshotPrompt:
             assert close_m in messages[1]["content"]
         assert MARKER_LEGEND in messages[1]["content"]
 
+    def test_legend_text_is_pinned(self):
+        # The fine-tuned model was trained on these exact bytes.
+        assert MARKER_LEGEND == (
+            "@@@, ### to label student name; &&&, $$$ to label personal URL; "
+            "QQQ, ^^^ to label personal email; %%%, ~~~ to label phone number"
+        )
+
     def test_three_exemplars_embedded(self):
         messages = build_fewshot_messages(TABLE_DOC)
         for plain, marked in DEFAULT_FEWSHOT_EXEMPLARS:
