@@ -142,14 +142,18 @@ def _scan_regions(marked: str) -> tuple[str, list[tuple[Category, str, int]], li
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 
-def _align(stripped: str, original: str) -> list[tuple[int, int]]:
+def _align(stripped: str, original: str, starts: list[int]) -> list[tuple[int, int]]:
     """Anchors ``(stripped pos, original pos)`` where equal text starts, in order.
 
     Identical texts share one anchor at 0. Otherwise whole tokens (words and
     single punctuation marks; whitespace is ignored) are aligned as in patience
     diff: the longest in-order chain of tokens that occur once in each text is
-    matched and grown over equal neighbours, then ``SequenceMatcher`` aligns
-    the gaps. Every matched token is an anchor; both text ends close the list.
+    matched. Each gap the chain leaves, from one chain token's start up to the
+    next one's, is aligned further only if it holds one of the sorted stripped
+    ``starts``: the chain tokens are grown over equal neighbours into it, then
+    ``SequenceMatcher`` aligns the rest. A position in the gap then maps as it
+    would with every gap aligned, since only the gap's own anchors bracket it.
+    Every matched token is an anchor; both text ends close the list.
     """
     if stripped == original:
         return [(0, 0), (len(stripped), len(original))]
@@ -172,20 +176,22 @@ def _align(stripped: str, original: str) -> list[tuple[int, int]]:
         chain.append((node[1], node[0]))
         node = node[2]
     pairs: list[tuple[int, int]] = []
-    lo_a = lo_b = 0
+    lo_a = lo_b = gap_start = 0
     for i, j in reversed(chain):
-        # Grow the unique matches, not the text ends, over equal neighbours.
-        while 0 < lo_a < i and lo_b < j and ta[lo_a] == tb[lo_b]:
-            pairs.append((lo_a, lo_b))
-            lo_a, lo_b = lo_a + 1, lo_b + 1
+        gap_end = a[i].start() if i < len(a) else len(stripped)
         hi_a, hi_b = i, j
-        while len(a) > hi_a > lo_a and hi_b > lo_b and ta[hi_a - 1] == tb[hi_b - 1]:
-            hi_a, hi_b = hi_a - 1, hi_b - 1
-        sm = difflib.SequenceMatcher(a=ta[lo_a:hi_a], b=tb[lo_b:hi_b], autojunk=False)
-        for x, y, size in sm.get_matching_blocks():
-            pairs += [(lo_a + x + k, lo_b + y + k) for k in range(size)]
+        if bisect.bisect_left(starts, gap_start) < bisect.bisect_left(starts, gap_end):
+            # Grow the unique matches, not the text ends, over equal neighbours.
+            while 0 < lo_a < i and lo_b < j and ta[lo_a] == tb[lo_b]:
+                pairs.append((lo_a, lo_b))
+                lo_a, lo_b = lo_a + 1, lo_b + 1
+            while len(a) > hi_a > lo_a and hi_b > lo_b and ta[hi_a - 1] == tb[hi_b - 1]:
+                hi_a, hi_b = hi_a - 1, hi_b - 1
+            sm = difflib.SequenceMatcher(a=ta[lo_a:hi_a], b=tb[lo_b:hi_b], autojunk=False)
+            for x, y, size in sm.get_matching_blocks():
+                pairs += [(lo_a + x + k, lo_b + y + k) for k in range(size)]
         pairs += [(hi_a + k, hi_b + k) for k in range(i - hi_a + 1)]
-        lo_a, lo_b = i + 1, j + 1
+        lo_a, lo_b, gap_start = i + 1, j + 1, gap_end
     return [(a[i].start(), b[j].start()) for i, j in pairs[:-1]] + [(len(stripped), len(original))]
 
 
@@ -217,7 +223,8 @@ def decode(marked: str, original: Document) -> DecodeReport:
     stripped, regions, dropped = _scan_regions(marked)
     text = original.text
     # Only a region with inner text is mapped, so a reply without one needs no alignment.
-    anchors = _align(stripped, text) if any(inner for _, inner, _ in regions) else []
+    starts = [strip_start for _, inner, strip_start in regions if inner]
+    anchors = _align(stripped, text, starts) if starts else []
     taken = bytearray(len(text))  # 1 wherever a kept span lies
     spans: list[Span] = []
     exact_count = 0

@@ -420,6 +420,54 @@ def read_csv(
         raise CorpusError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
+#: Characters a plain CSV file is read at a time, then on to a line's end; few, to keep memory low.
+_PLAIN_BLOCK = 8192
+
+
+def read_csv_runs(path: str | Path, columns: Sequence[str]) -> Iterator[tuple | None]:
+    """Yield as ``(*fields, lasts)`` each run of consecutive rows that share all but the last field.
+
+    A plain file, whose header is exactly ``columns`` and whose every line
+    holds one field per column, no quote, no NUL and no field over the csv
+    size limit, is read a block of lines at a time, and one regular expression
+    matches each run whole, so no object is made per row. At a block that is
+    not plain or does not decode, the reader yields None, then every
+    ``read_csv`` row from the first as a run of one: a consumer starts over at
+    None. Both ways give the same rows and the same first error.
+    """
+    field = '[^,"\n\0]*'
+    run_re = re.compile(f"((?:{field},){{{len(columns) - 1}}}){field}\n(?:\\1{field}\n)*")
+    header = ",".join(columns) + "\n"
+    limit = csv.field_size_limit()
+    # Newlines are read as "\n", and csv ends a row at each of "\r\n", "\r" and "\n" too.
+    with open(path, encoding=READ_ENCODING) as handle:
+        try:
+            if handle.readline(len(header)) == header:
+                while block := handle.read(_PLAIN_BLOCK):
+                    text = block + handle.readline()  # the block's last line in full
+                    if not text.endswith("\n"):  # the file's last line lacks one
+                        text += "\n"
+                    # A line no longer than the limit holds no field over it.
+                    if len(text) > limit and max(map(len, text.split("\n"))) > limit:
+                        break
+                    end = 0
+                    for run in run_re.finditer(text):
+                        if run.start() != end:
+                            break
+                        end = run.end()
+                        prefix = run[1]  # a last field holds no comma: the prefix only starts lines
+                        yield (*prefix[:-1].split(","), run[0][:-1].replace(prefix, "").split("\n"))
+                    if end != len(text):
+                        break
+                else:
+                    return
+        except UnicodeDecodeError:
+            pass  # read_csv names the file and the byte
+    yield None
+    for row in read_csv(path, columns):
+        yield (*row[:-1], [row[-1]])
+
+
 def _list_of(obj: Mapping, key: str, kind: type) -> list:
     value = obj[key]
     if not isinstance(value, list) or not set(map(type, value)) <= {kind}:

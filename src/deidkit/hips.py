@@ -21,7 +21,7 @@ from .corpus import (
     Document,
     Placeholder,
     Span,
-    read_csv,
+    read_csv_runs,
     validate_spans,
 )
 
@@ -72,22 +72,26 @@ _KIND_SLOT = {"first": 0, "last": 1}
 
 def load_name_pools(path: str | Path) -> NamePool:
     """Load a gender,culture,kind,name CSV, dropping non-ASCII names."""
-    pool = NamePool()
-    targets: dict[tuple[str, str, str], list[str]] = {}  # the name list of each raw triple
-    for gender, culture, kind, name in read_csv(path, ("gender", "culture", "kind", "name")):
-        name = name.strip()
-        if not name or not name.isascii():
+    pool, targets = NamePool(), {}
+    for run in read_csv_runs(path, ("gender", "culture", "kind", "name")):
+        if run is None:  # the file is read again from its first row
+            pool, targets = NamePool(), {}
             continue
-        if not name.isprintable():
-            raise HipsError(f"{path}: name {name!r} holds a control character")
-        names = targets.get((gender, culture, kind))
-        if names is None:
+        gender, culture, kind, names = run
+        kept = [name for name in map(str.strip, names) if name and name.isascii()]
+        if not kept:
+            continue
+        target = targets.get((gender, culture, kind))  # the name list of each raw triple
+        if target is None and kept[0].isprintable():  # else the first name is the first fault
             slot = _KIND_SLOT.get(kind.strip().lower())
             if slot is None:
                 raise HipsError(f"{path}: unknown name kind {kind!r}")
             group = pool.groups.setdefault((gender.strip(), culture.strip()), ([], []))
-            names = targets[gender, culture, kind] = group[slot]
-        names.append(name)
+            target = targets[gender, culture, kind] = group[slot]
+        if not "".join(kept).isprintable():
+            name = next(name for name in kept if not name.isprintable())
+            raise HipsError(f"{path}: name {name!r} holds a control character")
+        target.extend(kept)
     return pool
 
 

@@ -272,7 +272,7 @@ class TestDecode:
         middle = marked.index(" ", len(marked) // 2)
         marked = f"{marked[:middle]} {region}{marked[middle:]}"
 
-        def no_align(stripped, original):
+        def no_align(stripped, original, starts):
             raise AssertionError("a reply that marks no text was aligned")
 
         monkeypatch.setattr(codec, "_align", no_align)
@@ -287,6 +287,24 @@ class TestDecode:
         monkeypatch.setattr(codec, "_align", lambda *texts: calls.append(texts) or align(*texts))
         assert decode(marked, doc).spans == spans[:1]
         assert len(calls) == 1
+
+    def test_only_a_gap_that_holds_a_region_start_is_aligned(self, monkeypatch):
+        # SequenceMatcher runs only in a gap between unique-token anchors that holds
+        # a region start, so one marked region builds at most one.
+        rng = random.Random(13)
+        doc, spans = long_case(rng, 2000)
+        marked = perturb_marked(encode(doc, spans[:1]), spans[:1], rng)
+        assert strip_markers(marked) != doc.text
+        built = []
+
+        class CountingMatcher(difflib.SequenceMatcher):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(difflib, "SequenceMatcher", CountingMatcher)
+        assert decode(marked, doc).spans == spans[:1]
+        assert len(built) <= 1
 
     def test_clean_long_document_anchors_every_span_exactly(self):
         doc, spans = long_case(random.Random(5), 5000)
@@ -385,7 +403,7 @@ class TestDecode:
 
 # The previous _align, kept verbatim so the unique-token alignment can be checked
 # against it: one SequenceMatcher over the whole token lists.
-def _reference_align(stripped: str, original: str) -> list[tuple[int, int]]:
+def _reference_align(stripped: str, original: str, starts: list[int]) -> list[tuple[int, int]]:
     """Anchors ``(stripped pos, original pos)`` where equal text starts, in order.
 
     Identical texts share one anchor at 0. Otherwise the texts are aligned by

@@ -10,7 +10,10 @@ from urllib.parse import urlparse
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deidkit.corpus import Category, Document, Placeholder, Span, ingest_tscc, read_csv
+from deidkit import corpus
+from deidkit.corpus import (
+    Category, CorpusError, Document, Placeholder, Span, ingest_tscc, read_csv,
+)
 from deidkit.eval import load_region_table, map_country_to_culture
 from deidkit.hips import (
     ALL_GROUPS,
@@ -148,6 +151,86 @@ class TestLoadNamePools:
             assert outcome(load_name_pools) == expected, trial
             kinds_seen["error" if isinstance(expected, str) else "groups" if expected else "empty"] += 1
         assert all(kinds_seen[k] for k in ("error", "groups", "empty")), kinds_seen
+
+    def test_raw_text_loads_as_the_reference_loader_does(self, tmp_path, monkeypatch):
+        """Seeded raw files, plain or not, give the reference's groups in order or its first error."""
+        limit = csv.field_size_limit()
+        headers = ["gender,culture,kind,name"] * 8 + [
+            "name,gender,culture,kind", "gender,culture,kind,name,note", "gender,culture,name"]
+        triples = [("Male", "Asia", "first"), ("Male", "Asia", "last"), ("Female", "Europe", "first"),
+                   ("Female", "Europe", "last"), (" Male", "Asia", "First "), ("Female", "", "middle")]
+        names = ["Ann", "Bob", "Cid", "Dee", " Eve ", "", "  ", "José", "Bo\tb", "A\x7fB", "Mary Ann",
+                 "N\0ul", "\ufeffEve"]
+        quoted = ['"Ann"', '"Smith, Jr"', '"Bo ""Big"" Ray"', '"Li\nWei"']
+        calls = []
+        real_read_csv = corpus.read_csv
+        monkeypatch.setattr(corpus, "read_csv", lambda *a: calls.append(a) or real_read_csv(*a))
+        paths_seen: Counter = Counter()
+        for trial in range(300):
+            rng = random.Random(trial)
+            odd = rng.choice([0, 0.005, 0.05])  # the share of rows with an odd name or shape
+            endings = rng.choice([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]])
+            lines = [rng.choice(headers)]
+            for _ in range(rng.randrange(0, 12)):  # runs of one triple, groups interleaved
+                triple = rng.choice(triples if rng.random() < odd else triples[:4])
+                for _ in range(rng.randrange(1, 40)):
+                    fields = [*triple, rng.choice(names if rng.random() < odd else names[:4])]
+                    if rng.random() < odd:
+                        shape = rng.randrange(4)
+                        if shape == 0:
+                            fields[3] = "A" * rng.choice([limit, limit + 1])
+                        elif shape == 1:
+                            fields[3] = rng.choice(quoted)
+                        elif shape == 2:
+                            fields = fields[: rng.randrange(0, 4)]  # short, or a blank line
+                        else:
+                            fields.append("extra")
+                    lines.append(",".join(fields))
+            text = "".join(line + rng.choice(endings) for line in lines)
+            if rng.random() < 0.2:
+                text = text.rstrip("\r\n")  # no newline after the last line
+            if rng.random() < 0.1:
+                text = "\ufeff" + text
+            csv_path = tmp_path / f"raw{trial}.csv"
+            data = text.encode("utf-8")
+            if rng.random() < 0.05:  # a byte that does not decode, after the header
+                cut = rng.randrange(30, len(data) + 1) if len(data) > 30 else len(data)
+                data = data[:cut] + b"\xff" + data[cut:]
+            csv_path.write_bytes(data)
+
+            def outcome(load) -> object:
+                try:
+                    return list(load(csv_path).groups.items())
+                except (HipsError, CorpusError) as exc:
+                    return f"{type(exc).__name__}: {exc}"
+
+            expected = outcome(_reference_load_name_pools)
+            del calls[:]
+            assert outcome(load_name_pools) == expected, trial
+            paths_seen["csv" if calls else "plain", isinstance(expected, str)] += 1
+        # Both ways of reading ran, each to the end of a file and to an error.
+        assert len(paths_seen) == 4, paths_seen
+
+    def test_plain_file_is_read_without_the_csv_module(self, tmp_path, monkeypatch):
+        # A file shaped as the benchmark writes it: csv.writer's CRLF lines, one
+        # group and kind after another, over several blocks.
+        rng = random.Random(3)
+        rows = [(gender, culture, kind, "".join(rng.choices("aeiklmnorst", k=6)).title())
+                for gender, culture in ALL_GROUPS for kind in ("first", "last") for _ in range(150)]
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        for path, quoting in ((plain, csv.QUOTE_MINIMAL), (quoted, csv.QUOTE_ALL)):
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle, quoting=quoting)
+                writer.writerows([("gender", "culture", "kind", "name"), *rows])
+        expected = list(_reference_load_name_pools(plain).groups.items())
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader parsed the file")
+
+        monkeypatch.setattr(csv, "reader", no_reader)
+        assert list(load_name_pools(plain).groups.items()) == expected
+        with pytest.raises(AssertionError, match="csv.reader parsed the file"):
+            load_name_pools(quoted)
 
     def test_empty_group_raises(self, pools):
         with pytest.raises(EmptyGroup, match=r"^name pool has no names for group \(Female, Oceania\)$"):
