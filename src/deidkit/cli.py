@@ -6,7 +6,7 @@ and accepts ``--seed`` wherever randomness is involved. ``main`` applies the
 alone, and drops a run manifest (flags, seed, versions, digests of every input
 file, the run config included) beside the first output so runs can be
 reproduced byte for byte. Exit codes: 0 success, 1 validation failure,
-2 transport failure.
+2 transport failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -433,15 +433,56 @@ def _cmd_mock_llm(args: argparse.Namespace) -> None:
 _JOBS_HELP = "documents, and so chat requests, in flight at once"
 
 
+class _Subcommand:
+    """A subcommand's parser, built only when argparse parses with it.
+
+    argparse calls nothing on a subparser but ``parse_known_args``: the top-level help
+    lists each subcommand from its ``help=``. So a stage builds two parsers, the top
+    level and its own, not all thirteen.
+    """
+
+    def __init__(self, flags: Callable[[argparse.ArgumentParser], None], **kwargs) -> None:
+        self._flags, self._kwargs = flags, kwargs  # kwargs: what add_parser forwards, e.g. prog
+
+    def parser(self) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(**self._kwargs)
+        self._flags(parser)
+        return parser
+
+    def parse_known_args(self, args=None, namespace=None):
+        return self.parser().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deidkit",
         description="Detect, verify, and replace PII in text corpora.",
     )
     parser.add_argument("--config", help="JSON run configuration; flags override it")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
+    sub.add_parser("ingest", help="read a BIO corpus or transcript into documents + spans",
+                   flags=_ingest_flags)
+    sub.add_parser("split", help="stratified base/verifier/test partition", flags=_split_flags)
+    sub.add_parser("detect", help="run a detector over documents", flags=_detect_flags)
+    sub.add_parser("verify", help="filter detected spans with a verifier model",
+                   flags=_verify_flags)
+    sub.add_parser("replace", help="hidden-in-plain-sight surrogate replacement",
+                   flags=_replace_flags)
+    sub.add_parser("evaluate", help="exact-match metrics for predictions vs gold",
+                   flags=_evaluate_flags)
+    sub.add_parser("bias", help="recall per gender and culture group", flags=_bias_flags)
+    sub.add_parser("cost", help="total and per-million-token cost summary", flags=_cost_flags)
+    sub.add_parser("simulate-leakage", help="document-level leakage Monte Carlo",
+                   flags=_simulate_leakage_flags)
+    sub.add_parser("make-finetune", help="emit chat-format fine-tuning records",
+                   flags=_make_finetune_flags)
+    sub.add_parser("make-verifier-data", help="emit verifier training records",
+                   flags=_make_verifier_data_flags)
+    sub.add_parser("mock-llm", help="offline chat endpoint for CI and demos", flags=_mock_llm_flags)
+    return parser
 
-    p = sub.add_parser("ingest", help="read a BIO corpus or transcript into documents + spans")
+
+def _ingest_flags(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="infile", help="token-record JSONL input")
     source.add_argument("--tscc", help="role/text transcript input")
@@ -451,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-gold", required=True)
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("split", help="stratified base/verifier/test partition")
+
+def _split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--gold", help="standoff gold spans used for stratification")
     p.add_argument("--ratios", default="0.25,0.15,0.60")
@@ -459,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("detect", help="run a detector over documents")
+
+def _detect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--detector", choices=_DETECTORS)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
@@ -470,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_llm_flags(p)
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("verify", help="filter detected spans with a verifier model")
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--spans", required=True)
     p.add_argument("--variant", choices=[v.value for v in VerifierVariant], default="without-cot")
@@ -479,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_llm_flags(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("replace", help="hidden-in-plain-sight surrogate replacement")
+
+def _replace_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--spans", help="standoff spans or placeholder spans to replace")
     p.add_argument("--pools")
@@ -490,13 +535,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-gold", help="write shifted spans as standoff gold")
     p.set_defaults(func=_cmd_replace)
 
-    p = sub.add_parser("evaluate", help="exact-match metrics for predictions vs gold")
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("bias", help="recall per gender and culture group")
+
+def _bias_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--gender-table")
@@ -505,12 +552,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bias)
 
-    p = sub.add_parser("cost", help="total and per-million-token cost summary")
+
+def _cost_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ledger", required=True, help="JSON with items and tokens_per_stage")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cost)
 
-    p = sub.add_parser("simulate-leakage", help="document-level leakage Monte Carlo")
+
+def _simulate_leakage_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fn", type=float, required=True, help="detector false-negative rate")
     p.add_argument("--attacker-rate", type=float, default=1.0)
     p.add_argument("--entities", "-k", type=int, default=10)
@@ -519,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate_leakage)
 
-    p = sub.add_parser("make-finetune", help="emit chat-format fine-tuning records")
+
+def _make_finetune_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--split-file")
@@ -527,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_finetune)
 
-    p = sub.add_parser("make-verifier-data", help="emit verifier training records")
+
+def _make_verifier_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--detections", required=True)
@@ -536,15 +587,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_llm_flags(p)
     p.set_defaults(func=_cmd_make_verifier_data)
 
-    p = sub.add_parser("mock-llm", help="offline chat endpoint for CI and demos")
+
+def _mock_llm_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=list(mockllm.MODES), required=True)
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--corpus", help="documents the mock should know gold answers for")
     p.add_argument("--gold")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_mock_llm)
-
-    return parser
 
 
 def _add_llm_flags(p: argparse.ArgumentParser) -> None:
@@ -572,6 +622,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: one line, not a traceback
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -806,8 +806,8 @@ class TestJobs:
         assert verified[0] == verified[1]
 
     def test_interrupt_starts_no_further_document(self, chat_endpoint, fixture_paths, tmp_path):
-        # Ctrl-C while the endpoint holds request 1: no later document starts, and the
-        # stage writes nothing. The exit code and the traceback are left unpinned.
+        # Ctrl-C while the endpoint holds request 1: no later document starts, the stage
+        # writes nothing, and it exits 130 with one line instead of a traceback.
         held, release = 1, threading.Event()
 
         def answer(i, body):
@@ -834,9 +834,11 @@ class TestJobs:
             time.sleep(0.5)  # the waiting thread takes the interrupt before the reply comes
         finally:
             release.set()
-            proc.communicate(timeout=60)
+            stderr = proc.communicate(timeout=60)[1]
         assert len(endpoint.requests) == held + 1
         assert not out.exists() and not (tmp_path / "pred.json.manifest.json").exists()
+        assert proc.returncode == 130
+        assert one_error_line(stderr.decode(), "interrupted") == "interrupted"
 
 
 _UNKNOWN_DOCUMENT_SPANS = (
@@ -1707,7 +1709,7 @@ def _flag_actions(parser: argparse.ArgumentParser):
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
-                yield from _flag_actions(sub)
+                yield from _flag_actions(sub.parser())
         elif action.option_strings:
             yield action
 
